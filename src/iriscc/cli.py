@@ -9,7 +9,9 @@ Three subcommands::
 ``run`` simulates one scenario and writes ``trace.csv`` (schema in
 :mod:`iriscc.trace`) plus a plain-text summary; equal configs and seeds
 produce byte-identical outputs.  ``analyze`` fits the delay-response
-model to a trace and reports slope, intercept and correlation.
+model to a trace and reports slope, intercept and correlation; it pools
+every flow's consecutive-row samples into one fit, with the trace's
+``throughput`` column as the receive rate.
 ``sweep`` re-runs a scenario while varying one whitelisted parameter
 and tabulates the results in the order the values were given.
 """
@@ -23,7 +25,7 @@ from pathlib import Path
 
 from . import metrics
 from .netsim import run_scenario
-from .regression import RegressionFit, Sample, fit_k_b
+from .regression import delta_samples, fit_k_b
 from .scenario import Scenario, ScenarioError, dump_scenario, load_scenario
 from .trace import FlowTrace, read_trace_csv, write_trace_csv
 from .units import mbps_to_pkts_per_ms, pkts_per_ms_to_mbps
@@ -32,19 +34,8 @@ SWEEP_PARAMS = ("random_loss", "prop_delay", "flow_count", "bandwidth")
 _DEFAULT_STAGGER = 5000.0  # ms between replicated flows in a flow_count sweep
 
 
-def _mean_capacity(scenario: Scenario) -> float:
-    """Time-weighted mean capacity over the run, packets/ms."""
-    schedule = list(scenario.link.bandwidth_schedule) + [(scenario.duration, 0.0)]
-    total = 0.0
-    for (t0, cap), (t1, _) in zip(schedule, schedule[1:]):
-        if t0 >= scenario.duration:
-            break
-        total += cap * (min(t1, scenario.duration) - t0)
-    return total / scenario.duration if scenario.duration > 0 else schedule[0][1]
-
-
 def _summarize(scenario: Scenario, traces: list[FlowTrace]) -> str:
-    capacity = _mean_capacity(scenario)
+    capacity = scenario.link.mean_capacity(0.0, scenario.duration)
     lines = []
     link = scenario.link
     lines.append(
@@ -82,18 +73,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trace_fit(per_flow: dict[int, list]) -> RegressionFit | None:
-    samples: list[Sample] = []
-    for rows in per_flow.values():
-        for prev, row in zip(rows, rows[1:]):
-            samples.append(Sample(rate_diff=row.send_rate - row.throughput,
-                                  delta_rtt=row.rtt - prev.rtt))
-    return fit_k_b(samples)
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     per_flow = read_trace_csv(args.trace)
-    fit = _trace_fit(per_flow)
+    fit = fit_k_b([
+        sample for rows in per_flow.values()
+        for sample in delta_samples((row.send_rate, row.throughput, row.rtt) for row in rows)
+    ])
     if fit is None:
         print("error: trace is unfittable (needs >= 3 rows with varying rates and RTTs)",
               file=sys.stderr)
@@ -146,7 +131,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         rtts = [metrics.mean_rtt(trace, t0, t1) for trace in traces]
         rtts = [r for r in rtts if r is not None]
         rtt = sum(rtts) / len(rtts) if rtts else float("nan")
-        capacity = _mean_capacity(scenario)
+        capacity = scenario.link.mean_capacity(t0, t1)
         util = agg / capacity if capacity > 0 else 0.0
         drops = sum(t.totals.dropped_overflow + t.totals.dropped_random for t in traces)
         mbps = pkts_per_ms_to_mbps(agg, scenario.link.packet_bytes)
@@ -203,13 +188,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -73,7 +73,6 @@ class IrisParams:
     min_fit_plcc: float = 0.2           # correlation a re-fit needs to be adopted
     excitation_floor: float = 0.05      # rate-excursion spread a window needs, relative
     contraction_cap: float = 0.95       # loop-gain bound enforced per decision
-    recv_smoothing: float | None = None # optional EWMA weight for recv_rate
 
     def __post_init__(self) -> None:
         positive = [
@@ -104,8 +103,6 @@ class IrisParams:
             raise ValueError(f"cold_backoff must be in (0, 1), got {self.cold_backoff}")
         if self.cold_fit_samples < 2:
             raise ValueError(f"cold_fit_samples must be >= 2, got {self.cold_fit_samples}")
-        if self.recv_smoothing is not None and not 0.0 < self.recv_smoothing <= 1.0:
-            raise ValueError(f"recv_smoothing must be in (0, 1], got {self.recv_smoothing}")
 
 
 @dataclass(frozen=True)
@@ -148,11 +145,16 @@ class IrisState:
     target_stale_epochs: int = 0
     rtt_samples: deque = field(default_factory=deque)   # (time, rtt)
     history: deque = field(default_factory=deque)       # EpochRecord
-    last_k_update: float = -math.inf
     prev_loss_rate: float = 0.0
-    recv_ewma: float | None = None
-    last_fit: RegressionFit | None = None
     applied_fits: list = field(default_factory=list)    # (time, RegressionFit)
+
+    @property
+    def last_fit(self) -> RegressionFit | None:
+        return self.applied_fits[-1][1] if self.applied_fits else None
+
+    @property
+    def last_k_update(self) -> float:
+        return self.applied_fits[-1][0] if self.applied_fits else -math.inf
 
 
 def new_state(params: IrisParams | None = None) -> IrisState:
@@ -276,8 +278,6 @@ def _adopt_fit(state: IrisState, fit: RegressionFit | None, now: float) -> bool:
     if fit is None or not math.isfinite(fit.k):
         return False
     state.k = max(state.params.k_min, fit.k)
-    state.last_fit = fit
-    state.last_k_update = now
     state.applied_fits.append((now, fit))
     return True
 
@@ -290,8 +290,8 @@ def _window_excitation(samples: list[Sample], records) -> float:
     return statistics.pstdev(s.rate_diff for s in samples) / mean_rate
 
 
-def _maybe_refit_k(state: IrisState, now: float) -> None:
-    """Periodic slope re-fit over the most recent window of records.
+def _gated_fit(params: IrisParams, records, min_samples: int) -> RegressionFit | None:
+    """Fit ``records`` only if the window can identify the slope.
 
     The slope is only identifiable from data that actually moved the
     rate: in a quiet steady state the send/receive gap is measurement
@@ -299,28 +299,36 @@ def _maybe_refit_k(state: IrisState, now: float) -> None:
     back into the RTT, so a regression over a quiet window can look
     well-correlated while its slope is an artifact of the loop, not the
     network.  Dividing the next rate step by such a slope is what makes
-    the controller lurch.  A window is therefore fitted only when its
-    rate excursions clear ``excitation_floor`` (relative to the mean
-    rate) and the fit only adopted when its correlation clears
-    ``min_fit_plcc``.  Skipped attempts do not advance the update
-    clock, so the fit retries every epoch and adopts as soon as an
-    informative window (a capacity change, a competing flow, a loss
-    burst) shows up, instead of waiting out another full period.
+    the controller lurch.  A window therefore needs ``min_samples``
+    samples and rate excursions that clear ``excitation_floor``
+    (relative to the mean rate) before it is fitted, and the fit is only
+    returned when its correlation clears ``min_fit_plcc``.
+    """
+    samples = _fit_samples(records)
+    if len(samples) < min_samples:
+        return None
+    if _window_excitation(samples, records) < params.excitation_floor:
+        return None
+    fit = fit_k_b(samples)
+    if fit is None or fit.plcc < params.min_fit_plcc:
+        return None
+    return fit
+
+
+def _maybe_refit_k(state: IrisState, now: float) -> None:
+    """Periodic slope re-fit over the most recent window of records.
+
+    Attempts the gate rejects do not advance the update clock, so the
+    fit retries every epoch and adopts as soon as an informative window
+    (a capacity change, a competing flow, a loss burst) shows up,
+    instead of waiting out another full period.
     """
     params = state.params
     if now - state.last_k_update < params.k_update_period:
         return
     cutoff = now - params.k_update_period
     recent = [rec for rec in state.history if rec.end_time >= cutoff]
-    samples = _fit_samples(recent)
-    if len(samples) < params.min_fit_samples:
-        return
-    if _window_excitation(samples, recent) < params.excitation_floor:
-        return
-    fit = fit_k_b(samples)
-    if fit is None or fit.plcc < params.min_fit_plcc:
-        return
-    _adopt_fit(state, fit, now)
+    _adopt_fit(state, _gated_fit(params, recent, params.min_fit_samples), now)
 
 
 def _record_measurement(state: IrisState, rec: EpochRecord) -> None:
@@ -343,36 +351,13 @@ def on_epoch_end(state: IrisState, rec: EpochRecord, loss_rate: float,
     assert target is not None  # the record itself is in the window
     objective = compute_objective(rec.send_rate, rec.rtt, target, params.queue_load_target)
     rtt_step = expected_rtt_variation(objective, params.rtt_step_bound, params.objective_scale)
-    if params.recv_smoothing is not None:
-        alpha = params.recv_smoothing
-        state.recv_ewma = (
-            rec.recv_rate if state.recv_ewma is None
-            else alpha * rec.recv_rate + (1.0 - alpha) * state.recv_ewma
-        )
-        recv_est = state.recv_ewma
-    else:
-        recv_est = rec.recv_rate
     k_used = effective_slope(params, state.k, rec.rtt, target)
-    rate = next_sending_rate(recv_est, rtt_step, k_used, params.k_min, params.rate_floor)
+    rate = next_sending_rate(rec.recv_rate, rtt_step, k_used, params.k_min, params.rate_floor)
     _maybe_refit_k(state, now)
     state.prev_loss_rate = loss_rate
     state.current_rate = rate
     return RateDecision(next_rate=rate, rtt_step=rtt_step, objective=objective,
                         k_used=k_used)
-
-
-def _cold_fit(state: IrisState) -> RegressionFit | None:
-    """Fit over the whole ramp history, gated the same way as re-fits."""
-    params = state.params
-    samples = _fit_samples(state.history)
-    if len(samples) < params.cold_fit_samples:
-        return None
-    if _window_excitation(samples, state.history) < params.excitation_floor:
-        return None
-    fit = fit_k_b(samples)
-    if fit is None or fit.plcc < params.min_fit_plcc:
-        return None
-    return fit
 
 
 def _exit_cold(state: IrisState, rec: EpochRecord | None,
@@ -421,7 +406,8 @@ def cold_start_step(state: IrisState, rec: EpochRecord | None, loss_rate: float,
     prev_loss = state.prev_loss_rate
     state.prev_loss_rate = loss_rate
     if state.current_rate >= params.rate_ceiling:
-        fit = _cold_fit(state) or fit_k_b(_fit_samples(state.history))
+        fit = (_gated_fit(params, state.history, params.cold_fit_samples)
+               or fit_k_b(_fit_samples(state.history)))
         _exit_cold(state, rec, fit, now)
         return state.current_rate
     loss_burst = (
@@ -430,7 +416,7 @@ def cold_start_step(state: IrisState, rec: EpochRecord | None, loss_rate: float,
              or loss_rate >= params.cold_loss_severe)
     )
     if loss_burst:
-        fit = _cold_fit(state)
+        fit = _gated_fit(params, state.history, params.cold_fit_samples)
         if fit is not None:
             _exit_cold(state, rec, fit, now)
             return state.current_rate

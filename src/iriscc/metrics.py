@@ -21,7 +21,7 @@ DEFAULT_THRESHOLD = 0.9
 
 
 def jain_index(values: Sequence[float]) -> float | None:
-    """Jain's fairness index: (sum x)^2 / (n * sum x^2), in (0, 1].
+    """Jain's fairness index: (sum x)^2 / (n * sum x^2), in [1/n, 1].
 
     1 means perfectly equal shares, 1/n a single hog.  Undefined (None)
     for an empty set or all-zero shares.
@@ -34,7 +34,9 @@ def jain_index(values: Sequence[float]) -> float | None:
     if square_sum == 0.0:
         return None
     total = math.fsum(values)
-    return total * total / (len(values) * square_sum)
+    n = len(values)
+    # Rounding can put a lone hog a hair below 1/n; clamp to the exact range.
+    return min(1.0, max(1.0 / n, total * total / (n * square_sum)))
 
 
 def _row_spacing(trace: FlowTrace) -> float:

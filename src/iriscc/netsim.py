@@ -7,7 +7,7 @@ server but is not added to a packet's own latency, so an unqueued
 packet measures exactly its two-way propagation delay.
 
 Event kinds are processed in a fixed order at equal timestamps
-(arrivals, departures, deliveries, ACKs, epoch timers, bandwidth
+(queue arrivals, queue departures, ACKs, epoch timers, bandwidth
 changes), with flow id and packet id as further tie-breakers, and the
 only randomness is a seeded Bernoulli draw per arrival for random loss
 — so a scenario is a pure function of its description and seed, and
@@ -41,10 +41,9 @@ class EventKind(IntEnum):
 
     PACKET_ARRIVE_QUEUE = 0
     PACKET_DEPART_QUEUE = 1
-    PACKET_DELIVERED = 2   # folded into ACK_DELIVERED (ideal reverse path)
-    ACK_DELIVERED = 3
-    EPOCH_TIMER = 4
-    BANDWIDTH_CHANGE = 5
+    ACK_DELIVERED = 2      # delivery is folded in (ideal reverse path)
+    EPOCH_TIMER = 3
+    BANDWIDTH_CHANGE = 4
 
 
 class EnqueueResult(Enum):

@@ -97,14 +97,14 @@ def plcc(xs: Sequence[float], ys: Sequence[float]) -> float | None:
     return max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy)))
 
 
-def analyze_trace(rows: Iterable[tuple[float, float, float]]) -> RegressionFit | None:
-    """Fit the delay-response model to a time-ordered rate/RTT trace.
+def delta_samples(rows: Iterable[tuple[float, float, float]]) -> list[Sample]:
+    """Difference a time-ordered rate/RTT series into regression samples.
 
     ``rows`` holds ``(send_rate, recv_rate, rtt)`` triples, one per
-    epoch.  Consecutive rows are differenced to form samples: row *i*
-    (for ``i >= 1``) contributes ``(send_rate_i - recv_rate_i,
-    rtt_i - rtt_{i-1})``.  Fewer than three rows cannot produce the two
-    samples a fit needs, so the result is ``None``.
+    epoch.  Row *i* (for ``i >= 1``) contributes ``(send_rate_i -
+    recv_rate_i, rtt_i - rtt_{i-1})``.  For a trace CSV the receive rate
+    is the ``throughput`` column; each flow's rows are differenced on
+    their own, so samples never span two flows.
     """
     samples: list[Sample] = []
     prev_rtt: float | None = None
@@ -112,4 +112,15 @@ def analyze_trace(rows: Iterable[tuple[float, float, float]]) -> RegressionFit |
         if prev_rtt is not None:
             samples.append(Sample(rate_diff=send_rate - recv_rate, delta_rtt=rtt - prev_rtt))
         prev_rtt = rtt
-    return fit_k_b(samples)
+    return samples
+
+
+def analyze_trace(rows: Iterable[tuple[float, float, float]]) -> RegressionFit | None:
+    """Fit the delay-response model to one flow's rate/RTT series.
+
+    The samples are :func:`delta_samples` of ``rows``.  Fewer than three
+    rows cannot produce the two samples a fit needs, so the result is
+    ``None``.  ``iriscc analyze`` pools every flow's samples into one
+    fit instead of fitting each flow alone.
+    """
+    return fit_k_b(delta_samples(rows))

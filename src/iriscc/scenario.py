@@ -88,14 +88,21 @@ class LinkConfig:
         if self.packet_bytes <= 0:
             raise ScenarioError(f"{prefix}.packet_bytes", f"must be positive, got {self.packet_bytes}")
 
-    def capacity_at(self, t: float) -> float:
-        cap = self.bandwidth_schedule[0][1]
-        for start, value in self.bandwidth_schedule:
-            if start <= t:
-                cap = value
-            else:
-                break
-        return cap
+    def mean_capacity(self, t0: float, t1: float) -> float:
+        """Time-weighted mean capacity over ``(t0, t1]``, packets/ms.
+
+        An empty window returns the capacity in force at ``t0``.
+        """
+        sched = self.bandwidth_schedule
+        if t1 <= t0:
+            return next((cap for start, cap in reversed(sched) if start <= t0), sched[0][1])
+        ends = [start for start, _ in sched[1:]] + [math.inf]
+        total = 0.0
+        for (start, cap), end in zip(sched, ends):
+            lo, hi = max(start, t0), min(end, t1)
+            if hi > lo:
+                total += cap * (hi - lo)
+        return total / (t1 - t0)
 
 
 @dataclass(frozen=True)
@@ -150,10 +157,17 @@ def _number(value: Any, field_name: str) -> float:
     return float(value)
 
 
+def _integer(value: Any, field_name: str) -> int:
+    number = _number(value, field_name)
+    if not number.is_integer():
+        raise ScenarioError(field_name, f"must be a whole number, got {value!r}")
+    return int(number)
+
+
 def _link_from_dict(data: Any) -> LinkConfig:
     if not isinstance(data, dict):
         raise ScenarioError("link", "must be an object")
-    packet_bytes = int(_number(data.get("packet_bytes", DEFAULT_PACKET_BYTES), "link.packet_bytes"))
+    packet_bytes = _integer(data.get("packet_bytes", DEFAULT_PACKET_BYTES), "link.packet_bytes")
     bandwidth_keys = [k for k in ("bandwidth_schedule", "bandwidth_schedule_mbps", "bandwidth_mbps") if k in data]
     if len(bandwidth_keys) != 1:
         raise ScenarioError(
@@ -179,9 +193,9 @@ def _link_from_dict(data: Any) -> LinkConfig:
     return LinkConfig(
         bandwidth_schedule=schedule,
         prop_delay=_number(_require(data, "prop_delay_ms", "link"), "link.prop_delay_ms"),
-        queue_capacity=int(_number(_require(data, "queue_capacity_pkts", "link"), "link.queue_capacity_pkts")),
+        queue_capacity=_integer(_require(data, "queue_capacity_pkts", "link"), "link.queue_capacity_pkts"),
         random_loss=_number(data.get("random_loss", 0.0), "link.random_loss"),
-        seed=int(_number(data.get("seed", 0), "link.seed")),
+        seed=_integer(data.get("seed", 0), "link.seed"),
         packet_bytes=packet_bytes,
     )
 

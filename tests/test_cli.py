@@ -1,6 +1,7 @@
 """Command-line behaviour: artifacts, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +57,14 @@ def test_run_missing_config_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_out_existing_file_is_an_error(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_run_same_seed_gives_identical_trace(tmp_path):
     config = write_config(tmp_path, loss=0.05)
     outs = []
@@ -88,6 +97,25 @@ def test_analyze_fits_trace_from_run(tmp_path, capsys):
     assert "k:" in stdout and "plcc:" in stdout and "n_samples:" in stdout
 
 
+def test_analyze_pools_flows_without_differencing_across_them(tmp_path, capsys):
+    # Two flows of three rows each give two samples apiece: four in all,
+    # none spanning the boundary between flow 0's rows and flow 1's.
+    path = tmp_path / "two.csv"
+    path.write_text(
+        "time_ms,flow_id,send_rate,throughput,rtt_ms,queue_pkts,drops\n"
+        "50.000,0,2.000000,2.000000,50.000000,0.000,0\n"
+        "100.000,0,3.000000,2.000000,60.000000,0.000,0\n"
+        "150.000,0,1.500000,2.000000,55.000000,0.000,0\n"
+        "50.000,1,2.000000,2.000000,90.000000,0.000,0\n"
+        "100.000,1,4.000000,2.000000,110.000000,0.000,0\n"
+        "150.000,1,1.000000,2.000000,100.000000,0.000,0\n"
+    )
+    assert main(["analyze", "--trace", str(path)]) == 0
+    stdout = capsys.readouterr().out
+    assert "n_samples: 4" in stdout
+    assert "k: 10.000000" in stdout and "b: 0.000000" in stdout
+
+
 def test_analyze_rejects_unfittable_trace(tmp_path, capsys):
     path = tmp_path / "tiny.csv"
     path.write_text(
@@ -97,6 +125,11 @@ def test_analyze_rejects_unfittable_trace(tmp_path, capsys):
     )
     assert main(["analyze", "--trace", str(path)]) == 1
     assert "unfittable" in capsys.readouterr().err
+
+
+def test_analyze_directory_is_an_error(tmp_path, capsys):
+    assert main(["analyze", "--trace", str(tmp_path)]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 # --- sweep -----------------------------------------------------------------------
@@ -113,6 +146,27 @@ def test_sweep_tabulates_values_in_order(tmp_path, capsys):
     csv_lines = (out / "sweep.csv").read_text().strip().splitlines()
     assert len(csv_lines) == 4
     assert csv_lines[0].startswith("value,")
+
+
+def test_sweep_utilization_uses_capacity_of_its_window(tmp_path, capsys):
+    # 20 Mbps until 6 s, then 40 Mbps; the sweep measures (5 s, 10 s],
+    # where the mean capacity is 36 Mbps, not the whole run's 28 Mbps.
+    path = tmp_path / "step.json"
+    path.write_text(json.dumps({
+        "duration_ms": 10_000,
+        "link": {
+            "bandwidth_schedule_mbps": [[0, 20], [6000, 40]],
+            "prop_delay_ms": 25.0,
+            "queue_capacity_pkts": 104,
+        },
+        "flows": [{"controller": "constant", "params": {"rate_mbps": 30}}],
+    }))
+    assert main(["sweep", "--config", str(path), "--param", "random_loss",
+                 "--values", "0"]) == 0
+    row = capsys.readouterr().out.strip().splitlines()[1].split()
+    agg_mbps, util = float(row[2]), float(row[4])
+    assert util == pytest.approx(agg_mbps / 36.0, abs=1e-3)
+    assert util == pytest.approx(0.777, abs=2e-3)
 
 
 def test_sweep_flow_count_replicates_template(tmp_path, capsys):
@@ -156,14 +210,21 @@ def test_missing_subcommand_is_usage_error():
 # --- console entry point ------------------------------------------------------------
 
 def test_installed_entry_point_runs(tmp_path):
+    import os
     import subprocess
     import sys
+
+    import iriscc
+    # The child imports the same package this run does, installed or not.
+    package_root = str(Path(iriscc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     config = write_config(tmp_path, duration=2000)
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "iriscc.cli", "run", "--config", str(config),
          "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert (out / "trace.csv").exists()

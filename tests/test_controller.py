@@ -218,18 +218,6 @@ def test_empty_queue_pushes_rate_up():
     assert decision.next_rate > 2.0
 
 
-def test_recv_smoothing_ewma():
-    state = steady_state(recv_smoothing=0.5)
-    state.k = 2.0
-    state.rtt_samples.append((0.0, 50.0))
-    on_epoch_end(state, record(send=2.0, recv=2.0, rtt=55.0, end=50.0), 0.0, 50.0)
-    decision = on_epoch_end(
-        state, record(index=1, send=2.0, recv=1.0, rtt=55.0, end=100.0), 0.0, 100.0)
-    # EWMA: 0.5*1.0 + 0.5*2.0; the objective is still zero, so the rate
-    # lands exactly on the smoothed estimate.
-    assert decision.next_rate == pytest.approx(1.5)
-
-
 def test_slope_refit_recovers_linear_response():
     state = steady_state()
     state.k = 0.01
@@ -246,6 +234,7 @@ def test_slope_refit_recovers_linear_response():
     assert state.k == pytest.approx(2.0, rel=1e-9)
     assert state.last_fit is not None and state.last_fit.plcc == pytest.approx(1.0)
     assert len(state.applied_fits) == 1
+    assert state.applied_fits[-1] == (state.last_k_update, state.last_fit)
 
 
 def test_slope_refit_skips_quiet_windows():
@@ -408,7 +397,6 @@ def test_record_rejects_bad_values():
     {"cold_loss_severe": 0.0},
     {"cold_backoff": 1.0},
     {"cold_fit_samples": 1},
-    {"recv_smoothing": 0.0},
 ])
 def test_params_validation(kwargs):
     with pytest.raises(ValueError):

@@ -2,7 +2,7 @@
 whose windowed values are computable in closed form."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from iriscc.metrics import (
@@ -66,6 +66,7 @@ def test_jain_scale_invariant(values, c):
 
 
 @given(shares)
+@example([0, 0, 0, 0, 1.014749187947018])  # unclamped, rounds to just below 1/5
 def test_jain_range(values):
     index = jain_index(values)
     assert 1.0 / len(values) <= index <= 1.0 + 1e-12

@@ -15,7 +15,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from iriscc.regression import RegressionFit, Sample, analyze_trace, fit_k_b, plcc
+from iriscc.regression import (
+    RegressionFit,
+    Sample,
+    analyze_trace,
+    delta_samples,
+    fit_k_b,
+    plcc,
+)
 
 
 def make_samples(xs, ys):
@@ -133,6 +140,13 @@ def test_analyze_trace_differences_consecutive_rtts():
     assert fit.k == pytest.approx(10.0, abs=1e-9)
     assert fit.b == pytest.approx(0.0, abs=1e-9)
     assert fit.n == 2
+
+
+def test_delta_samples_pairs_overshoot_with_rtt_change():
+    rows = [(2.0, 2.0, 50.0), (3.0, 2.0, 60.0), (1.5, 2.0, 55.0)]
+    assert delta_samples(rows) == [Sample(1.0, 10.0), Sample(-0.5, -5.0)]
+    assert delta_samples(rows[:1]) == []
+    assert analyze_trace(rows) == fit_k_b(delta_samples(rows))
 
 
 def test_analyze_trace_too_short():

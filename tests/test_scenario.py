@@ -214,15 +214,34 @@ def test_queue_capacity_at_least_one():
     expect_error(doc, "link.queue_capacity_pkts")
 
 
+@pytest.mark.parametrize("key", ["queue_capacity_pkts", "packet_bytes", "seed"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), 10.7])
+def test_integer_fields_must_be_whole(key, value):
+    doc = base_doc()
+    doc["link"][key] = value
+    expect_error(doc, f"link.{key}")
+
+
+def test_integer_fields_accept_integral_floats():
+    doc = base_doc()
+    doc["link"]["queue_capacity_pkts"] = 104.0
+    assert scenario_from_dict(doc).link.queue_capacity == 104
+
+
 # --- capacity lookup --------------------------------------------------------------
 
-def test_capacity_at_follows_schedule():
+def test_mean_capacity_weights_schedule_by_time():
     link = LinkConfig(bandwidth_schedule=((0.0, 2.0), (5000.0, 1.0)),
                       prop_delay=25.0, queue_capacity=104)
-    assert link.capacity_at(0.0) == 2.0
-    assert link.capacity_at(4999.9) == 2.0
-    assert link.capacity_at(5000.0) == 1.0
-    assert link.capacity_at(1e9) == 1.0
+    assert link.mean_capacity(0.0, 5000.0) == 2.0
+    assert link.mean_capacity(5000.0, 1e9) == 1.0
+    assert link.mean_capacity(0.0, 10_000.0) == pytest.approx(1.5)
+    assert link.mean_capacity(4000.0, 8000.0) == pytest.approx(1.25)
+    # An empty window reads the capacity in force at its start.
+    assert link.mean_capacity(0.0, 0.0) == 2.0
+    assert link.mean_capacity(4999.9, 4999.9) == 2.0
+    assert link.mean_capacity(5000.0, 5000.0) == 1.0
+    assert link.mean_capacity(1e9, 1e9) == 1.0
 
 
 def test_validate_does_not_mutate():
