@@ -53,7 +53,7 @@ def _summarize(scenario: Scenario, traces: list[FlowTrace]) -> str:
             f"{trace.flow_id:<4d} {trace.kind:<8s} {tput:>9.6f} {pkts_per_ms_to_mbps(tput, link.packet_bytes):>10.4f} "
             f"{(rtt if rtt is not None else float('nan')):>10.4f} {totals.sent:>9d} {totals.delivered:>9d} {drops:>9d}"
         )
-    util = metrics.utilization(traces, capacity, 0.0, scenario.duration) if capacity > 0 else 0.0
+    util = metrics.utilization(traces, capacity, 0.0, scenario.duration) if scenario.duration > 0 else 0.0
     lines.append(f"utilization={util:.4f} vs mean capacity {capacity:.6f} pkt/ms")
     return "\n".join(lines) + "\n"
 
@@ -132,7 +132,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         rtts = [r for r in rtts if r is not None]
         rtt = sum(rtts) / len(rtts) if rtts else float("nan")
         capacity = scenario.link.mean_capacity(t0, t1)
-        util = agg / capacity if capacity > 0 else 0.0
+        util = agg / capacity
         drops = sum(t.totals.dropped_overflow + t.totals.dropped_random for t in traces)
         mbps = pkts_per_ms_to_mbps(agg, scenario.link.packet_bytes)
         lines.append(f"{value:>12g} {agg:>10.6f} {mbps:>10.4f} {rtt:>10.4f} {util:>11.4f} {drops:>8d}")

@@ -87,20 +87,10 @@ def jain_series(
     return series
 
 
-def convergence_time(
-    traces: Sequence[FlowTrace],
-    duration: float,
-    after: float = 0.0,
-    threshold: float = DEFAULT_THRESHOLD,
-    sustain: float = DEFAULT_SUSTAIN,
-    window: float = DEFAULT_WINDOW,
-    grid: float = DEFAULT_GRID,
-    starts: Sequence[float] | None = None,
-) -> float | None:
-    """Earliest time >= ``after`` from which the fairness index stays
-    above ``threshold`` for at least ``sustain`` ms.  None if that never
-    happens within the trace (including when flows stay starved)."""
-    series = jain_series(traces, duration, window, grid, starts)
+def _sustained_start(series: Sequence[tuple[float, float | None]], after: float,
+                     threshold: float, sustain: float, grid: float) -> float | None:
+    """First point >= ``after`` that opens a run of values above
+    ``threshold`` lasting at least ``sustain`` ms, else None."""
     needed = int(sustain // grid) + 1
     run_start: float | None = None
     run_len = 0
@@ -118,6 +108,23 @@ def convergence_time(
             run_start = None
             run_len = 0
     return None
+
+
+def convergence_time(
+    traces: Sequence[FlowTrace],
+    duration: float,
+    after: float = 0.0,
+    threshold: float = DEFAULT_THRESHOLD,
+    sustain: float = DEFAULT_SUSTAIN,
+    window: float = DEFAULT_WINDOW,
+    grid: float = DEFAULT_GRID,
+    starts: Sequence[float] | None = None,
+) -> float | None:
+    """Earliest time >= ``after`` from which the fairness index stays
+    above ``threshold`` for at least ``sustain`` ms.  None if that never
+    happens within the trace (including when flows stay starved)."""
+    series = jain_series(traces, duration, window, grid, starts)
+    return _sustained_start(series, after, threshold, sustain, grid)
 
 
 def stability(traces: Sequence[FlowTrace], t0: float) -> float | None:
@@ -187,8 +194,8 @@ def fairness_report(
     grid: float = DEFAULT_GRID,
     starts: Sequence[float] | None = None,
 ) -> FairnessReport:
-    converged = convergence_time(traces, duration, after, threshold, sustain, window, grid, starts)
     series = jain_series(traces, duration, window, grid, starts)
+    converged = _sustained_start(series, after, threshold, sustain, grid)
     values = [v for t, v in series if t >= after and v is not None]
     return FairnessReport(
         convergence_time=converged,

@@ -6,20 +6,25 @@ ideal reverse path (no queueing, no loss).  Serialization occupies the
 server but is not added to a packet's own latency, so an unqueued
 packet measures exactly its two-way propagation delay.
 
-Event kinds are processed in a fixed order at equal timestamps
-(queue arrivals, queue departures, ACKs, epoch timers, bandwidth
-changes), with flow id and packet id as further tie-breakers, and the
-only randomness is a seeded Bernoulli draw per arrival for random loss
-— so a scenario is a pure function of its description and seed, and
-equal seeds give byte-identical traces.  Delivery and ACK happen at
-known offsets from the start of service (the reverse path is ideal), so
-both are folded into the ACK event.
+Three event kinds are processed in a fixed order at equal timestamps
+(queue arrivals, ACKs, epoch timers), with flow id and packet id as
+further tie-breakers, and the only randomness is a seeded Bernoulli
+draw per arrival for random loss — so a scenario is a pure function of
+its description and seed, and equal seeds give byte-identical traces.
+Departures need no events: the capacity schedule is known in advance,
+so the FIFO fixes each admitted packet's service start and departure
+when it arrives (see :class:`BottleneckQueue`).  A departure at an
+instant follows that instant's arrivals and precedes its timers.
+Delivery and ACK happen at known offsets from the start of service (the
+reverse path is ideal), so both are folded into the ACK event, pushed
+on arrival.
 
 Time is ms, rates are packets/ms throughout.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import random
 from collections import deque
@@ -40,10 +45,8 @@ class EventKind(IntEnum):
     """Event ordering at equal timestamps follows these values."""
 
     PACKET_ARRIVE_QUEUE = 0
-    PACKET_DEPART_QUEUE = 1
-    ACK_DELIVERED = 2      # delivery is folded in (ideal reverse path)
-    EPOCH_TIMER = 3
-    BANDWIDTH_CHANGE = 4
+    ACK_DELIVERED = 1      # delivery is folded in (ideal reverse path)
+    EPOCH_TIMER = 2
 
 
 class EnqueueResult(Enum):
@@ -69,55 +72,51 @@ def estimate_receiving_rate(send_rate: float, epoch_len: float,
 class BottleneckQueue:
     """Drop-tail FIFO with one server at the scheduled link capacity.
 
-    Capacity changes take effect per packet when it starts service;
-    a packet already being transmitted keeps its departure time.
+    Service is decided on arrival: an admitted packet starts when the
+    last pending departure leaves (at once if none is pending) and is
+    sent at the capacity of the last schedule entry strictly before
+    that start, so an entry at exactly a packet's start applies only
+    from the next packet on.  A packet counts towards the occupancy
+    through the instant of its departure.
     """
 
     def __init__(self, link: LinkConfig, rng: random.Random):
-        self.rate = link.bandwidth_schedule[0][1]
+        self._change_times = [t for t, _ in link.bandwidth_schedule]
+        self._rates = [rate for _, rate in link.bandwidth_schedule]
         self.capacity = link.queue_capacity
         self.random_loss = link.random_loss
         self._rng = rng
-        self.waiting: deque = deque()
-        self.in_service: tuple | None = None
+        self._departures: deque[float] = deque()
 
-    @property
-    def occupancy(self) -> int:
-        return len(self.waiting) + (1 if self.in_service is not None else 0)
+    def occupancy(self, now: float) -> int:
+        """Packets queued or in service at ``now``; forgets earlier departures."""
+        departures = self._departures
+        while departures and departures[0] < now:
+            departures.popleft()
+        return len(departures)
 
-    def set_rate(self, rate: float) -> None:
-        self.rate = rate
+    def retire_through(self, now: float) -> None:
+        """Forget departures at ``now`` as well, for work that comes
+        after them: an epoch timer and the arrivals it emits at once."""
+        departures = self._departures
+        while departures and departures[0] <= now:
+            departures.popleft()
 
-    def enqueue(self, now: float, payload: tuple) -> tuple[EnqueueResult, float | None, float | None]:
+    def enqueue(self, now: float) -> tuple[EnqueueResult, float | None]:
         """Admit or drop an arriving packet.
 
         Random loss is decided first (one seeded draw per arrival),
         then drop-tail against the occupancy bound.  Returns the result
-        plus (service_start, service_end) when the packet went straight
-        into service, else Nones.
+        plus the service start of an admitted packet, else None.
         """
         if self.random_loss > 0.0 and self._rng.random() < self.random_loss:
-            return EnqueueResult.DROPPED_RANDOM, None, None
-        if self.occupancy >= self.capacity:
-            return EnqueueResult.DROPPED_OVERFLOW, None, None
-        if self.in_service is None:
-            self.in_service = payload
-            return EnqueueResult.QUEUED, now, now + 1.0 / self.rate
-        self.waiting.append(payload)
-        return EnqueueResult.QUEUED, None, None
-
-    def complete(self, now: float) -> tuple[tuple, float, float] | None:
-        """Finish the current transmission; start the next, if any.
-
-        Returns (payload, service_start, service_end) for the packet
-        that begins service now, or None when the queue went idle.
-        """
-        self.in_service = None
-        if not self.waiting:
-            return None
-        payload = self.waiting.popleft()
-        self.in_service = payload
-        return payload, now, now + 1.0 / self.rate
+            return EnqueueResult.DROPPED_RANDOM, None
+        if self.occupancy(now) >= self.capacity:
+            return EnqueueResult.DROPPED_OVERFLOW, None
+        start = self._departures[-1] if self._departures else now
+        entry = max(bisect.bisect_left(self._change_times, start) - 1, 0)
+        self._departures.append(start + 1.0 / self._rates[entry])
+        return EnqueueResult.QUEUED, start
 
 
 @dataclass
@@ -249,40 +248,28 @@ class Simulation:
             self.flows.append(flow)
             if spec.start_time <= scenario.duration:
                 self._push(spec.start_time, EventKind.EPOCH_TIMER, i, 0)
-        for seq, (t, rate) in enumerate(scenario.link.bandwidth_schedule[1:]):
-            self._push(t, EventKind.BANDWIDTH_CHANGE, -1, seq, rate)
         self._ran = False
 
     @property
     def controllers(self) -> list[RateController]:
         return [flow.controller for flow in self.flows]
 
-    def _push(self, time: float, kind: EventKind, flow_id: int, packet_id: int, *payload) -> None:
-        heapq.heappush(self._heap, (time, int(kind), flow_id, packet_id, *payload))
+    def _push(self, time: float, kind: EventKind, flow_id: int, packet_id: int, *fields) -> None:
+        heapq.heappush(self._heap, (time, int(kind), flow_id, packet_id, *fields))
 
     # -- event handlers -----------------------------------------------------
-
-    def _start_service(self, started: tuple[tuple, float, float] | None) -> None:
-        if started is None:
-            return
-        (flow_id, packet_id, epoch_idx, send_time), service_start, service_end = started
-        self._push(service_end, EventKind.PACKET_DEPART_QUEUE, flow_id, packet_id)
-        flow = self.flows[flow_id]
-        self._push(service_start + flow.rtprop, EventKind.ACK_DELIVERED,
-                   flow_id, packet_id, epoch_idx, send_time)
 
     def _on_arrive(self, now: float, flow_id: int, packet_id: int, epoch_idx: int) -> None:
         flow = self.flows[flow_id]
         acc: _EpochAccum = flow.accums[epoch_idx]
-        acc.occ_sum += self.queue.occupancy
+        acc.occ_sum += self.queue.occupancy(now)
         acc.occ_n += 1
         flow.trace.totals.sent += 1
-        payload = (flow_id, packet_id, epoch_idx, now)
-        result, service_start, service_end = self.queue.enqueue(now, payload)
+        result, service_start = self.queue.enqueue(now)
         if result is EnqueueResult.QUEUED:
             flow.trace.totals.in_flight += 1
-            if service_start is not None:
-                self._start_service((payload, service_start, service_end))
+            self._push(service_start + flow.rtprop, EventKind.ACK_DELIVERED,
+                       flow_id, packet_id, epoch_idx, now)
             return
         if result is EnqueueResult.DROPPED_RANDOM:
             flow.trace.totals.dropped_random += 1
@@ -291,9 +278,6 @@ class Simulation:
         acc.dropped += 1
         acc.resolved += 1
         self._try_finalize(flow, epoch_idx)
-
-    def _on_depart(self, now: float) -> None:
-        self._start_service(self.queue.complete(now))
 
     def _on_ack(self, now: float, flow_id: int, epoch_idx: int, send_time: float) -> None:
         flow = self.flows[flow_id]
@@ -307,6 +291,9 @@ class Simulation:
         self._try_finalize(flow, epoch_idx)
 
     def _on_timer(self, now: float, flow_id: int, epoch_idx: int) -> None:
+        # This instant's departures precede the timer and the arrivals
+        # it emits now.
+        self.queue.retire_through(now)
         flow = self.flows[flow_id]
         if epoch_idx > 0:
             flow.closed_upto = epoch_idx - 1
@@ -410,14 +397,10 @@ class Simulation:
             kind = event[1]
             if kind == EventKind.PACKET_ARRIVE_QUEUE:
                 self._on_arrive(now, event[2], event[3], event[4])
-            elif kind == EventKind.PACKET_DEPART_QUEUE:
-                self._on_depart(now)
             elif kind == EventKind.ACK_DELIVERED:
                 self._on_ack(now, event[2], event[4], event[5])
             elif kind == EventKind.EPOCH_TIMER:
                 self._on_timer(now, event[2], event[3])
-            elif kind == EventKind.BANDWIDTH_CHANGE:
-                self.queue.set_rate(event[4])
         for flow in self.flows:
             self._release(flow, duration, decide=False)
         return [flow.trace for flow in self.flows]

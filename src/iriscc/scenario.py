@@ -53,8 +53,8 @@ class LinkConfig:
 
     ``bandwidth_schedule`` is a sequence of ``(time_ms, capacity)``
     pairs, capacity in packets/ms; the first entry must start at 0 and
-    each change takes effect at its instant for packets not yet in
-    service.  ``queue_capacity`` bounds the drop-tail buffer including
+    each change applies to packets whose service starts after its
+    instant.  ``queue_capacity`` bounds the drop-tail buffer including
     the packet being transmitted.  ``prop_delay`` is the one-way
     propagation delay (twice that is the no-load RTT).
     """
@@ -154,7 +154,10 @@ def _require(mapping: dict, key: str, prefix: str) -> Any:
 def _number(value: Any, field_name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(field_name, f"must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioError(field_name, "integer is too large for a float") from None
 
 
 def _integer(value: Any, field_name: str) -> int:

@@ -45,6 +45,13 @@ def test_run_writes_artifacts(tmp_path, capsys):
     assert stdout == (out / "summary.txt").read_text()
 
 
+def test_run_zero_duration_writes_summary(tmp_path, capsys):
+    config = write_config(tmp_path, duration=0)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert "utilization=0.0000" in (out / "summary.txt").read_text()
+
+
 def test_run_rejects_invalid_config(tmp_path, capsys):
     config = write_config(tmp_path, loss=1.5)
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from iriscc.metrics import (
     convergence_time,
+    fairness_report,
     jain_index,
     jain_series,
     mean_rtt,
@@ -154,6 +155,19 @@ def test_convergence_respects_after_bound():
     traces = staggered_pair()
     assert convergence_time(traces, 10_000.0, after=3000.0,
                             starts=[0.0, 0.0]) == 3000.0
+
+
+def test_fairness_report_on_staggered_pair():
+    traces = staggered_pair()
+    report = fairness_report(traces, 10_000.0, starts=[0.0, 0.0])
+    assert report.convergence_time == 2550.0
+    assert report.stability == 0.0  # both flows hold 1.0 after converging
+    series = jain_series(traces, 10_000.0, starts=[0.0, 0.0])
+    assert report.mean_jain == pytest.approx(sum(v for _, v in series) / len(series))
+    assert report.per_flow_throughput == (1.0, 0.8)  # B idle for 40 of 200 rows
+    late = fairness_report(traces, 10_000.0, after=3000.0, starts=[0.0, 0.0])
+    assert late.convergence_time == 3000.0
+    assert late.mean_jain == pytest.approx(1.0)
 
 
 def test_jain_series_skips_inactive_flows():

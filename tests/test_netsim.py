@@ -44,38 +44,29 @@ def tiny_link(capacity=2, loss=0.0):
 
 def test_queue_serves_immediately_when_idle():
     q = BottleneckQueue(tiny_link(), random.Random(1))
-    result, start, end = q.enqueue(0.0, "p1")
-    assert result is EnqueueResult.QUEUED
-    assert (start, end) == (0.0, 0.5)  # 2 pkt/ms link: 0.5 ms serialization
+    assert q.enqueue(0.0) == (EnqueueResult.QUEUED, 0.0)
 
 
 def test_queue_waits_behind_in_service_packet():
     q = BottleneckQueue(tiny_link(), random.Random(1))
-    q.enqueue(0.0, "p1")
-    result, start, end = q.enqueue(0.1, "p2")
-    assert result is EnqueueResult.QUEUED
-    assert start is None and end is None
-    assert q.occupancy == 2
+    q.enqueue(0.0)
+    # 2 pkt/ms link: the first packet holds the server for 0.5 ms.
+    assert q.enqueue(0.1) == (EnqueueResult.QUEUED, 0.5)
+    assert q.occupancy(0.1) == 2
 
 
 def test_queue_drop_tail_at_capacity():
     q = BottleneckQueue(tiny_link(capacity=2), random.Random(1))
-    q.enqueue(0.0, "p1")
-    q.enqueue(0.1, "p2")
-    result, _, _ = q.enqueue(0.2, "p3")
-    assert result is EnqueueResult.DROPPED_OVERFLOW
-    assert q.occupancy == 2
+    q.enqueue(0.0)
+    q.enqueue(0.1)
+    assert q.enqueue(0.2) == (EnqueueResult.DROPPED_OVERFLOW, None)
+    assert q.occupancy(0.2) == 2
 
 
-def test_queue_completion_starts_next_service():
-    q = BottleneckQueue(tiny_link(), random.Random(1))
-    q.enqueue(0.0, "p1")
-    q.enqueue(0.1, "p2")
-    payload, start, end = q.complete(0.5)
-    assert payload == "p2"
-    assert (start, end) == (0.5, 1.0)
-    assert q.complete(1.0) is None
-    assert q.occupancy == 0
+def test_queue_next_starts_at_previous_departure():
+    q = BottleneckQueue(tiny_link(capacity=3), random.Random(1))
+    starts = [q.enqueue(t)[1] for t in (0.0, 0.1, 0.2)]
+    assert starts == [0.0, 0.5, 1.0]
 
 
 class FakeRng:
@@ -91,21 +82,42 @@ class FakeRng:
 def test_queue_random_loss_decided_before_overflow():
     q = BottleneckQueue(tiny_link(capacity=2, loss=0.5),
                         FakeRng([0.9, 0.9, 0.01, 0.99]))
-    assert q.enqueue(0.0, "p1")[0] is EnqueueResult.QUEUED
-    assert q.enqueue(0.1, "p2")[0] is EnqueueResult.QUEUED
+    assert q.enqueue(0.0)[0] is EnqueueResult.QUEUED
+    assert q.enqueue(0.1)[0] is EnqueueResult.QUEUED
     # Queue is full, but the loss draw fires first.
-    assert q.enqueue(0.2, "p3")[0] is EnqueueResult.DROPPED_RANDOM
-    assert q.enqueue(0.3, "p4")[0] is EnqueueResult.DROPPED_OVERFLOW
+    assert q.enqueue(0.2)[0] is EnqueueResult.DROPPED_RANDOM
+    assert q.enqueue(0.3)[0] is EnqueueResult.DROPPED_OVERFLOW
 
 
 def test_queue_rate_change_applies_to_next_service():
-    q = BottleneckQueue(tiny_link(), random.Random(1))
-    q.enqueue(0.0, "p1")
-    q.enqueue(0.1, "p2")
-    q.set_rate(4.0)
-    payload, start, end = q.complete(0.5)
-    assert payload == "p2"
-    assert end == pytest.approx(0.75)  # 0.25 ms at the new rate
+    link = make_link(sched=((0.0, 2.0), (0.3, 4.0)), queue=3)
+    q = BottleneckQueue(link, random.Random(1))
+    q.enqueue(0.0)                 # in service across the change: 0.5 ms
+    q.enqueue(0.1)                 # starts at 0.5 at the new rate: 0.25 ms
+    assert q.enqueue(0.2)[1] == 0.75
+
+
+def test_queue_change_at_a_start_applies_from_the_next_packet():
+    link = make_link(sched=((0.0, 2.0), (0.5, 4.0)), queue=3)
+    q = BottleneckQueue(link, random.Random(1))
+    q.enqueue(0.0)
+    q.enqueue(0.1)                 # starts exactly at the change: old rate
+    assert q.enqueue(0.2)[1] == 1.0
+
+
+def test_queue_counts_a_packet_departing_now():
+    q = BottleneckQueue(tiny_link(capacity=1), random.Random(1))
+    q.enqueue(0.0)
+    assert q.occupancy(0.5) == 1
+    assert q.enqueue(0.5) == (EnqueueResult.DROPPED_OVERFLOW, None)
+    assert q.occupancy(0.6) == 0
+
+
+def test_queue_retire_through_forgets_a_departure_now():
+    q = BottleneckQueue(tiny_link(capacity=1), random.Random(1))
+    q.enqueue(0.0)
+    q.retire_through(0.5)
+    assert q.enqueue(0.5) == (EnqueueResult.QUEUED, 0.5)
 
 
 # --- end-to-end accounting ---------------------------------------------------------

@@ -162,6 +162,12 @@ def test_negative_duration():
     expect_error(doc, "duration_ms")
 
 
+def test_integer_beyond_float_range_is_an_error():
+    doc = base_doc()
+    doc["duration_ms"] = 10**400
+    expect_error(doc, "duration_ms")
+
+
 def test_boolean_is_not_a_number():
     doc = base_doc()
     doc["duration_ms"] = True
@@ -215,7 +221,8 @@ def test_queue_capacity_at_least_one():
 
 
 @pytest.mark.parametrize("key", ["queue_capacity_pkts", "packet_bytes", "seed"])
-@pytest.mark.parametrize("value", [float("inf"), float("nan"), 10.7])
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), 10.7,
+                                   pytest.param(10**400, id="1e400")])
 def test_integer_fields_must_be_whole(key, value):
     doc = base_doc()
     doc["link"][key] = value
