@@ -19,6 +19,11 @@ from .feedback import EpochFeedback
 _RTT_EWMA_WEIGHT = 0.125  # classic smoothed-RTT gain
 
 
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 class AimdMode(Enum):
     SLOW_START = "slow_start"
     AVOIDANCE = "avoidance"
@@ -58,6 +63,8 @@ class AimdController:
 
     def __init__(self, epoch_len: float = 50.0, initial_cwnd: float = 10.0,
                  initial_ssthresh: float = 1e9, initial_rtt: float = 100.0):
+        _require_positive("epoch_len", epoch_len)
+        _require_positive("initial_rtt", initial_rtt)
         if initial_cwnd < 1:
             raise ValueError(f"initial_cwnd must be >= 1, got {initial_cwnd}")
         self.epoch_len = epoch_len
@@ -116,6 +123,8 @@ class VegasController:
 
     def __init__(self, epoch_len: float = 50.0, alpha: float = 2.0, beta: float = 4.0,
                  initial_cwnd: float = 10.0, initial_rtt: float = 100.0):
+        _require_positive("epoch_len", epoch_len)
+        _require_positive("initial_rtt", initial_rtt)
         if initial_cwnd < 1:
             raise ValueError(f"initial_cwnd must be >= 1, got {initial_cwnd}")
         if not 0 < alpha <= beta:
@@ -141,8 +150,8 @@ class ConstantRateController:
     kind = "constant"
 
     def __init__(self, rate: float, epoch_len: float = 50.0):
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
+        _require_positive("rate", rate)
+        _require_positive("epoch_len", epoch_len)
         self.rate = rate
         self.epoch_len = epoch_len
 

@@ -83,6 +83,8 @@ class IrisParams:
         for name in positive:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not math.isfinite(self.epoch_len):
+            raise ValueError(f"epoch_len must be finite, got {self.epoch_len}")
         if self.history_cap < 2:
             raise ValueError(f"history_cap must be >= 2, got {self.history_cap}")
         if self.min_fit_samples < 2:
@@ -106,24 +108,6 @@ class IrisParams:
 
 
 @dataclass(frozen=True)
-class EpochRecord:
-    """One measured epoch, as used for slope fitting."""
-
-    index: int
-    send_rate: float        # packets/ms actually emitted
-    recv_rate: float        # estimated receiving rate, packets/ms
-    rtt: float              # mean RTT of the epoch's ACKed packets, ms
-    delta_rtt: float | None # rtt minus previous measured epoch's rtt, ms
-    end_time: float         # epoch window end, ms
-
-    def __post_init__(self) -> None:
-        if self.send_rate < 0 or self.recv_rate < 0:
-            raise ValueError(f"rates must be non-negative: {self.send_rate}, {self.recv_rate}")
-        if not (math.isfinite(self.rtt) and self.rtt > 0):
-            raise ValueError(f"rtt must be positive and finite, got {self.rtt}")
-
-
-@dataclass(frozen=True)
 class RateDecision:
     """Outcome of one steady-state control step."""
 
@@ -144,7 +128,7 @@ class IrisState:
     target_delay: float | None = None
     target_stale_epochs: int = 0
     rtt_samples: deque = field(default_factory=deque)   # (time, rtt)
-    history: deque = field(default_factory=deque)       # EpochRecord
+    history: deque = field(default_factory=deque)       # measured EpochFeedback
     prev_loss_rate: float = 0.0
     applied_fits: list = field(default_factory=list)    # (time, RegressionFit)
 
@@ -267,9 +251,9 @@ def update_target_delay(state: IrisState, now: float) -> float | None:
 
 def _fit_samples(records) -> list[Sample]:
     return [
-        Sample(rate_diff=rec.send_rate - rec.recv_rate, delta_rtt=rec.delta_rtt)
-        for rec in records
-        if rec.delta_rtt is not None
+        Sample(rate_diff=fb.send_rate - fb.recv_rate, delta_rtt=fb.delta_rtt)
+        for fb in records
+        if fb.delta_rtt is not None
     ]
 
 
@@ -284,7 +268,7 @@ def _adopt_fit(state: IrisState, fit: RegressionFit | None, now: float) -> bool:
 
 def _window_excitation(samples: list[Sample], records) -> float:
     """Spread of the window's rate excursions relative to its mean rate."""
-    mean_rate = statistics.fmean(rec.send_rate for rec in records)
+    mean_rate = statistics.fmean(fb.send_rate for fb in records)
     if mean_rate <= 0.0:
         return 0.0
     return statistics.pstdev(s.rate_diff for s in samples) / mean_rate
@@ -327,17 +311,16 @@ def _maybe_refit_k(state: IrisState, now: float) -> None:
     if now - state.last_k_update < params.k_update_period:
         return
     cutoff = now - params.k_update_period
-    recent = [rec for rec in state.history if rec.end_time >= cutoff]
+    recent = [fb for fb in state.history if fb.end >= cutoff]
     _adopt_fit(state, _gated_fit(params, recent, params.min_fit_samples), now)
 
 
-def _record_measurement(state: IrisState, rec: EpochRecord) -> None:
-    state.history.append(rec)
-    state.rtt_samples.append((rec.end_time, rec.rtt))
+def _record_measurement(state: IrisState, fb: EpochFeedback) -> None:
+    state.history.append(fb)
+    state.rtt_samples.append((fb.end, fb.mean_rtt))
 
 
-def on_epoch_end(state: IrisState, rec: EpochRecord, loss_rate: float,
-                 now: float) -> RateDecision:
+def on_epoch_end(state: IrisState, fb: EpochFeedback, now: float) -> RateDecision:
     """One steady-state control step for a measured epoch.
 
     Records the measurement, refreshes the target delay, derives the
@@ -346,28 +329,27 @@ def on_epoch_end(state: IrisState, rec: EpochRecord, loss_rate: float,
     congestion, and genuine congestion already shows up in the RTT.
     """
     params = state.params
-    _record_measurement(state, rec)
+    _record_measurement(state, fb)
     target = update_target_delay(state, now)
-    assert target is not None  # the record itself is in the window
-    objective = compute_objective(rec.send_rate, rec.rtt, target, params.queue_load_target)
+    assert target is not None  # the epoch itself is in the window
+    objective = compute_objective(fb.send_rate, fb.mean_rtt, target, params.queue_load_target)
     rtt_step = expected_rtt_variation(objective, params.rtt_step_bound, params.objective_scale)
-    k_used = effective_slope(params, state.k, rec.rtt, target)
-    rate = next_sending_rate(rec.recv_rate, rtt_step, k_used, params.k_min, params.rate_floor)
+    k_used = effective_slope(params, state.k, fb.mean_rtt, target)
+    rate = next_sending_rate(fb.recv_rate, rtt_step, k_used, params.k_min, params.rate_floor)
     _maybe_refit_k(state, now)
-    state.prev_loss_rate = loss_rate
     state.current_rate = rate
     return RateDecision(next_rate=rate, rtt_step=rtt_step, objective=objective,
                         k_used=k_used)
 
 
-def _exit_cold(state: IrisState, rec: EpochRecord | None,
+def _exit_cold(state: IrisState, fb: EpochFeedback,
                fit: RegressionFit | None, now: float) -> None:
     """Leave the ramp: install the fit and land on the receiving rate."""
     state.phase = Phase.STEADY
     if not _adopt_fit(state, fit, now):
         state.k = state.params.k_min  # ramp data was degenerate; learn on the fly
-    if rec is not None:
-        landing = rec.recv_rate
+    if fb.measured:
+        landing = fb.recv_rate
     elif state.history:
         landing = state.history[-1].recv_rate
     else:
@@ -375,8 +357,7 @@ def _exit_cold(state: IrisState, rec: EpochRecord | None,
     state.current_rate = max(state.params.rate_floor, landing)
 
 
-def cold_start_step(state: IrisState, rec: EpochRecord | None, loss_rate: float,
-                    now: float) -> float:
+def cold_start_step(state: IrisState, fb: EpochFeedback, now: float) -> float:
     """One cold-start step: double the rate until loss reveals capacity.
 
     A loss burst — a per-epoch loss rate that jumps ``cold_loss_jump``
@@ -400,15 +381,16 @@ def cold_start_step(state: IrisState, rec: EpochRecord | None, loss_rate: float,
     rate falls back to the last observed receiving rate.
     """
     params = state.params
-    if rec is not None:
-        _record_measurement(state, rec)
+    if fb.measured:
+        _record_measurement(state, fb)
         update_target_delay(state, now)
+    loss_rate = fb.loss_rate
     prev_loss = state.prev_loss_rate
     state.prev_loss_rate = loss_rate
     if state.current_rate >= params.rate_ceiling:
         fit = (_gated_fit(params, state.history, params.cold_fit_samples)
                or fit_k_b(_fit_samples(state.history)))
-        _exit_cold(state, rec, fit, now)
+        _exit_cold(state, fb, fit, now)
         return state.current_rate
     loss_burst = (
         loss_rate > params.cold_loss_threshold
@@ -418,7 +400,7 @@ def cold_start_step(state: IrisState, rec: EpochRecord | None, loss_rate: float,
     if loss_burst:
         fit = _gated_fit(params, state.history, params.cold_fit_samples)
         if fit is not None:
-            _exit_cold(state, rec, fit, now)
+            _exit_cold(state, fb, fit, now)
             return state.current_rate
         # Burst before the ramp became informative: back off, keep probing.
         state.current_rate = max(params.rate_floor,
@@ -467,45 +449,36 @@ class IrisController:
 
     def on_epoch(self, feedback: EpochFeedback, now: float) -> float:
         state = self.state
-        rec: EpochRecord | None = None
-        if feedback.measured:
-            assert feedback.mean_rtt is not None
-            rec = EpochRecord(
-                index=feedback.index,
-                send_rate=feedback.send_rate,
-                recv_rate=feedback.recv_rate,
-                rtt=feedback.mean_rtt,
-                delta_rtt=feedback.delta_rtt,
-                end_time=feedback.end,
-            )
+        measured = feedback.measured
         objective = rtt_step = None
         phase = state.phase
         k_used = state.k
         if phase is Phase.COLD_START:
-            rate = cold_start_step(state, rec, feedback.loss_rate, now)
-        elif rec is None:
+            rate = cold_start_step(state, feedback, now)
+        elif not measured:
             rate = state.current_rate  # nothing measured: hold
         else:
-            decision = on_epoch_end(state, rec, feedback.loss_rate, now)
+            decision = on_epoch_end(state, feedback, now)
             rate = decision.next_rate
             objective = decision.objective
             rtt_step = decision.rtt_step
             k_used = decision.k_used
         contraction = None
-        if rec is not None and state.target_delay is not None and phase is Phase.STEADY:
-            contraction = gap_contraction_factor(self.params, rec.rtt, state.target_delay, k_used)
+        if measured and state.target_delay is not None and phase is Phase.STEADY:
+            contraction = gap_contraction_factor(self.params, feedback.mean_rtt,
+                                                 state.target_delay, k_used)
         self.decisions.append(DecisionLogEntry(
             time=now,
             epoch_index=feedback.index,
             phase=phase,
             rate=rate,
             k=k_used,
-            measured=feedback.measured,
-            rtt=rec.rtt if rec else None,
+            measured=measured,
+            rtt=feedback.mean_rtt,
             target_delay=state.target_delay,
             objective=objective,
             rtt_step=rtt_step,
-            recv_rate=rec.recv_rate if rec else None,
+            recv_rate=feedback.recv_rate if measured else None,
             contraction=contraction,
         ))
         return rate

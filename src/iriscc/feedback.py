@@ -1,13 +1,16 @@
 """Per-epoch feedback handed from the simulator to rate controllers.
 
-Controllers never see individual packets.  Once per epoch the simulator
-aggregates what happened to that epoch's packets (ACK timings, losses,
-mean RTT, estimated receiving rate) into an :class:`EpochFeedback` and
-asks the controller for the rate to use next.
+Controllers never see individual packets.  At each epoch timer the
+simulator summarizes every closed epoch whose packets have all been
+ACKed or dropped, in index order: sending rate, mean RTT, estimated
+receiving rate and RTT change.  That :class:`EpochFeedback` goes to the
+controller, which returns the rate to use next, and the controllers
+keep it as their record of the epoch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -17,23 +20,27 @@ class EpochFeedback:
     """Measurement summary for one finished sender epoch.
 
     ``measured`` is False when no ACK came back (nothing was sent, or
-    every packet was lost); ``mean_rtt``, ``last_ack`` and ``delta_rtt``
-    are then None and ``recv_rate`` repeats the last known estimate.
+    every packet was lost); ``mean_rtt`` and ``delta_rtt`` are then
+    None and ``recv_rate`` repeats the last known estimate.
     """
 
     index: int
-    start: float            # epoch window start, ms
     end: float              # epoch window end, ms
-    rate_applied: float     # pacing rate the sender used, packets/ms
     send_rate: float        # actually emitted packets / epoch length
     sent: int
     acked: int
     dropped: int
     recv_rate: float        # estimated receiving rate, packets/ms
     mean_rtt: float | None  # mean RTT over this epoch's ACKed packets, ms
-    last_ack: float | None  # arrival time of the epoch's last ACK, ms
     delta_rtt: float | None # mean_rtt minus previous measured epoch's, ms
     measured: bool
+
+    def __post_init__(self) -> None:
+        if self.send_rate < 0 or self.recv_rate < 0:
+            raise ValueError(f"rates must be non-negative: {self.send_rate}, {self.recv_rate}")
+        if self.measured and not (self.mean_rtt is not None and math.isfinite(self.mean_rtt)
+                                  and self.mean_rtt > 0):
+            raise ValueError(f"a measured epoch needs a positive, finite mean_rtt, got {self.mean_rtt}")
 
     @property
     def loss_rate(self) -> float:

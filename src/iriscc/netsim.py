@@ -19,6 +19,14 @@ Delivery and ACK happen at known offsets from the start of service (the
 reverse path is ideal), so both are folded into the ACK event, pushed
 on arrival.
 
+Each flow tallies its packets per sender epoch.  At every epoch timer
+the closed epochs whose packets have all been ACKed or dropped are
+summarized in index order, each into one
+:class:`~iriscc.feedback.EpochFeedback` that goes to the controller and
+one trace row.  A flow's ACKs return in send order, so measured epochs
+resolve in index order anyway; only an all-dropped epoch can resolve
+before its predecessor, and it then waits for it.
+
 Time is ms, rates are packets/ms throughout.
 """
 
@@ -34,7 +42,7 @@ from enum import Enum, IntEnum
 from .baselines import AimdController, ConstantRateController, VegasController
 from .controller import IrisController, IrisParams, TargetMode
 from .feedback import EpochFeedback, RateController
-from .scenario import FlowSpec, LinkConfig, Scenario, ScenarioError
+from .scenario import FlowSpec, LinkConfig, Scenario, ScenarioError, _integer, _number
 from .trace import FlowTotals, FlowTrace, TraceRow
 from .units import mbps_to_pkts_per_ms
 
@@ -123,9 +131,7 @@ class BottleneckQueue:
 class _EpochAccum:
     """Running tallies for one sender epoch until all packets resolve."""
 
-    rate_applied: float
     planned: int = 0
-    resolved: int = 0
     acked: int = 0
     dropped: int = 0
     rtt_sum: float = 0.0
@@ -144,67 +150,64 @@ class _FlowRuntime:
     rate: float
     last_emit: float | None = None
     packet_seq: int = 0
-    closed_upto: int = -1                 # highest epoch index whose window ended
-    accums: dict = field(default_factory=dict)      # epoch index -> _EpochAccum
-    finalized: dict = field(default_factory=dict)   # epoch index -> EpochFeedback
+    accums: dict = field(default_factory=dict)  # epoch index -> _EpochAccum
     next_release: int = 0
     last_meas_ack: float | None = None    # last ACK time of the last measured epoch
     prev_mean_rtt: float | None = None
     prev_recv: float | None = None
-    trace_rtt: float | None = None        # carried into rows for unmeasured epochs
-    occ_by_epoch: dict = field(default_factory=dict)  # epoch index -> mean occupancy
     trace: FlowTrace = None  # type: ignore[assignment]
 
     @property
     def rtprop(self) -> float:
         return 2.0 * self.prop_delay
 
-    def window_start(self, index: int) -> float:
-        return self.spec.start_time + index * self.epoch_len
+
+_WHOLE_PARAMS = frozenset({"history_cap", "min_fit_samples", "cold_fit_samples"})
 
 
-def _constant_controller(params: dict, prefix: str, packet_bytes: int) -> ConstantRateController:
-    raw = dict(params)
-    epoch_len = raw.pop("epoch_len", 50.0)
-    has_rate = "rate" in raw
-    has_mbps = "rate_mbps" in raw
-    if has_rate == has_mbps:
-        raise ScenarioError(prefix, "give exactly one of rate (packets/ms) or rate_mbps")
-    rate = raw.pop("rate") if has_rate else mbps_to_pkts_per_ms(raw.pop("rate_mbps"), packet_bytes)
-    if raw:
-        raise ScenarioError(f"{prefix}.{sorted(raw)[0]}", "unknown parameter")
-    try:
-        return ConstantRateController(rate=rate, epoch_len=epoch_len)
-    except ValueError as exc:
-        raise ScenarioError(prefix, str(exc)) from exc
-
-
-def _kwargs_controller(cls, params: dict, allowed: set[str], prefix: str):
+def _checked_params(params: dict, allowed: set[str], prefix: str) -> dict:
+    """Reject unknown names and values that are not numbers (``target_mode``
+    aside); the whole-number parameters become ints."""
     unknown = set(params) - allowed
     if unknown:
         raise ScenarioError(f"{prefix}.{sorted(unknown)[0]}", "unknown parameter")
+    checked = {}
+    for name, value in params.items():
+        if name == "target_mode":
+            checked[name] = value
+        elif name in _WHOLE_PARAMS:
+            checked[name] = _integer(value, f"{prefix}.{name}")
+        else:
+            checked[name] = _number(value, f"{prefix}.{name}")
+    return checked
+
+
+def _construct(cls, kwargs: dict, prefix: str):
     try:
-        return cls(**params)
+        return cls(**kwargs)
     except ValueError as exc:
         raise ScenarioError(prefix, str(exc)) from exc
 
 
+def _constant_controller(params: dict, prefix: str, packet_bytes: int) -> ConstantRateController:
+    raw = _checked_params(params, {"epoch_len", "rate", "rate_mbps"}, prefix)
+    has_rate = "rate" in raw
+    if has_rate == ("rate_mbps" in raw):
+        raise ScenarioError(prefix, "give exactly one of rate (packets/ms) or rate_mbps")
+    rate = raw["rate"] if has_rate else mbps_to_pkts_per_ms(raw["rate_mbps"], packet_bytes)
+    return _construct(ConstantRateController,
+                      {"rate": rate, "epoch_len": raw.get("epoch_len", 50.0)}, prefix)
+
+
 def _iris_controller(params: dict, prefix: str) -> IrisController:
-    raw = dict(params)
+    raw = _checked_params(params, set(IrisParams.__dataclass_fields__), prefix)
     if "target_mode" in raw:
         mode = raw["target_mode"]
         try:
             raw["target_mode"] = TargetMode(mode)
         except ValueError:
             raise ScenarioError(f"{prefix}.target_mode", f"expected 'min' or 'median', got {mode!r}") from None
-    allowed = set(IrisParams.__dataclass_fields__)
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ScenarioError(f"{prefix}.{sorted(unknown)[0]}", "unknown parameter")
-    try:
-        return IrisController(IrisParams(**raw))
-    except ValueError as exc:
-        raise ScenarioError(prefix, str(exc)) from exc
+    return IrisController(_construct(IrisParams, raw, prefix))
 
 
 def build_controller(spec: FlowSpec, flow_index: int, packet_bytes: int) -> RateController:
@@ -212,13 +215,11 @@ def build_controller(spec: FlowSpec, flow_index: int, packet_bytes: int) -> Rate
     if spec.controller == "iris":
         return _iris_controller(spec.params, prefix)
     if spec.controller == "aimd":
-        return _kwargs_controller(
-            AimdController, spec.params,
-            {"epoch_len", "initial_cwnd", "initial_ssthresh", "initial_rtt"}, prefix)
+        return _construct(AimdController, _checked_params(
+            spec.params, {"epoch_len", "initial_cwnd", "initial_ssthresh", "initial_rtt"}, prefix), prefix)
     if spec.controller == "vegas":
-        return _kwargs_controller(
-            VegasController, spec.params,
-            {"epoch_len", "alpha", "beta", "initial_cwnd", "initial_rtt"}, prefix)
+        return _construct(VegasController, _checked_params(
+            spec.params, {"epoch_len", "alpha", "beta", "initial_cwnd", "initial_rtt"}, prefix), prefix)
     if spec.controller == "constant":
         return _constant_controller(spec.params, prefix, packet_bytes)
     raise ScenarioError(f"flows[{flow_index}].controller", f"unknown controller {spec.controller!r}")
@@ -276,31 +277,24 @@ class Simulation:
         else:
             flow.trace.totals.dropped_overflow += 1
         acc.dropped += 1
-        acc.resolved += 1
-        self._try_finalize(flow, epoch_idx)
 
     def _on_ack(self, now: float, flow_id: int, epoch_idx: int, send_time: float) -> None:
         flow = self.flows[flow_id]
         acc: _EpochAccum = flow.accums[epoch_idx]
         acc.acked += 1
-        acc.resolved += 1
         acc.rtt_sum += now - send_time
         acc.last_ack = now
         flow.trace.totals.delivered += 1
         flow.trace.totals.in_flight -= 1
-        self._try_finalize(flow, epoch_idx)
 
     def _on_timer(self, now: float, flow_id: int, epoch_idx: int) -> None:
         # This instant's departures precede the timer and the arrivals
         # it emits now.
         self.queue.retire_through(now)
         flow = self.flows[flow_id]
-        if epoch_idx > 0:
-            flow.closed_upto = epoch_idx - 1
-            self._try_finalize(flow, epoch_idx - 1)
         self._release(flow, now)
         interval = 1.0 / flow.rate
-        acc = _EpochAccum(rate_applied=flow.rate)
+        acc = _EpochAccum()
         flow.accums[epoch_idx] = acc
         window_end = now + flow.epoch_len
         next_emit = now if flow.last_emit is None else max(now, flow.last_emit + interval)
@@ -317,68 +311,61 @@ class Simulation:
 
     # -- epoch accounting ---------------------------------------------------
 
-    def _try_finalize(self, flow: _FlowRuntime, epoch_idx: int) -> None:
-        acc = flow.accums.get(epoch_idx)
-        if acc is None or epoch_idx > flow.closed_upto or acc.resolved < acc.planned:
-            return
-        del flow.accums[epoch_idx]
-        send_rate = acc.planned / flow.epoch_len
-        if acc.acked > 0:
-            mean_rtt = acc.rtt_sum / acc.acked
-            assert acc.last_ack is not None
-            if flow.last_meas_ack is None or acc.last_ack <= flow.last_meas_ack:
-                recv = send_rate
-            else:
-                recv = estimate_receiving_rate(send_rate, flow.epoch_len,
-                                               acc.last_ack, flow.last_meas_ack)
-            delta = None if flow.prev_mean_rtt is None else mean_rtt - flow.prev_mean_rtt
-            flow.last_meas_ack = acc.last_ack
-            flow.prev_mean_rtt = mean_rtt
-            flow.prev_recv = recv
-            measured = True
-        else:
-            mean_rtt = None
-            delta = None
-            recv = flow.prev_recv if flow.prev_recv is not None else 0.0
-            measured = False
-        start = flow.window_start(epoch_idx)
-        flow.finalized[epoch_idx] = EpochFeedback(
-            index=epoch_idx,
-            start=start,
-            end=start + flow.epoch_len,
-            rate_applied=acc.rate_applied,
-            send_rate=send_rate,
-            sent=acc.planned,
-            acked=acc.acked,
-            dropped=acc.dropped,
-            recv_rate=recv,
-            mean_rtt=mean_rtt,
-            last_ack=acc.last_ack,
-            delta_rtt=delta,
-            measured=measured,
-        )
-        flow.occ_by_epoch[epoch_idx] = acc.occ_sum / acc.occ_n if acc.occ_n else 0.0
-
     def _release(self, flow: _FlowRuntime, now: float, decide: bool = True) -> None:
-        """Hand finalized epochs to the controller in index order."""
-        while flow.next_release in flow.finalized:
-            fb = flow.finalized.pop(flow.next_release)
-            flow.next_release += 1
+        """Summarize closed, fully resolved epochs in index order.
+
+        Each one becomes an :class:`EpochFeedback`, goes to the
+        controller (unless ``decide`` is False) and adds a trace row.
+        Every accumulator present must be a closed epoch: a timer
+        releases before it opens the next epoch, and the end of the run
+        drops the open one first.
+        """
+        epoch_len = flow.epoch_len
+        while True:
+            index = flow.next_release
+            acc = flow.accums.get(index)
+            if acc is None or acc.acked + acc.dropped < acc.planned:
+                return
+            del flow.accums[index]
+            flow.next_release = index + 1
+            send_rate = acc.planned / epoch_len
+            if acc.acked > 0:
+                mean_rtt = acc.rtt_sum / acc.acked
+                if flow.last_meas_ack is None or acc.last_ack <= flow.last_meas_ack:
+                    recv = send_rate
+                else:
+                    recv = estimate_receiving_rate(send_rate, epoch_len,
+                                                   acc.last_ack, flow.last_meas_ack)
+                delta = None if flow.prev_mean_rtt is None else mean_rtt - flow.prev_mean_rtt
+                flow.last_meas_ack = acc.last_ack
+                flow.prev_mean_rtt = mean_rtt
+                flow.prev_recv = recv
+            else:
+                mean_rtt = delta = None
+                recv = flow.prev_recv if flow.prev_recv is not None else 0.0
+            fb = EpochFeedback(
+                index=index,
+                end=(flow.spec.start_time + index * epoch_len) + epoch_len,
+                send_rate=send_rate,
+                sent=acc.planned,
+                acked=acc.acked,
+                dropped=acc.dropped,
+                recv_rate=recv,
+                mean_rtt=mean_rtt,
+                delta_rtt=delta,
+                measured=mean_rtt is not None,
+            )
             if decide:
                 flow.rate = flow.controller.on_epoch(fb, now)
                 if not flow.rate > 0:
                     raise RuntimeError(f"controller returned a non-positive rate: {flow.rate}")
-            if fb.measured:
-                flow.trace_rtt = fb.mean_rtt
-            rtt_for_row = flow.trace_rtt if flow.trace_rtt is not None else flow.rtprop
-            occ = flow.occ_by_epoch.pop(fb.index, 0.0)
             flow.trace.rows.append(TraceRow(
                 time=fb.end,
-                send_rate=fb.send_rate,
-                throughput=fb.acked / flow.epoch_len,
-                rtt=rtt_for_row,
-                queue=occ,
-                drops=fb.dropped,
+                send_rate=send_rate,
+                throughput=acc.acked / epoch_len,
+                rtt=flow.prev_mean_rtt if flow.prev_mean_rtt is not None else flow.rtprop,
+                queue=acc.occ_sum / acc.occ_n if acc.occ_n else 0.0,
+                drops=acc.dropped,
             ))
 
     # -- main loop ----------------------------------------------------------
@@ -402,6 +389,8 @@ class Simulation:
             elif kind == EventKind.EPOCH_TIMER:
                 self._on_timer(now, event[2], event[3])
         for flow in self.flows:
+            if flow.accums:
+                flow.accums.popitem()  # the newest epoch is still open
             self._release(flow, duration, decide=False)
         return [flow.trace for flow in self.flows]
 

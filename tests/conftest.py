@@ -1,7 +1,8 @@
-"""Shared scenario builders and the acceptance-summary hook."""
+"""Shared scenario and feedback builders and the acceptance-summary hook."""
 
 from __future__ import annotations
 
+from iriscc.feedback import EpochFeedback
 from iriscc.scenario import FlowSpec, LinkConfig, Scenario
 from iriscc.units import mbps_to_pkts_per_ms
 
@@ -36,3 +37,17 @@ def flow(controller: str = "iris", start: float = 0.0,
 def scenario(link: LinkConfig, flows: tuple[FlowSpec, ...],
              duration: float) -> Scenario:
     return Scenario(link=link, flows=flows, duration=duration)
+
+
+def feedback(index: int = 0, send: float = 1.0, recv: float = 1.0, rtt: float = 50.0,
+             delta: float | None = None, end: float = 50.0, sent: int = 50,
+             acked: int | None = None, dropped: int = 0,
+             measured: bool = True) -> EpochFeedback:
+    """One epoch's feedback; ``acked`` defaults to the packets not
+    dropped (none when unmeasured), and an unmeasured epoch has no RTT."""
+    if acked is None:
+        acked = sent - dropped if measured else 0
+    return EpochFeedback(index=index, end=end, send_rate=send, sent=sent, acked=acked,
+                         dropped=dropped, recv_rate=recv,
+                         mean_rtt=rtt if measured else None, delta_rtt=delta,
+                         measured=measured)

@@ -6,7 +6,7 @@ import statistics
 
 import pytest
 
-from conftest import flow, make_link, scenario
+from conftest import feedback, flow, make_link, scenario
 from iriscc.baselines import (
     AimdController,
     AimdMode,
@@ -18,20 +18,8 @@ from iriscc.baselines import (
     aimd_on_loss,
     vegas_update,
 )
-from iriscc.feedback import EpochFeedback
 from iriscc.metrics import mean_rtt, mean_throughput
 from iriscc.netsim import run_scenario
-
-
-def feedback(index=0, send=1.0, recv=1.0, rtt=50.0, sent=50, acked=50,
-             dropped=0, measured=True, end=50.0):
-    return EpochFeedback(
-        index=index, start=end - 50.0, end=end, rate_applied=send,
-        send_rate=send, sent=sent, acked=acked, dropped=dropped,
-        recv_rate=recv, mean_rtt=rtt if measured else None,
-        last_ack=end if measured else None, delta_rtt=None,
-        measured=measured,
-    )
 
 
 # --- AIMD window arithmetic ---------------------------------------------------

@@ -1,6 +1,9 @@
 """Command-line behaviour: artifacts, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,6 +59,16 @@ def test_run_rejects_invalid_config(tmp_path, capsys):
     config = write_config(tmp_path, loss=1.5)
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
     assert "link.random_loss" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params, name", [
+    ({"rate": 1.0, "epoch_len": "50"}, "epoch_len"),
+    ({"rate": True}, "rate"),
+])
+def test_run_rejects_non_numeric_controller_params(tmp_path, capsys, params, name):
+    config = write_config(tmp_path, params=params)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert f"flows[0].params.{name}: must be a number" in capsys.readouterr().err
 
 
 def test_run_missing_config_file(tmp_path, capsys):
@@ -216,23 +229,40 @@ def test_missing_subcommand_is_usage_error():
 
 # --- console entry point ------------------------------------------------------------
 
-def test_installed_entry_point_runs(tmp_path):
-    import os
-    import subprocess
-    import sys
-
+def _child_env() -> dict:
+    """Environment whose Python imports the same iriscc this run does,
+    installed or not."""
     import iriscc
-    # The child imports the same package this run does, installed or not.
     package_root = str(Path(iriscc.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_installed_entry_point_runs(tmp_path):
     config = write_config(tmp_path, duration=2000)
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "iriscc.cli", "run", "--config", str(config),
          "--out", str(out)],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0
     assert (out / "trace.csv").exists()
     assert read_trace_csv(out / "trace.csv")
+
+
+def test_runtime_imports_only_the_standard_library():
+    # Every top-level module that importing the package and its CLI
+    # loads must come from the standard library.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import iriscc, iriscc.cli\n"
+        "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(' '.join(sorted(loaded - set(sys.stdlib_module_names) - {'iriscc'})))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import feedback
 from iriscc.controller import (
-    EpochRecord,
     IrisController,
     IrisParams,
     Phase,
@@ -27,12 +27,8 @@ from iriscc.controller import (
     on_epoch_end,
     update_target_delay,
 )
-from iriscc.feedback import EpochFeedback
 
-
-def record(index=0, send=1.0, recv=1.0, rtt=50.0, delta=None, end=50.0):
-    return EpochRecord(index=index, send_rate=send, recv_rate=recv, rtt=rtt,
-                       delta_rtt=delta, end_time=end)
+NOTHING_SENT = feedback(sent=0, measured=False)
 
 
 # --- objective ---------------------------------------------------------------
@@ -194,8 +190,8 @@ def steady_state(**kwargs):
 def test_equilibrium_is_a_fixed_point():
     state = steady_state()
     state.rtt_samples.append((0.0, 50.0))  # establishes the 50 ms baseline
-    rec = record(send=2.0, recv=2.0, rtt=55.0, end=50.0)
-    decision = on_epoch_end(state, rec, 0.0, 50.0)
+    fb = feedback(send=2.0, recv=2.0, rtt=55.0, end=50.0)
+    decision = on_epoch_end(state, fb, 50.0)
     assert decision.objective == 0.0
     assert decision.rtt_step == 0.0
     assert decision.next_rate == 2.0
@@ -204,16 +200,16 @@ def test_equilibrium_is_a_fixed_point():
 def test_queue_above_target_pushes_rate_down():
     state = steady_state()
     state.rtt_samples.append((0.0, 50.0))
-    rec = record(send=2.0, recv=2.0, rtt=60.0, end=50.0)  # 20 packets queued
-    decision = on_epoch_end(state, rec, 0.0, 50.0)
+    fb = feedback(send=2.0, recv=2.0, rtt=60.0, end=50.0)  # 20 packets queued
+    decision = on_epoch_end(state, fb, 50.0)
     assert decision.objective == pytest.approx(10.0)
     assert decision.next_rate < 2.0
 
 
 def test_empty_queue_pushes_rate_up():
     state = steady_state()
-    rec = record(send=2.0, recv=2.0, rtt=50.0, end=50.0)  # rtt == target
-    decision = on_epoch_end(state, rec, 0.0, 50.0)
+    fb = feedback(send=2.0, recv=2.0, rtt=50.0, end=50.0)  # rtt == target
+    decision = on_epoch_end(state, fb, 50.0)
     assert decision.objective == pytest.approx(-10.0)
     assert decision.next_rate > 2.0
 
@@ -228,9 +224,9 @@ def test_slope_refit_recovers_linear_response():
         diff = 0.5 if i % 2 == 0 else -0.5
         delta = 2.0 * diff  # network responds with slope 2
         rtt += delta
-        rec = record(index=i, send=1.0 + diff, recv=1.0, rtt=rtt,
+        fb = feedback(index=i, send=1.0 + diff, recv=1.0, rtt=rtt,
                      delta=delta, end=now)
-        on_epoch_end(state, rec, 0.0, now)
+        on_epoch_end(state, fb, now)
     assert state.k == pytest.approx(2.0, rel=1e-9)
     assert state.last_fit is not None and state.last_fit.plcc == pytest.approx(1.0)
     assert len(state.applied_fits) == 1
@@ -249,9 +245,9 @@ def test_slope_refit_skips_quiet_windows():
         diff = 1e-4 if i % 2 == 0 else -1e-4
         delta = 2.0 * diff
         rtt += delta
-        rec = record(index=i, send=1.0 + diff, recv=1.0, rtt=rtt,
+        fb = feedback(index=i, send=1.0 + diff, recv=1.0, rtt=rtt,
                      delta=delta, end=now)
-        on_epoch_end(state, rec, 0.0, now)
+        on_epoch_end(state, fb, now)
     assert state.k == 5.0
     assert state.applied_fits == []
 
@@ -270,9 +266,9 @@ def test_slope_refit_rejects_weak_correlation():
         diff = diff_cycle[i % 4]
         delta = delta_cycle[i % 4]
         rtt += delta
-        rec = record(index=i, send=1.0 + diff, recv=1.0, rtt=rtt,
+        fb = feedback(index=i, send=1.0 + diff, recv=1.0, rtt=rtt,
                      delta=delta, end=now)
-        on_epoch_end(state, rec, 0.0, now)
+        on_epoch_end(state, fb, now)
     assert state.k == 5.0
     assert state.applied_fits == []
 
@@ -283,48 +279,49 @@ def test_cold_ramp_doubles_every_epoch():
     state = new_state()
     start = state.current_rate
     for i in range(3):
-        cold_start_step(state, None, 0.0, 50.0 * (i + 1))
+        cold_start_step(state, NOTHING_SENT, 50.0 * (i + 1))
     assert state.current_rate == pytest.approx(8.0 * start)
     assert state.phase is Phase.COLD_START
 
 
 def test_cold_ramp_caps_at_ceiling_then_exits():
     state = new_state(IrisParams(initial_rate=0.4, rate_ceiling=1.0))
-    cold_start_step(state, None, 0.0, 50.0)
+    cold_start_step(state, NOTHING_SENT, 50.0)
     assert state.current_rate == pytest.approx(0.8)
-    cold_start_step(state, None, 0.0, 100.0)
+    cold_start_step(state, NOTHING_SENT, 100.0)
     assert state.current_rate == 1.0
-    cold_start_step(state, None, 0.0, 150.0)
+    cold_start_step(state, NOTHING_SENT, 150.0)
     assert state.phase is Phase.STEADY
     assert state.k == state.params.k_min  # no data: conservative slope
 
 
 def test_cold_backoff_on_early_loss_burst():
     state = new_state(IrisParams(initial_rate=1.0))
-    rate = cold_start_step(state, record(send=1.0, recv=0.5, rtt=60.0), 0.5, 50.0)
+    rate = cold_start_step(state, feedback(send=1.0, recv=0.5, rtt=60.0, dropped=25), 50.0)
     assert rate == pytest.approx(0.5)
     assert state.phase is Phase.COLD_START
 
 
 def test_cold_ignores_steady_background_loss():
     state = new_state(IrisParams(initial_rate=1.0))
-    rate = cold_start_step(state, record(send=1.0, recv=0.98, rtt=50.0), 0.02, 50.0)
-    assert rate == pytest.approx(2.0)
+    rate = cold_start_step(state, feedback(send=1.0, recv=0.98, rtt=50.0, dropped=1), 50.0)
+    assert rate == pytest.approx(2.0)  # 2% loss
     rate = cold_start_step(
-        state, record(index=1, send=2.0, recv=1.96, rtt=50.0, delta=0.0, end=100.0),
-        0.028, 100.0)  # above threshold but no jump over the last epoch
+        state, feedback(index=1, send=2.0, recv=1.96, rtt=50.0, delta=0.0, end=100.0,
+                        sent=250, dropped=7),
+        100.0)  # 2.8%: above threshold but no jump over the last epoch
     assert rate == pytest.approx(4.0)
     assert state.phase is Phase.COLD_START
 
 
 def test_cold_saturated_loss_keeps_backing_off():
     state = new_state(IrisParams(initial_rate=8.0))
-    cold_start_step(state, record(send=8.0, recv=0.5, rtt=90.0), 0.9, 50.0)
+    cold_start_step(state, feedback(send=8.0, recv=0.5, rtt=90.0, dropped=45), 50.0)
     assert state.current_rate == pytest.approx(4.0)
     # No epoch-over-epoch jump, but the rate is pinned at severe loss:
     # the burst must re-fire rather than let doubling resume.
-    cold_start_step(state, record(index=1, send=4.0, recv=0.5, rtt=90.0,
-                                  delta=0.0, end=100.0), 0.88, 100.0)
+    cold_start_step(state, feedback(index=1, send=4.0, recv=0.5, rtt=90.0,
+                                    delta=0.0, end=100.0, dropped=44), 100.0)
     assert state.current_rate == pytest.approx(2.0)
     assert state.phase is Phase.COLD_START
 
@@ -336,12 +333,13 @@ def test_cold_exit_requires_informative_history():
     for i in range(10):
         now += 50.0
         diff = 1e-4 if i % 2 == 0 else -1e-4
-        rec = record(index=i, send=1.0 + diff, recv=1.0, rtt=50.0,
+        fb = feedback(index=i, send=1.0 + diff, recv=1.0, rtt=50.0,
                      delta=2.0 * diff, end=now)
-        state.history.append(rec)
-        state.rtt_samples.append((now, rec.rtt))
+        state.history.append(fb)
+        state.rtt_samples.append((now, fb.mean_rtt))
     state.current_rate = 1.0
-    cold_start_step(state, None, 0.6, now + 50.0)
+    cold_start_step(state, feedback(index=10, end=now + 50.0, dropped=30, measured=False),
+                    now + 50.0)  # 60% loss, nothing ACKed
     assert state.phase is Phase.COLD_START
     assert state.current_rate == pytest.approx(0.5)
 
@@ -357,31 +355,36 @@ def test_cold_exit_fits_slope_from_ramp():
         recv = min(send, 2.0)  # a 2 pkt/ms bottleneck
         delta = 24.0 * (send - recv)
         rtt += delta
-        last = record(index=i, send=send, recv=recv, rtt=rtt,
+        last = feedback(index=i, send=send, recv=recv, rtt=rtt,
                       delta=delta, end=now)
-        cold_start_step(state, last, 0.0, now)
+        cold_start_step(state, last, now)
     assert state.phase is Phase.COLD_START
     now += 50.0
     # The loss epoch itself has no usable RTT delta; the fit must come
     # from the ramp history alone.
-    burst = record(index=9, send=state.current_rate, recv=2.0, rtt=rtt,
-                   delta=None, end=now)
-    cold_start_step(state, burst, 0.5, now)
+    burst = feedback(index=9, send=state.current_rate, recv=2.0, rtt=rtt,
+                     delta=None, end=now, dropped=25)
+    cold_start_step(state, burst, now)
     assert state.phase is Phase.STEADY
     assert state.k == pytest.approx(24.0, rel=0.2)
     assert state.current_rate == pytest.approx(2.0)  # lands on the receiving rate
     assert len(state.applied_fits) == 1
 
 
-# --- record and parameter validation ----------------------------------------------
+# --- feedback and parameter validation --------------------------------------------
 
-def test_record_rejects_bad_values():
+def test_feedback_rejects_bad_values():
     with pytest.raises(ValueError):
-        record(send=-1.0)
+        feedback(send=-1.0)
     with pytest.raises(ValueError):
-        record(rtt=0.0)
+        feedback(rtt=0.0)
     with pytest.raises(ValueError):
-        record(rtt=math.nan)
+        feedback(rtt=math.nan)
+    with pytest.raises(ValueError):
+        feedback(recv=-1.0)
+    with pytest.raises(ValueError):
+        feedback(rtt=None)
+    assert feedback(sent=0, measured=False).mean_rtt is None  # unmeasured: no RTT needed
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -405,23 +408,12 @@ def test_params_validation(kwargs):
 
 # --- simulator-facing adapter ---------------------------------------------------
 
-def feedback(index=0, send=1.0, recv=1.0, rtt=50.0, delta=None,
-             sent=50, acked=50, dropped=0, measured=True, end=50.0):
-    return EpochFeedback(
-        index=index, start=end - 50.0, end=end, rate_applied=send,
-        send_rate=send, sent=sent, acked=acked, dropped=dropped,
-        recv_rate=recv, mean_rtt=rtt if measured else None,
-        last_ack=end if measured else None, delta_rtt=delta,
-        measured=measured,
-    )
-
-
 def test_adapter_holds_rate_on_unmeasured_epoch():
     ctrl = IrisController()
     ctrl.state.phase = Phase.STEADY
     ctrl.state.k = 2.0
     ctrl.state.current_rate = 1.5
-    rate = ctrl.on_epoch(feedback(measured=False, acked=0, sent=0), 50.0)
+    rate = ctrl.on_epoch(NOTHING_SENT, 50.0)
     assert rate == 1.5
     entry = ctrl.decisions[-1]
     assert entry.measured is False and entry.rtt is None

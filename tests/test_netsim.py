@@ -1,6 +1,7 @@
 """Event-driven bottleneck simulation: queue mechanics, rate
 estimation, accounting identities, and determinism."""
 
+import math
 import random
 
 import pytest
@@ -269,7 +270,90 @@ def test_build_surfaces_controller_validation_errors():
         build(flow("vegas", alpha=5.0, beta=2.0))
 
 
+@pytest.mark.parametrize("controller, params, name", [
+    ("iris", {"epoch_len": "50"}, "epoch_len"),
+    ("iris", {"initial_rate": True}, "initial_rate"),
+    ("iris", {"target_mode": "min", "k_min": [0.1]}, "k_min"),
+    ("vegas", {"alpha": None}, "alpha"),
+    ("aimd", {"initial_cwnd": "10"}, "initial_cwnd"),
+    ("constant", {"rate": "1.0"}, "rate"),
+    ("constant", {"rate_mbps": {}}, "rate_mbps"),
+])
+def test_build_rejects_non_numeric_params(controller, params, name):
+    with pytest.raises(ScenarioError, match="must be a number") as excinfo:
+        build(flow(controller, **params))
+    assert excinfo.value.field == f"flows[0].params.{name}"
+
+
+@pytest.mark.parametrize("name", ["history_cap", "min_fit_samples", "cold_fit_samples"])
+def test_build_iris_count_params_must_be_whole(name):
+    with pytest.raises(ScenarioError, match="whole number") as excinfo:
+        build(flow("iris", **{name: 10.5}))
+    assert excinfo.value.field == f"flows[0].params.{name}"
+    value = getattr(build(flow("iris", **{name: 10.0})).params, name)
+    assert value == 10 and isinstance(value, int)
+
+
+@pytest.mark.parametrize("controller, params", [
+    ("constant", {"rate": 1.0, "epoch_len": -5.0}),
+    ("constant", {"rate": 1.0, "epoch_len": math.inf}),
+    ("constant", {"rate": math.nan}),
+    ("aimd", {"epoch_len": 0.0}),
+    ("aimd", {"initial_rtt": -1.0}),
+    ("aimd", {"initial_rtt": math.inf}),
+    ("vegas", {"initial_rtt": 0.0}),
+    ("vegas", {"epoch_len": math.nan}),
+    ("iris", {"epoch_len": math.inf}),
+])
+def test_build_rejects_epoch_and_rtt_that_are_not_positive_and_finite(controller, params):
+    with pytest.raises(ScenarioError) as excinfo:
+        build(flow(controller, **params))
+    assert excinfo.value.field == "flows[0].params"
+
+
 def test_iris_params_flow_through_scenario():
     sc = scenario(make_link(), [flow("iris", initial_rate=1.0)], 500.0)
     sim = Simulation(sc)
     assert sim.controllers[0].start_rate() == 1.0
+
+
+# --- epoch release ----------------------------------------------------------------
+
+class RecordingController:
+    """Passes feedback through to ``inner`` and keeps what it was given."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.kind = inner.kind
+        self.epoch_len = inner.epoch_len
+        self.received = []
+
+    def start_rate(self):
+        return self.inner.start_rate()
+
+    def on_epoch(self, feedback, now):
+        self.received.append((feedback, now))
+        return self.inner.on_epoch(feedback, now)
+
+
+def test_dropped_epochs_released_after_their_predecessor_repeat_its_estimate():
+    # The link nearly stops at 1000 ms: epoch 20's four admitted packets
+    # drain for two seconds while epochs 21-25 are dropped whole, so
+    # those resolve first.  Released in index order, they repeat epoch
+    # 20's receive estimate, the last one known.
+    sc = scenario(make_link(sched=((0.0, 2.0), (1000.0, 0.001)), queue=3),
+                  [flow("constant", rate=0.1)], 4000.0)
+    sim = Simulation(sc)
+    recorder = RecordingController(sim.flows[0].controller)
+    sim.flows[0].controller = recorder
+    sim.run()
+    by_index = {fb.index: (fb, now) for fb, now in recorder.received}
+    assert [fb.index for fb, _ in recorder.received] == sorted(by_index)
+    epoch20, released = by_index[20]
+    assert epoch20.measured and epoch20.acked == 4
+    assert epoch20.recv_rate == pytest.approx(0.002475, abs=1e-6)
+    for index in range(21, 26):
+        fb, now = by_index[index]
+        assert not fb.measured and fb.dropped == fb.sent > 0
+        assert now == released
+        assert fb.recv_rate == epoch20.recv_rate
