@@ -11,7 +11,6 @@ from .controller import (
     IrisState,
     Phase,
     RateDecision,
-    TargetMode,
     compute_objective,
     effective_slope,
     expected_rtt_variation,
@@ -33,7 +32,7 @@ from .metrics import (
     utilization,
 )
 from .netsim import Simulation, estimate_receiving_rate, run_scenario
-from .regression import RegressionFit, Sample, analyze_trace, fit_k_b, plcc
+from .regression import RegressionFit, Sample, analyze_trace, fit_k_b
 from .scenario import (
     FlowSpec,
     LinkConfig,
@@ -74,7 +73,6 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "Simulation",
-    "TargetMode",
     "TraceRow",
     "VegasController",
     "analyze_trace",
@@ -98,7 +96,6 @@ __all__ = [
     "next_sending_rate",
     "on_epoch_end",
     "pkts_per_ms_to_mbps",
-    "plcc",
     "read_trace_csv",
     "run_scenario",
     "scenario_from_dict",

@@ -24,6 +24,11 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def _require_initial_cwnd(initial_cwnd: float) -> None:
+    if not 1 <= initial_cwnd < math.inf:
+        raise ValueError(f"initial_cwnd must be >= 1 and finite, got {initial_cwnd}")
+
+
 class AimdMode(Enum):
     SLOW_START = "slow_start"
     AVOIDANCE = "avoidance"
@@ -65,8 +70,9 @@ class AimdController:
                  initial_ssthresh: float = 1e9, initial_rtt: float = 100.0):
         _require_positive("epoch_len", epoch_len)
         _require_positive("initial_rtt", initial_rtt)
-        if initial_cwnd < 1:
-            raise ValueError(f"initial_cwnd must be >= 1, got {initial_cwnd}")
+        _require_initial_cwnd(initial_cwnd)
+        if not initial_ssthresh >= 1:  # infinity: no threshold
+            raise ValueError(f"initial_ssthresh must be >= 1, got {initial_ssthresh}")
         self.epoch_len = epoch_len
         self.state = AimdState(
             cwnd=initial_cwnd,
@@ -125,10 +131,9 @@ class VegasController:
                  initial_cwnd: float = 10.0, initial_rtt: float = 100.0):
         _require_positive("epoch_len", epoch_len)
         _require_positive("initial_rtt", initial_rtt)
-        if initial_cwnd < 1:
-            raise ValueError(f"initial_cwnd must be >= 1, got {initial_cwnd}")
-        if not 0 < alpha <= beta:
-            raise ValueError(f"need 0 < alpha <= beta, got alpha={alpha}, beta={beta}")
+        _require_initial_cwnd(initial_cwnd)
+        if not 0 < alpha <= beta < math.inf:
+            raise ValueError(f"need 0 < alpha <= beta, both finite, got alpha={alpha}, beta={beta}")
         self.epoch_len = epoch_len
         self.state = VegasState(cwnd=initial_cwnd, base_rtt=math.inf, alpha=alpha, beta=beta)
         self._rtt_est = initial_rtt

@@ -33,13 +33,6 @@ from .units import kbps_to_pkts_per_ms
 DEFAULT_INITIAL_RATE = kbps_to_pkts_per_ms(100.0)  # 100 kbit/s worth of packets
 
 
-class TargetMode(Enum):
-    """How the target delay is taken from the recent-RTT window."""
-
-    MIN_RTT = "min"
-    MEDIAN_RTT = "median"
-
-
 class Phase(Enum):
     COLD_START = "cold_start"
     STEADY = "steady"
@@ -57,7 +50,6 @@ class IrisParams:
     objective_scale: float = 100.0      # tanh input scale for the objective
     rtt_step_bound: float = 3.0         # max desired RTT change per epoch, ms
     k_update_period: float = 5000.0     # how often the slope is re-fitted, ms
-    target_mode: TargetMode = TargetMode.MIN_RTT
     rtt_window: float = 10_000.0        # sliding window for the target delay, ms
     k_min: float = 0.01                 # lower clamp for the learned slope
     history_cap: int = 1000             # epoch records kept for fitting
@@ -77,22 +69,23 @@ class IrisParams:
     def __post_init__(self) -> None:
         positive = [
             "epoch_len", "queue_load_target", "objective_scale", "rtt_step_bound",
-            "k_update_period", "rtt_window", "k_min", "rate_floor", "initial_rate",
-            "rate_ceiling",
+            "k_min", "rate_floor", "initial_rate", "rate_ceiling",
         ]
         for name in positive:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        for name in ("k_update_period", "rtt_window"):  # infinity reads as "never"
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not math.isfinite(self.epoch_len):
-            raise ValueError(f"epoch_len must be finite, got {self.epoch_len}")
-        if self.history_cap < 2:
+        if not self.history_cap >= 2:
             raise ValueError(f"history_cap must be >= 2, got {self.history_cap}")
-        if self.min_fit_samples < 2:
+        if not self.min_fit_samples >= 2:
             raise ValueError(f"min_fit_samples must be >= 2, got {self.min_fit_samples}")
         if not 0.0 <= self.min_fit_plcc < 1.0:
             raise ValueError(f"min_fit_plcc must be in [0, 1), got {self.min_fit_plcc}")
-        if self.excitation_floor < 0.0:
-            raise ValueError(f"excitation_floor must be >= 0, got {self.excitation_floor}")
+        if not 0.0 <= self.excitation_floor < math.inf:
+            raise ValueError(f"excitation_floor must be >= 0 and finite, got {self.excitation_floor}")
         if not 0.0 < self.contraction_cap < 1.0:
             raise ValueError(f"contraction_cap must be in (0, 1), got {self.contraction_cap}")
         if not 0.0 <= self.cold_loss_threshold < 1.0:
@@ -103,7 +96,7 @@ class IrisParams:
             raise ValueError(f"cold_loss_severe must be in (0, 1], got {self.cold_loss_severe}")
         if not 0.0 < self.cold_backoff < 1.0:
             raise ValueError(f"cold_backoff must be in (0, 1), got {self.cold_backoff}")
-        if self.cold_fit_samples < 2:
+        if not self.cold_fit_samples >= 2:
             raise ValueError(f"cold_fit_samples must be >= 2, got {self.cold_fit_samples}")
 
 
@@ -115,6 +108,7 @@ class RateDecision:
     rtt_step: float    # desired RTT change that produced it, ms
     objective: float   # objective value it reacted to
     k_used: float      # slope the step was divided by (after the gain bound)
+    contraction: float # gap-contraction factor at this decision (loop gain)
 
 
 @dataclass
@@ -227,11 +221,13 @@ def effective_slope(params: IrisParams, k: float, rtt: float,
 # --- stateful steps --------------------------------------------------------
 
 def update_target_delay(state: IrisState, now: float) -> float | None:
-    """Refresh the target delay from RTTs inside the sliding window.
+    """Refresh the target delay: the minimum RTT inside the sliding window.
 
-    Samples older than ``rtt_window`` are evicted.  If the window goes
-    empty (a long stall), the previous target survives and a staleness
-    counter is bumped so callers can notice.
+    The minimum estimates the base RTT, so ``send_rate * (rtt -
+    target_delay)`` counts this flow's queued packets.  Samples older
+    than ``rtt_window`` are evicted.  If the window goes empty (a long
+    stall), the previous target survives and a staleness counter is
+    bumped so callers can notice.
     """
     window_start = now - state.params.rtt_window
     samples = state.rtt_samples
@@ -240,10 +236,7 @@ def update_target_delay(state: IrisState, now: float) -> float | None:
     if not samples:
         state.target_stale_epochs += 1
         return state.target_delay
-    if state.params.target_mode is TargetMode.MIN_RTT:
-        target = min(rtt for _, rtt in samples)
-    else:
-        target = statistics.median(rtt for _, rtt in samples)
+    target = min(rtt for _, rtt in samples)
     state.target_delay = target
     state.target_stale_epochs = 0
     return target
@@ -338,8 +331,8 @@ def on_epoch_end(state: IrisState, fb: EpochFeedback, now: float) -> RateDecisio
     rate = next_sending_rate(fb.recv_rate, rtt_step, k_used, params.k_min, params.rate_floor)
     _maybe_refit_k(state, now)
     state.current_rate = rate
-    return RateDecision(next_rate=rate, rtt_step=rtt_step, objective=objective,
-                        k_used=k_used)
+    return RateDecision(next_rate=rate, rtt_step=rtt_step, objective=objective, k_used=k_used,
+                        contraction=gap_contraction_factor(params, fb.mean_rtt, target, k_used))
 
 
 def _exit_cold(state: IrisState, fb: EpochFeedback,
@@ -450,7 +443,7 @@ class IrisController:
     def on_epoch(self, feedback: EpochFeedback, now: float) -> float:
         state = self.state
         measured = feedback.measured
-        objective = rtt_step = None
+        objective = rtt_step = contraction = None
         phase = state.phase
         k_used = state.k
         if phase is Phase.COLD_START:
@@ -463,10 +456,7 @@ class IrisController:
             objective = decision.objective
             rtt_step = decision.rtt_step
             k_used = decision.k_used
-        contraction = None
-        if measured and state.target_delay is not None and phase is Phase.STEADY:
-            contraction = gap_contraction_factor(self.params, feedback.mean_rtt,
-                                                 state.target_delay, k_used)
+            contraction = decision.contraction
         self.decisions.append(DecisionLogEntry(
             time=now,
             epoch_index=feedback.index,

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
 from .baselines import AimdController, ConstantRateController, VegasController
-from .controller import IrisController, IrisParams, TargetMode
+from .controller import IrisController, IrisParams
 from .feedback import EpochFeedback, RateController
 from .scenario import FlowSpec, LinkConfig, Scenario, ScenarioError, _integer, _number
 from .trace import FlowTotals, FlowTrace, TraceRow
@@ -166,16 +166,14 @@ _WHOLE_PARAMS = frozenset({"history_cap", "min_fit_samples", "cold_fit_samples"}
 
 
 def _checked_params(params: dict, allowed: set[str], prefix: str) -> dict:
-    """Reject unknown names and values that are not numbers (``target_mode``
-    aside); the whole-number parameters become ints."""
+    """Reject unknown names and values that are not numbers; the
+    whole-number parameters become ints."""
     unknown = set(params) - allowed
     if unknown:
         raise ScenarioError(f"{prefix}.{sorted(unknown)[0]}", "unknown parameter")
     checked = {}
     for name, value in params.items():
-        if name == "target_mode":
-            checked[name] = value
-        elif name in _WHOLE_PARAMS:
+        if name in _WHOLE_PARAMS:
             checked[name] = _integer(value, f"{prefix}.{name}")
         else:
             checked[name] = _number(value, f"{prefix}.{name}")
@@ -201,12 +199,6 @@ def _constant_controller(params: dict, prefix: str, packet_bytes: int) -> Consta
 
 def _iris_controller(params: dict, prefix: str) -> IrisController:
     raw = _checked_params(params, set(IrisParams.__dataclass_fields__), prefix)
-    if "target_mode" in raw:
-        mode = raw["target_mode"]
-        try:
-            raw["target_mode"] = TargetMode(mode)
-        except ValueError:
-            raise ScenarioError(f"{prefix}.target_mode", f"expected 'min' or 'median', got {mode!r}") from None
     return IrisController(_construct(IrisParams, raw, prefix))
 
 

@@ -43,15 +43,6 @@ class RegressionFit:
             raise ValueError(f"plcc out of [-1, 1]: {self.plcc}")
 
 
-def _centered_sums(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float, float, float]:
-    mx = math.fsum(xs) / len(xs)
-    my = math.fsum(ys) / len(ys)
-    sxx = math.fsum((x - mx) ** 2 for x in xs)
-    syy = math.fsum((y - my) ** 2 for y in ys)
-    sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    return mx, my, sxx, syy, sxy
-
-
 def fit_k_b(samples: Sequence[Sample]) -> RegressionFit | None:
     """Fit ``delta_rtt = k * rate_diff + b`` by least squares.
 
@@ -68,7 +59,11 @@ def fit_k_b(samples: Sequence[Sample]) -> RegressionFit | None:
     ys = [s.delta_rtt for s in samples]
     if not all(map(math.isfinite, xs)) or not all(map(math.isfinite, ys)):
         return None
-    mx, my, sxx, syy, sxy = _centered_sums(xs, ys)
+    mx = math.fsum(xs) / n
+    my = math.fsum(ys) / n
+    sxx = math.fsum((x - mx) ** 2 for x in xs)
+    syy = math.fsum((y - my) ** 2 for y in ys)
+    sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
     if sxx <= 0.0 or syy <= 0.0:
         return None
     k = sxy / sxx
@@ -77,24 +72,6 @@ def fit_k_b(samples: Sequence[Sample]) -> RegressionFit | None:
     # Guard against rounding pushing a perfect correlation past +/-1.
     corr = max(-1.0, min(1.0, corr))
     return RegressionFit(k=k, b=b, plcc=corr, n=n)
-
-
-def plcc(xs: Sequence[float], ys: Sequence[float]) -> float | None:
-    """Pearson correlation of two equal-length series.
-
-    Returns ``None`` when either series has zero variance (the
-    coefficient is undefined there) or fewer than two points.
-    """
-    if len(xs) != len(ys):
-        raise ValueError(f"series length mismatch: {len(xs)} vs {len(ys)}")
-    if len(xs) < 2:
-        return None
-    if not all(map(math.isfinite, xs)) or not all(map(math.isfinite, ys)):
-        return None
-    _, _, sxx, syy, sxy = _centered_sums(xs, ys)
-    if sxx <= 0.0 or syy <= 0.0:
-        return None
-    return max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy)))
 
 
 def delta_samples(rows: Iterable[tuple[float, float, float]]) -> list[Sample]:

@@ -1,6 +1,7 @@
 """Command-line behaviour: artifacts, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -69,6 +70,12 @@ def test_run_rejects_non_numeric_controller_params(tmp_path, capsys, params, nam
     config = write_config(tmp_path, params=params)
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
     assert f"flows[0].params.{name}: must be a number" in capsys.readouterr().err
+
+
+def test_run_rejects_non_finite_controller_params(tmp_path, capsys):
+    config = write_config(tmp_path, controller="aimd", params={"initial_cwnd": math.nan})
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert "error: flows[0].params: initial_cwnd" in capsys.readouterr().err
 
 
 def test_run_missing_config_file(tmp_path, capsys):

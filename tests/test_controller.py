@@ -16,7 +16,6 @@ from iriscc.controller import (
     IrisController,
     IrisParams,
     Phase,
-    TargetMode,
     cold_start_step,
     compute_objective,
     effective_slope,
@@ -136,7 +135,7 @@ def test_effective_slope_respects_cap_exactly():
 
 
 def test_effective_slope_noop_when_rtt_below_target():
-    params = IrisParams(target_mode=TargetMode.MEDIAN_RTT)
+    params = IrisParams()
     assert effective_slope(params, 2.0, 48.0, 50.0) == 2.0
 
 
@@ -172,12 +171,6 @@ def test_target_survives_empty_window_with_staleness():
     assert state.target_stale_epochs == 1
 
 
-def test_target_median_mode():
-    state = new_state(IrisParams(target_mode=TargetMode.MEDIAN_RTT))
-    state.rtt_samples.extend([(0.0, 50.0), (100.0, 70.0), (200.0, 60.0)])
-    assert update_target_delay(state, 1000.0) == 60.0
-
-
 # --- steady-state step ---------------------------------------------------------
 
 def steady_state(**kwargs):
@@ -195,6 +188,7 @@ def test_equilibrium_is_a_fixed_point():
     assert decision.objective == 0.0
     assert decision.rtt_step == 0.0
     assert decision.next_rate == 2.0
+    assert decision.contraction == pytest.approx(3.0 / 2.0 * 5.0 / 100.0)  # loop gain
 
 
 def test_queue_above_target_pushes_rate_down():
@@ -400,6 +394,9 @@ def test_feedback_rejects_bad_values():
     {"cold_loss_severe": 0.0},
     {"cold_backoff": 1.0},
     {"cold_fit_samples": 1},
+    {"history_cap": math.nan},
+    {"min_fit_samples": math.nan},
+    {"cold_fit_samples": math.nan},
 ])
 def test_params_validation(kwargs):
     with pytest.raises(ValueError):

@@ -231,15 +231,10 @@ def build(spec_flow):
     return netsim.build_controller(spec_flow, 0, 1200)
 
 
-def test_build_iris_with_named_target_mode():
-    from iriscc.controller import TargetMode
-    ctrl = build(flow("iris", target_mode="median"))
-    assert ctrl.params.target_mode is TargetMode.MEDIAN_RTT
-
-
 def test_build_iris_rejects_bad_target_mode():
     with pytest.raises(ScenarioError) as excinfo:
-        build(flow("iris", target_mode="average"))
+        build(flow("iris", target_mode="min"))
+    assert str(excinfo.value) == "flows[0].params.target_mode: unknown parameter"
     assert excinfo.value.field == "flows[0].params.target_mode"
 
 
@@ -273,7 +268,7 @@ def test_build_surfaces_controller_validation_errors():
 @pytest.mark.parametrize("controller, params, name", [
     ("iris", {"epoch_len": "50"}, "epoch_len"),
     ("iris", {"initial_rate": True}, "initial_rate"),
-    ("iris", {"target_mode": "min", "k_min": [0.1]}, "k_min"),
+    ("iris", {"k_min": [0.1]}, "k_min"),
     ("vegas", {"alpha": None}, "alpha"),
     ("aimd", {"initial_cwnd": "10"}, "initial_cwnd"),
     ("constant", {"rate": "1.0"}, "rate"),
@@ -309,6 +304,41 @@ def test_build_rejects_epoch_and_rtt_that_are_not_positive_and_finite(controller
     with pytest.raises(ScenarioError) as excinfo:
         build(flow(controller, **params))
     assert excinfo.value.field == "flows[0].params"
+
+
+@pytest.mark.parametrize("controller, params, name", [
+    ("iris", {"excitation_floor": math.nan}, "excitation_floor"),
+    ("iris", {"excitation_floor": math.inf}, "excitation_floor"),
+    ("iris", {"queue_load_target": math.inf}, "queue_load_target"),
+    ("iris", {"objective_scale": math.inf}, "objective_scale"),
+    ("iris", {"rtt_step_bound": math.inf}, "rtt_step_bound"),
+    ("iris", {"k_min": math.inf}, "k_min"),
+    ("iris", {"rate_floor": math.inf}, "rate_floor"),
+    ("iris", {"initial_rate": math.inf}, "initial_rate"),
+    ("iris", {"rate_ceiling": math.inf}, "rate_ceiling"),
+    ("aimd", {"initial_cwnd": math.nan}, "initial_cwnd"),
+    ("aimd", {"initial_cwnd": math.inf}, "initial_cwnd"),
+    ("aimd", {"initial_ssthresh": math.nan}, "initial_ssthresh"),
+    ("aimd", {"initial_ssthresh": 0.5}, "initial_ssthresh"),
+    ("vegas", {"initial_cwnd": math.nan}, "initial_cwnd"),
+    ("vegas", {"initial_cwnd": math.inf}, "initial_cwnd"),
+    ("vegas", {"beta": math.inf}, "beta"),
+    ("vegas", {"alpha": math.inf, "beta": math.inf}, "alpha"),
+])
+def test_build_rejects_non_finite_knobs(controller, params, name):
+    with pytest.raises(ScenarioError, match=name) as excinfo:
+        build(flow(controller, **params))
+    assert excinfo.value.field == "flows[0].params"
+
+
+@pytest.mark.parametrize("controller, params", [
+    ("iris", {"k_update_period": math.inf}),
+    ("iris", {"rtt_window": math.inf}),
+    ("aimd", {"initial_ssthresh": math.inf}),
+])
+def test_build_accepts_infinity_that_reads_as_never(controller, params):
+    # No periodic re-fit, no RTT sample eviction, no slow-start threshold.
+    build(flow(controller, **params))
 
 
 def test_iris_params_flow_through_scenario():

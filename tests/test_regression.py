@@ -21,7 +21,6 @@ from iriscc.regression import (
     analyze_trace,
     delta_samples,
     fit_k_b,
-    plcc,
 )
 
 
@@ -107,27 +106,11 @@ def test_fit_requires_two_samples_to_construct():
         RegressionFit(k=1.0, b=0.0, plcc=1.5, n=3)
 
 
-# --- plcc helper --------------------------------------------------------------
-
-def test_plcc_matches_fit():
-    xs = [0.0, 1.0, 2.0, 4.0]
-    ys = [1.0, 0.5, 2.5, 3.0]
-    fit = fit_k_b(make_samples(xs, ys))
-    assert plcc(xs, ys) == pytest.approx(fit.plcc, abs=1e-15)
-
-
-def test_plcc_undefined_cases():
-    assert plcc([1.0, 1.0], [1.0, 2.0]) is None
-    assert plcc([1.0], [1.0]) is None
-    with pytest.raises(ValueError):
-        plcc([1.0, 2.0], [1.0])
-
-
 def test_plcc_clamped_to_unit_interval():
     # A perfectly collinear cloud must not exceed 1.0 through rounding.
     xs = [i * 0.1 for i in range(100)]
     ys = [3.0 * x + 1e-9 for x in xs]
-    assert abs(plcc(xs, ys)) <= 1.0
+    assert abs(fit_k_b(make_samples(xs, ys)).plcc) <= 1.0
 
 
 # --- trace differencing --------------------------------------------------------

@@ -1,0 +1,164 @@
+"""Differential check: run the same seeded random scenarios on this
+working tree and on another revision, and compare what they produce.
+
+    python3 tools/diffcheck.py --against REV [--count N] [--seed S]
+
+REV is checked out into a temporary ``git worktree``.  Each tree runs
+every scenario in its own Python process, with its own ``src`` first on
+the path, and reports per scenario the sha256 of four outputs: the
+trace CSV, the per-flow totals, the iris decision logs and the adopted
+slope fits (a run that raises reports its error instead).  The first
+scenario whose digests differ is printed as a JSON config that
+``iriscc run`` loads, after the names of the outputs that differ; the
+exit status is then 1, and 0 when every scenario agrees.
+
+:func:`random_scenario` is also the generator of the simulator
+invariant test, ``tests/test_invariants.py``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PARTS = ("trace_csv", "totals", "decisions", "applied_fits")
+
+
+def _random_flow(rng: random.Random, duration: float, max_capacity: float) -> dict:
+    kind = rng.choice(("iris", "iris", "aimd", "vegas", "constant"))
+    params: dict = {"epoch_len": rng.choice((20.0, 50.0, rng.uniform(10.0, 100.0)))}
+    if kind == "iris" and rng.random() < 0.5:
+        # Short histories and re-fit periods, so that short runs re-fit.
+        params.update(
+            history_cap=rng.randint(2, 60),
+            k_update_period=rng.uniform(100.0, 2000.0),
+            min_fit_samples=rng.randint(2, 12),
+            cold_fit_samples=rng.randint(2, 12),
+            rtt_window=rng.uniform(200.0, 10_000.0),
+            excitation_floor=rng.uniform(0.0, 0.2),
+        )
+    elif kind == "aimd":
+        params["initial_cwnd"] = rng.uniform(1.0, 20.0)
+    elif kind == "vegas":
+        alpha = rng.uniform(0.5, 4.0)
+        params.update(alpha=alpha, beta=alpha + rng.uniform(0.0, 4.0))
+    elif kind == "constant":
+        params["rate"] = rng.uniform(0.01, 2.0 * max_capacity)
+    flow = {"controller": kind,
+            "start_ms": rng.choice((0.0, rng.uniform(0.0, duration / 2.0))),
+            "params": params}
+    if rng.random() < 0.3:
+        flow["prop_delay_ms"] = rng.uniform(2.0, 60.0)
+    return flow
+
+
+def random_scenario(rng: random.Random, max_duration: float = 2000.0) -> dict:
+    """One small scenario document drawn from ``rng``.
+
+    Runs of 0.2 s to ``max_duration`` ms; a capacity schedule with up to
+    four changes 0.5-500 ms apart, down to 0.001 packets/ms; one to
+    three flows of mixed controllers with varied epochs, start times and
+    delays; random loss up to 50%; queues of 1-104 packets.
+    """
+    duration = rng.uniform(200.0, max_duration)
+    schedule = [[0.0, rng.uniform(0.05, 2.0)]]
+    for _ in range(rng.randint(0, 4)):
+        step = rng.choice((0.5, 1.0, rng.uniform(0.5, 500.0)))
+        schedule.append([schedule[-1][0] + step, rng.choice((0.001, rng.uniform(0.05, 2.0)))])
+    link = {
+        "bandwidth_schedule": schedule,
+        "prop_delay_ms": rng.uniform(2.0, 60.0),
+        "queue_capacity_pkts": rng.randint(1, 104),
+        "random_loss": rng.choice((0.0, 0.0, rng.uniform(0.0, 0.1), rng.uniform(0.0, 0.5))),
+        "seed": rng.randrange(1000),
+    }
+    max_capacity = max(cap for _, cap in schedule)
+    flows = [_random_flow(rng, duration, max_capacity) for _ in range(rng.randint(1, 3))]
+    return {"duration_ms": duration, "link": link, "flows": flows}
+
+
+def digest_runs(docs: list[dict]) -> dict:
+    """Run each scenario with the ``iriscc`` on the path and hash its outputs."""
+    import iriscc
+    from iriscc.netsim import Simulation
+    from iriscc.scenario import scenario_from_dict
+    from iriscc.trace import write_trace_csv
+
+    digests = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        for doc in docs:
+            try:
+                sim = Simulation(scenario_from_dict(doc))
+                traces = sim.run()
+                write_trace_csv(traces, path)
+            except Exception as exc:  # a run that fails is a result to compare
+                digests.append({"error": f"{type(exc).__name__}: {exc}"})
+                continue
+            iris = [c for c in sim.controllers if c.kind == "iris"]
+            outputs = {
+                "trace_csv": path.read_bytes(),
+                "totals": repr([trace.totals for trace in traces]).encode(),
+                "decisions": repr([c.decisions for c in iris]).encode(),
+                "applied_fits": repr([c.state.applied_fits for c in iris]).encode(),
+            }
+            digests.append({name: hashlib.sha256(outputs[name]).hexdigest() for name in PARTS})
+    return {"iriscc": iriscc.__file__, "digests": digests}
+
+
+def _tree_digests(src: Path, docs: list[dict]) -> list[dict]:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(ROOT / "tools")]))
+    code = ("import json, sys, diffcheck\n"
+            "json.dump(diffcheck.digest_runs(json.load(sys.stdin)), sys.stdout)\n")
+    proc = subprocess.run([sys.executable, "-c", code], input=json.dumps(docs), cwd=src,
+                          env=env, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout)
+    if not Path(result["iriscc"]).resolve().is_relative_to(src.resolve()):
+        raise RuntimeError(f"imported {result['iriscc']}, not the package under {src}")
+    return result["digests"]
+
+
+def _git(*args: str) -> None:
+    subprocess.run(["git", *args], cwd=ROOT, check=True)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", required=True, metavar="REV",
+                        help="git revision to compare the working tree with")
+    parser.add_argument("--count", type=int, default=300, help="number of scenarios")
+    parser.add_argument("--seed", type=int, default=0, help="seed of the scenario generator")
+    args = parser.parse_args(argv)
+    rng = random.Random(args.seed)
+    # Runs of up to 6 s, so that more iris flows reach steady state and re-fit.
+    docs = [random_scenario(rng, max_duration=6000.0) for _ in range(args.count)]
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        _git("worktree", "add", "--detach", "--quiet", str(tree), args.against)
+        try:
+            theirs = _tree_digests(tree / "src", docs)
+        finally:
+            _git("worktree", "remove", "--force", str(tree))
+    ours = _tree_digests(ROOT / "src", docs)
+    for index, (doc, mine, other) in enumerate(zip(docs, ours, theirs)):
+        differing = [name for name in sorted(set(mine) | set(other)) if mine.get(name) != other.get(name)]
+        if differing:
+            print(f"scenario {index} of {args.count} differs from {args.against} in: "
+                  f"{', '.join(differing)}")
+            print(json.dumps(doc, indent=2))
+            return 1
+    print(f"{args.count} of {args.count} scenarios identical to {args.against} "
+          f"over {', '.join(PARTS)} (seed {args.seed})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
