@@ -32,7 +32,7 @@ from .metrics import (
     utilization,
 )
 from .netsim import Simulation, estimate_receiving_rate, run_scenario
-from .regression import RegressionFit, Sample, analyze_trace, fit_k_b
+from .regression import RegressionFit, analyze_trace, fit_k_b
 from .scenario import (
     FlowSpec,
     LinkConfig,
@@ -69,7 +69,6 @@ __all__ = [
     "RateController",
     "RateDecision",
     "RegressionFit",
-    "Sample",
     "Scenario",
     "ScenarioError",
     "Simulation",

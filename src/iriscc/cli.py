@@ -75,10 +75,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     per_flow = read_trace_csv(args.trace)
-    fit = fit_k_b([
-        sample for rows in per_flow.values()
-        for sample in delta_samples((row.send_rate, row.throughput, row.rtt) for row in rows)
-    ])
+    per_flow_samples = [delta_samples((row.send_rate, row.throughput, row.rtt) for row in rows)
+                        for rows in per_flow.values()]
+    fit = fit_k_b([x for xs, _ in per_flow_samples for x in xs],
+                  [y for _, ys in per_flow_samples for y in ys])
     if fit is None:
         print("error: trace is unfittable (needs >= 3 rows with varying rates and RTTs)",
               file=sys.stderr)

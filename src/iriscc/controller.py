@@ -21,13 +21,12 @@ from the data it gathered and switches to steady-state control.
 from __future__ import annotations
 
 import math
-import statistics
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .feedback import EpochFeedback
-from .regression import RegressionFit, Sample, fit_k_b
+from .regression import RegressionFit, fit_k_b
 from .units import kbps_to_pkts_per_ms
 
 DEFAULT_INITIAL_RATE = kbps_to_pkts_per_ms(100.0)  # 100 kbit/s worth of packets
@@ -242,14 +241,6 @@ def update_target_delay(state: IrisState, now: float) -> float | None:
     return target
 
 
-def _fit_samples(records) -> list[Sample]:
-    return [
-        Sample(rate_diff=fb.send_rate - fb.recv_rate, delta_rtt=fb.delta_rtt)
-        for fb in records
-        if fb.delta_rtt is not None
-    ]
-
-
 def _adopt_fit(state: IrisState, fit: RegressionFit | None, now: float) -> bool:
     """Clamp and install a fitted slope; report whether one was applied."""
     if fit is None or not math.isfinite(fit.k):
@@ -259,16 +250,15 @@ def _adopt_fit(state: IrisState, fit: RegressionFit | None, now: float) -> bool:
     return True
 
 
-def _window_excitation(samples: list[Sample], records) -> float:
-    """Spread of the window's rate excursions relative to its mean rate."""
-    mean_rate = statistics.fmean(fb.send_rate for fb in records)
-    if mean_rate <= 0.0:
-        return 0.0
-    return statistics.pstdev(s.rate_diff for s in samples) / mean_rate
+def _plain_fit(records) -> RegressionFit | None:
+    """Least-squares fit over the records that carry an RTT change."""
+    usable = [fb for fb in records if fb.delta_rtt is not None]
+    return fit_k_b([fb.send_rate - fb.recv_rate for fb in usable],
+                   [fb.delta_rtt for fb in usable])
 
 
 def _gated_fit(params: IrisParams, records, min_samples: int) -> RegressionFit | None:
-    """Fit ``records`` only if the window can identify the slope.
+    """Fit ``records``; return the fit only if the window identifies the slope.
 
     The slope is only identifiable from data that actually moved the
     rate: in a quiet steady state the send/receive gap is measurement
@@ -276,18 +266,18 @@ def _gated_fit(params: IrisParams, records, min_samples: int) -> RegressionFit |
     back into the RTT, so a regression over a quiet window can look
     well-correlated while its slope is an artifact of the loop, not the
     network.  Dividing the next rate step by such a slope is what makes
-    the controller lurch.  A window therefore needs ``min_samples``
-    samples and rate excursions that clear ``excitation_floor``
-    (relative to the mean rate) before it is fitted, and the fit is only
-    returned when its correlation clears ``min_fit_plcc``.
+    the controller lurch.  The fit is returned only when it has
+    ``min_samples`` samples, its correlation clears ``min_fit_plcc``,
+    and its excitation — ``x_std`` over the mean send rate of all the
+    records, 0.0 when that mean is not positive — clears
+    ``excitation_floor``.
     """
-    samples = _fit_samples(records)
-    if len(samples) < min_samples:
+    fit = _plain_fit(records)
+    if fit is None or fit.n < min_samples or fit.plcc < params.min_fit_plcc:
         return None
-    if _window_excitation(samples, records) < params.excitation_floor:
-        return None
-    fit = fit_k_b(samples)
-    if fit is None or fit.plcc < params.min_fit_plcc:
+    mean_rate = math.fsum(fb.send_rate for fb in records) / len(records)
+    excitation = fit.x_std / mean_rate if mean_rate > 0.0 else 0.0
+    if excitation < params.excitation_floor:
         return None
     return fit
 
@@ -370,8 +360,8 @@ def cold_start_step(state: IrisState, fb: EpochFeedback, now: float) -> float:
     with a wildly wrong slope.  When the data is not yet informative
     the rate is halved instead and probing continues, so the next
     overshoot adds more learnable records.  The safety rate ceiling
-    forces an exit with the best fit available.  On exit the pacing
-    rate falls back to the last observed receiving rate.
+    forces an exit with the ungated fit of the whole history.  On exit
+    the pacing rate falls back to the last observed receiving rate.
     """
     params = state.params
     if fb.measured:
@@ -381,9 +371,7 @@ def cold_start_step(state: IrisState, fb: EpochFeedback, now: float) -> float:
     prev_loss = state.prev_loss_rate
     state.prev_loss_rate = loss_rate
     if state.current_rate >= params.rate_ceiling:
-        fit = (_gated_fit(params, state.history, params.cold_fit_samples)
-               or fit_k_b(_fit_samples(state.history)))
-        _exit_cold(state, fb, fit, now)
+        _exit_cold(state, fb, _plain_fit(state.history), now)
         return state.current_rate
     loss_burst = (
         loss_rate > params.cold_loss_threshold

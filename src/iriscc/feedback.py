@@ -19,9 +19,10 @@ from typing import Protocol, runtime_checkable
 class EpochFeedback:
     """Measurement summary for one finished sender epoch.
 
-    ``measured`` is False when no ACK came back (nothing was sent, or
-    every packet was lost); ``mean_rtt`` and ``delta_rtt`` are then
-    None and ``recv_rate`` repeats the last known estimate.
+    An epoch is :attr:`measured` when an ACK came back; otherwise
+    (nothing was sent, or every packet was lost) ``mean_rtt`` and
+    ``delta_rtt`` are None and ``recv_rate`` repeats the last known
+    estimate.
     """
 
     index: int
@@ -33,14 +34,16 @@ class EpochFeedback:
     recv_rate: float        # estimated receiving rate, packets/ms
     mean_rtt: float | None  # mean RTT over this epoch's ACKed packets, ms
     delta_rtt: float | None # mean_rtt minus previous measured epoch's, ms
-    measured: bool
 
     def __post_init__(self) -> None:
         if self.send_rate < 0 or self.recv_rate < 0:
             raise ValueError(f"rates must be non-negative: {self.send_rate}, {self.recv_rate}")
-        if self.measured and not (self.mean_rtt is not None and math.isfinite(self.mean_rtt)
-                                  and self.mean_rtt > 0):
-            raise ValueError(f"a measured epoch needs a positive, finite mean_rtt, got {self.mean_rtt}")
+        if self.measured and not (math.isfinite(self.mean_rtt) and self.mean_rtt > 0):
+            raise ValueError(f"mean_rtt must be positive and finite, got {self.mean_rtt}")
+
+    @property
+    def measured(self) -> bool:
+        return self.mean_rtt is not None
 
     @property
     def loss_rate(self) -> float:

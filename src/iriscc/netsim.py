@@ -345,7 +345,6 @@ class Simulation:
                 recv_rate=recv,
                 mean_rtt=mean_rtt,
                 delta_rtt=delta,
-                measured=mean_rtt is not None,
             )
             if decide:
                 flow.rate = flow.controller.on_epoch(fb, now)

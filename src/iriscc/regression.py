@@ -15,16 +15,9 @@ under Gaussian noise.  Sums are computed around the means (with
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One regression observation: rate overshoot vs. RTT change."""
-
-    rate_diff: float   # send_rate - recv_rate, packets/ms
-    delta_rtt: float   # rtt_i - rtt_{i-1}, ms
 
 
 @dataclass(frozen=True)
@@ -35,6 +28,7 @@ class RegressionFit:
     b: float      # intercept, ms
     plcc: float   # Pearson linear correlation coefficient, in [-1, 1]
     n: int        # number of samples behind the fit
+    x_std: float  # population standard deviation of the rate overshoot
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -43,20 +37,23 @@ class RegressionFit:
             raise ValueError(f"plcc out of [-1, 1]: {self.plcc}")
 
 
-def fit_k_b(samples: Sequence[Sample]) -> RegressionFit | None:
+def fit_k_b(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit | None:
     """Fit ``delta_rtt = k * rate_diff + b`` by least squares.
 
+    ``xs`` holds the rate overshoots and ``ys`` the RTT changes, pairwise.
     Returns ``None`` when no meaningful fit exists: fewer than two
-    samples, non-finite values, or zero variance in either coordinate
-    (a degenerate cloud has no usable slope and an undefined
-    correlation).  Callers treat ``None`` as "keep whatever estimate you
-    already have".
+    samples, non-finite values, or no variance in either coordinate (a
+    degenerate cloud has no usable slope and an undefined correlation;
+    a sum of squares below the smallest normal float has lost its
+    precision and counts as none).  Callers treat ``None`` as "keep
+    whatever estimate you already have".  The fit also reports
+    ``x_std``, the population standard deviation of ``xs``.
     """
-    n = len(samples)
+    n = len(xs)
+    if n != len(ys):
+        raise ValueError(f"xs and ys differ in length: {n} != {len(ys)}")
     if n < 2:
         return None
-    xs = [s.rate_diff for s in samples]
-    ys = [s.delta_rtt for s in samples]
     if not all(map(math.isfinite, xs)) or not all(map(math.isfinite, ys)):
         return None
     mx = math.fsum(xs) / n
@@ -64,32 +61,37 @@ def fit_k_b(samples: Sequence[Sample]) -> RegressionFit | None:
     sxx = math.fsum((x - mx) ** 2 for x in xs)
     syy = math.fsum((y - my) ** 2 for y in ys)
     sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    if sxx <= 0.0 or syy <= 0.0:
+    if sxx < sys.float_info.min or syy < sys.float_info.min:
         return None
     k = sxy / sxx
     b = my - k * mx
-    corr = sxy / math.sqrt(sxx * syy)
+    product = sxx * syy  # the roots are taken apart only where this underflows
+    corr = sxy / (math.sqrt(product) if product >= sys.float_info.min
+                  else math.sqrt(sxx) * math.sqrt(syy))
     # Guard against rounding pushing a perfect correlation past +/-1.
     corr = max(-1.0, min(1.0, corr))
-    return RegressionFit(k=k, b=b, plcc=corr, n=n)
+    return RegressionFit(k=k, b=b, plcc=corr, n=n, x_std=math.sqrt(sxx / n))
 
 
-def delta_samples(rows: Iterable[tuple[float, float, float]]) -> list[Sample]:
+def delta_samples(rows: Iterable[tuple[float, float, float]]) -> tuple[list[float], list[float]]:
     """Difference a time-ordered rate/RTT series into regression samples.
 
     ``rows`` holds ``(send_rate, recv_rate, rtt)`` triples, one per
-    epoch.  Row *i* (for ``i >= 1``) contributes ``(send_rate_i -
-    recv_rate_i, rtt_i - rtt_{i-1})``.  For a trace CSV the receive rate
-    is the ``throughput`` column; each flow's rows are differenced on
-    their own, so samples never span two flows.
+    epoch.  Row *i* (for ``i >= 1``) adds ``send_rate_i - recv_rate_i``
+    to ``xs`` and ``rtt_i - rtt_{i-1}`` to ``ys``; the result ``(xs,
+    ys)`` is what :func:`fit_k_b` takes.  For a trace CSV the receive
+    rate is the ``throughput`` column; each flow's rows are differenced
+    on their own, so samples never span two flows.
     """
-    samples: list[Sample] = []
+    xs: list[float] = []
+    ys: list[float] = []
     prev_rtt: float | None = None
     for send_rate, recv_rate, rtt in rows:
         if prev_rtt is not None:
-            samples.append(Sample(rate_diff=send_rate - recv_rate, delta_rtt=rtt - prev_rtt))
+            xs.append(send_rate - recv_rate)
+            ys.append(rtt - prev_rtt)
         prev_rtt = rtt
-    return samples
+    return xs, ys
 
 
 def analyze_trace(rows: Iterable[tuple[float, float, float]]) -> RegressionFit | None:
@@ -100,4 +102,4 @@ def analyze_trace(rows: Iterable[tuple[float, float, float]]) -> RegressionFit |
     ``None``.  ``iriscc analyze`` pools every flow's samples into one
     fit instead of fitting each flow alone.
     """
-    return fit_k_b(delta_samples(rows))
+    return fit_k_b(*delta_samples(rows))

@@ -49,5 +49,4 @@ def feedback(index: int = 0, send: float = 1.0, recv: float = 1.0, rtt: float = 
         acked = sent - dropped if measured else 0
     return EpochFeedback(index=index, end=end, send_rate=send, sent=sent, acked=acked,
                          dropped=dropped, recv_rate=recv,
-                         mean_rtt=rtt if measured else None, delta_rtt=delta,
-                         measured=measured)
+                         mean_rtt=rtt if measured else None, delta_rtt=delta)

@@ -19,7 +19,7 @@ from iriscc.metrics import (
     window_throughput,
 )
 from iriscc.netsim import Simulation, run_scenario
-from iriscc.regression import Sample, fit_k_b
+from iriscc.regression import fit_k_b
 from iriscc.trace import write_trace_csv
 from iriscc.units import mbps_to_pkts_per_ms
 
@@ -129,9 +129,8 @@ def test_06_recovers_known_delay_response_slope():
         rng = random.Random(1000 + int(k * 10))
         xs = [rng.uniform(-2.0, 2.0) for _ in range(200)]
         sigma = 0.1 * k * statistics.mean(abs(x) for x in xs)
-        noisy = fit_k_b([Sample(rate_diff=x, delta_rtt=k * x + 0.5 + rng.gauss(0.0, sigma))
-                         for x in xs])
-        clean = fit_k_b([Sample(rate_diff=x, delta_rtt=k * x + 0.5) for x in xs])
+        noisy = fit_k_b(xs, [k * x + 0.5 + rng.gauss(0.0, sigma) for x in xs])
+        clean = fit_k_b(xs, [k * x + 0.5 for x in xs])
         worst_err = max(worst_err, abs(noisy.k - k) / k)
         worst_plcc_gap = max(worst_plcc_gap, abs(clean.plcc - 1.0),
                              abs(clean.k - k) / k)

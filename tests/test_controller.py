@@ -6,6 +6,7 @@ implementation under test.
 """
 
 import math
+import statistics
 
 import pytest
 from hypothesis import given
@@ -267,6 +268,42 @@ def test_slope_refit_rejects_weak_correlation():
     assert state.applied_fits == []
 
 
+def _excitation_window():
+    # Eleven steady epochs, the first without an RTT change and with a
+    # higher send rate, so the mean over all records differs from the
+    # mean over the fitted ones; the RTT follows the overshoot with
+    # slope 2.  Returns the records and the window's relative spread:
+    # population deviation of the overshoots over the mean send rate of
+    # every record.
+    diffs = [0.3, -0.1, 0.25, -0.4, 0.05, 0.35, -0.2, 0.15, -0.3, 0.1]
+    records = [feedback(index=0, send=3.0, recv=3.0, rtt=50.0, end=50.0)]
+    rtt = 50.0
+    for i, diff in enumerate(diffs, start=1):
+        rtt += 2.0 * diff
+        records.append(feedback(index=i, send=1.0 + diff, recv=1.0, rtt=rtt,
+                                delta=2.0 * diff, end=50.0 * (i + 1)))
+    overshoots = [fb.send_rate - fb.recv_rate for fb in records[1:]]
+    spread = statistics.pstdev(overshoots) / statistics.fmean(fb.send_rate for fb in records)
+    return records, spread
+
+
+@pytest.mark.parametrize("floor_scale, adopted", [(1.0 - 1e-9, True), (1.0 + 1e-9, False)])
+def test_slope_refit_excitation_gate_at_its_floor(floor_scale, adopted):
+    # A floor just below the window's relative spread adopts the fit and
+    # one just above rejects it.  The sample deviation (about 5% larger
+    # with 10 samples) or a mean over the fitted records only (lower,
+    # because the first record sends the most) would adopt both.
+    records, spread = _excitation_window()
+    state = steady_state(min_fit_samples=len(records) - 1,
+                         excitation_floor=spread * floor_scale)
+    state.rtt_samples.append((0.0, 50.0))
+    for fb in records:
+        on_epoch_end(state, fb, fb.end)
+    assert len(state.applied_fits) == (1 if adopted else 0)
+    if adopted:
+        assert state.k == pytest.approx(2.0, rel=1e-9)
+
+
 # --- cold start -----------------------------------------------------------------
 
 def test_cold_ramp_doubles_every_epoch():
@@ -287,6 +324,40 @@ def test_cold_ramp_caps_at_ceiling_then_exits():
     cold_start_step(state, NOTHING_SENT, 150.0)
     assert state.phase is Phase.STEADY
     assert state.k == state.params.k_min  # no data: conservative slope
+
+
+def test_cold_ceiling_exit_installs_plain_fit_of_quiet_ramp():
+    # A quiet ramp history: the gate rejects it at a loss burst, but the
+    # rate ceiling forces the exit with its ordinary least-squares fit.
+    state = new_state(IrisParams(initial_rate=1.0, rate_ceiling=4.0))
+    xs, ys = [], []
+    now = 0.0
+    for i in range(10):
+        now += 50.0
+        diff = 1e-4 * (1 + i % 3) * (1 if i % 2 == 0 else -1)
+        delta = 2.0 * diff + 1e-5 * (i % 4)
+        xs.append(diff)
+        ys.append(delta)
+        fb = feedback(index=i, send=1.0 + diff, recv=1.0, rtt=50.0, delta=delta, end=now)
+        state.history.append(fb)
+        state.rtt_samples.append((now, fb.mean_rtt))
+    state.current_rate = 1.0
+    now += 50.0
+    cold_start_step(state, feedback(index=10, end=now, dropped=30, measured=False), now)
+    assert state.phase is Phase.COLD_START and state.applied_fits == []  # gate rejected
+    for _ in range(4):  # 0.5 -> 1 -> 2 -> 4, then the exit at the ceiling
+        now += 50.0
+        cold_start_step(state, NOTHING_SENT, now)
+    assert state.phase is Phase.STEADY
+    ref = statistics.linear_regression(xs, ys)
+    (time, fit), = state.applied_fits
+    assert time == now
+    assert fit.n == 10
+    assert fit.k == pytest.approx(ref.slope, rel=1e-9)
+    assert fit.b == pytest.approx(ref.intercept, rel=1e-9, abs=1e-12)
+    assert fit.plcc == pytest.approx(statistics.correlation(xs, ys), rel=1e-9)
+    assert state.k == fit.k
+    assert state.current_rate == 1.0  # lands on the last known receiving rate
 
 
 def test_cold_backoff_on_early_loss_burst():
@@ -377,7 +448,7 @@ def test_feedback_rejects_bad_values():
     with pytest.raises(ValueError):
         feedback(recv=-1.0)
     with pytest.raises(ValueError):
-        feedback(rtt=None)
+        feedback(rtt=math.inf)
     assert feedback(sent=0, measured=False).mean_rtt is None  # unmeasured: no RTT needed
 
 

@@ -12,27 +12,22 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from iriscc.regression import (
     RegressionFit,
-    Sample,
     analyze_trace,
     delta_samples,
     fit_k_b,
 )
 
 
-def make_samples(xs, ys):
-    return [Sample(rate_diff=x, delta_rtt=y) for x, y in zip(xs, ys)]
-
-
 # --- exact fits --------------------------------------------------------------
 
 def test_exact_line_recovered():
     xs = [0.0, 1.0, 2.0, 3.0]
-    fit = fit_k_b(make_samples(xs, [2.0 * x + 1.0 for x in xs]))
+    fit = fit_k_b(xs, [2.0 * x + 1.0 for x in xs])
     assert fit.k == pytest.approx(2.0, abs=1e-12)
     assert fit.b == pytest.approx(1.0, abs=1e-12)
     assert fit.plcc == pytest.approx(1.0, abs=1e-12)
@@ -41,14 +36,14 @@ def test_exact_line_recovered():
 
 def test_negative_slope_and_plcc_sign():
     xs = [0.0, 1.0, 2.0]
-    fit = fit_k_b(make_samples(xs, [-0.5 * x + 3.0 for x in xs]))
+    fit = fit_k_b(xs, [-0.5 * x + 3.0 for x in xs])
     assert fit.k == pytest.approx(-0.5, abs=1e-12)
     assert fit.plcc == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_two_points_exact():
     # Slope through (1, 10) and (-0.5, -5): 15 / 1.5 = 10, intercept 0.
-    fit = fit_k_b(make_samples([1.0, -0.5], [10.0, -5.0]))
+    fit = fit_k_b([1.0, -0.5], [10.0, -5.0])
     assert fit.k == pytest.approx(10.0, abs=1e-9)
     assert fit.b == pytest.approx(0.0, abs=1e-9)
     assert fit.plcc == pytest.approx(1.0, abs=1e-12)
@@ -60,7 +55,7 @@ def test_matches_numpy_polyfit_on_noisy_data():
     rng = random.Random(7)
     xs = [rng.uniform(-3.0, 3.0) for _ in range(200)]
     ys = [1.7 * x - 0.4 + rng.gauss(0.0, 0.3) for x in xs]
-    fit = fit_k_b(make_samples(xs, ys))
+    fit = fit_k_b(xs, ys)
     k_np, b_np = np.polyfit(np.array(xs), np.array(ys), 1)
     assert fit.k == pytest.approx(float(k_np), rel=1e-9)
     assert fit.b == pytest.approx(float(b_np), rel=1e-9)
@@ -72,7 +67,7 @@ def test_matches_stdlib_linear_regression():
     rng = random.Random(11)
     xs = [rng.uniform(0.0, 10.0) for _ in range(50)]
     ys = [-2.2 * x + 5.0 + rng.gauss(0.0, 1.0) for x in xs]
-    fit = fit_k_b(make_samples(xs, ys))
+    fit = fit_k_b(xs, ys)
     ref = statistics.linear_regression(xs, ys)
     assert fit.k == pytest.approx(ref.slope, rel=1e-9)
     assert fit.b == pytest.approx(ref.intercept, rel=1e-9)
@@ -82,35 +77,52 @@ def test_matches_stdlib_linear_regression():
 # --- degenerate inputs --------------------------------------------------------
 
 def test_too_few_samples():
-    assert fit_k_b([]) is None
-    assert fit_k_b(make_samples([1.0], [2.0])) is None
+    assert fit_k_b([], []) is None
+    assert fit_k_b([1.0], [2.0]) is None
+
+
+def test_series_of_different_lengths_are_an_error():
+    with pytest.raises(ValueError):
+        fit_k_b([1.0, 2.0, 3.0], [1.0, 2.0])
 
 
 def test_zero_variance_x():
-    assert fit_k_b(make_samples([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])) is None
+    assert fit_k_b([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) is None
 
 
 def test_zero_variance_y():
-    assert fit_k_b(make_samples([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])) is None
+    assert fit_k_b([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]) is None
+
+
+def test_tiny_clouds():
+    # The product of the two sums of squares (about 4e-377) underflows;
+    # the correlation must still come out.
+    tiny = [0.0, 0.0, 1.152558453460336e-94]
+    fit = fit_k_b(tiny, tiny)
+    assert fit.k == pytest.approx(1.0, rel=1e-12)
+    assert fit.plcc == pytest.approx(1.0, rel=1e-12)
+    # A sum of squares below the smallest normal float has lost its
+    # precision: no spread to fit.
+    assert fit_k_b([0.0, 0.0, 1e-160], [1.0, 2.0, 3.0]) is None
 
 
 def test_non_finite_samples():
-    assert fit_k_b(make_samples([1.0, math.nan], [1.0, 2.0])) is None
-    assert fit_k_b(make_samples([1.0, 2.0], [math.inf, 2.0])) is None
+    assert fit_k_b([1.0, math.nan], [1.0, 2.0]) is None
+    assert fit_k_b([1.0, 2.0], [math.inf, 2.0]) is None
 
 
 def test_fit_requires_two_samples_to_construct():
     with pytest.raises(ValueError):
-        RegressionFit(k=1.0, b=0.0, plcc=1.0, n=1)
+        RegressionFit(k=1.0, b=0.0, plcc=1.0, n=1, x_std=1.0)
     with pytest.raises(ValueError):
-        RegressionFit(k=1.0, b=0.0, plcc=1.5, n=3)
+        RegressionFit(k=1.0, b=0.0, plcc=1.5, n=3, x_std=1.0)
 
 
 def test_plcc_clamped_to_unit_interval():
     # A perfectly collinear cloud must not exceed 1.0 through rounding.
     xs = [i * 0.1 for i in range(100)]
     ys = [3.0 * x + 1e-9 for x in xs]
-    assert abs(fit_k_b(make_samples(xs, ys)).plcc) <= 1.0
+    assert abs(fit_k_b(xs, ys).plcc) <= 1.0
 
 
 # --- trace differencing --------------------------------------------------------
@@ -127,9 +139,9 @@ def test_analyze_trace_differences_consecutive_rtts():
 
 def test_delta_samples_pairs_overshoot_with_rtt_change():
     rows = [(2.0, 2.0, 50.0), (3.0, 2.0, 60.0), (1.5, 2.0, 55.0)]
-    assert delta_samples(rows) == [Sample(1.0, 10.0), Sample(-0.5, -5.0)]
-    assert delta_samples(rows[:1]) == []
-    assert analyze_trace(rows) == fit_k_b(delta_samples(rows))
+    assert delta_samples(rows) == ([1.0, -0.5], [10.0, -5.0])
+    assert delta_samples(rows[:1]) == ([], [])
+    assert analyze_trace(rows) == fit_k_b(*delta_samples(rows))
 
 
 def test_analyze_trace_too_short():
@@ -155,7 +167,7 @@ def sample_clouds(draw):
 @given(sample_clouds())
 def test_residuals_orthogonal_to_regressor(cloud):
     xs, ys = cloud
-    fit = fit_k_b(make_samples(xs, ys))
+    fit = fit_k_b(xs, ys)
     if fit is None:
         return
     residuals = [y - (fit.k * x + fit.b) for x, y in zip(xs, ys)]
@@ -169,10 +181,10 @@ def test_residuals_orthogonal_to_regressor(cloud):
 @given(sample_clouds(), st.floats(min_value=0.01, max_value=100.0))
 def test_slope_scale_equivariance(cloud, c):
     xs, ys = cloud
-    fit = fit_k_b(make_samples(xs, ys))
+    fit = fit_k_b(xs, ys)
     if fit is None:
         return
-    scaled = fit_k_b(make_samples(xs, [c * y for y in ys]))
+    scaled = fit_k_b(xs, [c * y for y in ys])
     assert scaled is not None
     assert scaled.k == pytest.approx(c * fit.k, rel=1e-6, abs=1e-9 * c)
     assert scaled.plcc == pytest.approx(fit.plcc, rel=1e-6, abs=1e-9)
@@ -181,10 +193,24 @@ def test_slope_scale_equivariance(cloud, c):
 @given(sample_clouds())
 def test_plcc_squared_is_variance_explained(cloud):
     xs, ys = cloud
-    fit = fit_k_b(make_samples(xs, ys))
+    fit = fit_k_b(xs, ys)
     if fit is None:
         return
     my = math.fsum(ys) / len(ys)
     sst = math.fsum((y - my) ** 2 for y in ys)
     sse = math.fsum((y - (fit.k * x + fit.b)) ** 2 for x, y in zip(xs, ys))
     assert fit.plcc ** 2 == pytest.approx(1.0 - sse / sst, rel=1e-6, abs=1e-9)
+
+
+@given(sample_clouds())
+def test_fit_reports_population_spread_of_overshoot(cloud):
+    # The spread comes from the fit's own centred sum of squares; the
+    # exact (fraction-based) pstdev and numpy's two-pass std are the
+    # oracles.  Clouds whose spread is below 1e-6 of their magnitude are
+    # left out: there every float algorithm loses relative precision.
+    xs, ys = cloud
+    assume(statistics.pstdev(xs) > 1e-6 * max(map(abs, xs)))
+    fit = fit_k_b(xs, ys)
+    assume(fit is not None)
+    assert fit.x_std == pytest.approx(statistics.pstdev(xs), rel=1e-12)
+    assert fit.x_std == pytest.approx(float(np.std(xs)), rel=1e-12)

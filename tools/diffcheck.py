@@ -7,10 +7,11 @@ REV is checked out into a temporary ``git worktree``.  Each tree runs
 every scenario in its own Python process, with its own ``src`` first on
 the path, and reports per scenario the sha256 of four outputs: the
 trace CSV, the per-flow totals, the iris decision logs and the adopted
-slope fits (a run that raises reports its error instead).  The first
-scenario whose digests differ is printed as a JSON config that
-``iriscc run`` loads, after the names of the outputs that differ; the
-exit status is then 1, and 0 when every scenario agrees.
+slope fits, each fit as ``(time, k, b, plcc, n)`` (a run that raises
+reports its error instead).  The first scenario whose digests differ is
+printed as a JSON config that ``iriscc run`` loads, after the names of
+the outputs that differ; the exit status is then 1.  When every scenario
+agrees it prints how many slope fits the runs adopted and exits 0.
 
 :func:`random_scenario` is also the generator of the simulator
 invariant test, ``tests/test_invariants.py``.
@@ -93,6 +94,7 @@ def digest_runs(docs: list[dict]) -> dict:
     from iriscc.trace import write_trace_csv
 
     digests = []
+    fits = 0
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
         for doc in docs:
@@ -108,13 +110,16 @@ def digest_runs(docs: list[dict]) -> dict:
                 "trace_csv": path.read_bytes(),
                 "totals": repr([trace.totals for trace in traces]).encode(),
                 "decisions": repr([c.decisions for c in iris]).encode(),
-                "applied_fits": repr([c.state.applied_fits for c in iris]).encode(),
+                "applied_fits": repr([[(time, fit.k, fit.b, fit.plcc, fit.n)
+                                       for time, fit in c.state.applied_fits]
+                                      for c in iris]).encode(),
             }
             digests.append({name: hashlib.sha256(outputs[name]).hexdigest() for name in PARTS})
-    return {"iriscc": iriscc.__file__, "digests": digests}
+            fits += sum(len(c.state.applied_fits) for c in iris)
+    return {"iriscc": iriscc.__file__, "digests": digests, "fits": fits}
 
 
-def _tree_digests(src: Path, docs: list[dict]) -> list[dict]:
+def _tree_digests(src: Path, docs: list[dict]) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(ROOT / "tools")]))
     code = ("import json, sys, diffcheck\n"
             "json.dump(diffcheck.digest_runs(json.load(sys.stdin)), sys.stdout)\n")
@@ -123,7 +128,7 @@ def _tree_digests(src: Path, docs: list[dict]) -> list[dict]:
     result = json.loads(proc.stdout)
     if not Path(result["iriscc"]).resolve().is_relative_to(src.resolve()):
         raise RuntimeError(f"imported {result['iriscc']}, not the package under {src}")
-    return result["digests"]
+    return result
 
 
 def _git(*args: str) -> None:
@@ -148,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
         finally:
             _git("worktree", "remove", "--force", str(tree))
     ours = _tree_digests(ROOT / "src", docs)
-    for index, (doc, mine, other) in enumerate(zip(docs, ours, theirs)):
+    for index, (doc, mine, other) in enumerate(zip(docs, ours["digests"], theirs["digests"])):
         differing = [name for name in sorted(set(mine) | set(other)) if mine.get(name) != other.get(name)]
         if differing:
             print(f"scenario {index} of {args.count} differs from {args.against} in: "
@@ -156,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps(doc, indent=2))
             return 1
     print(f"{args.count} of {args.count} scenarios identical to {args.against} "
-          f"over {', '.join(PARTS)} (seed {args.seed})")
+          f"over {', '.join(PARTS)} (seed {args.seed}), {ours['fits']} adopted slope fits")
     return 0
 
 
