@@ -49,9 +49,7 @@ def _row_spacing(trace: FlowTrace) -> float:
 def window_throughput(trace: FlowTrace, t: float, window: float) -> float:
     """Mean delivered rate (packets/ms) over (t - window, t]."""
     spacing = _row_spacing(trace)
-    delivered = math.fsum(
-        row.throughput * spacing for row in trace.rows if t - window < row.time <= t
-    )
+    delivered = math.fsum(row.throughput * spacing for row in trace.rows_between(t - window, t))
     return delivered / window
 
 
@@ -134,7 +132,7 @@ def stability(traces: Sequence[FlowTrace], t0: float) -> float | None:
     """
     devs = []
     for trace in traces:
-        values = [row.throughput for row in trace.rows if row.time > t0]
+        values = [row.throughput for row in trace.rows_between(t0, math.inf)]
         if values:
             devs.append(statistics.pstdev(values))
     if not devs:

@@ -42,12 +42,13 @@ def fit_k_b(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit | None:
 
     ``xs`` holds the rate overshoots and ``ys`` the RTT changes, pairwise.
     Returns ``None`` when no meaningful fit exists: fewer than two
-    samples, non-finite values, or no variance in either coordinate (a
-    degenerate cloud has no usable slope and an undefined correlation;
-    a sum of squares below the smallest normal float has lost its
-    precision and counts as none).  Callers treat ``None`` as "keep
-    whatever estimate you already have".  The fit also reports
-    ``x_std``, the population standard deviation of ``xs``.
+    samples, non-finite values, a sum beyond the float range, or no
+    variance in either coordinate (a degenerate cloud has no usable
+    slope and an undefined correlation; a sum of squares below the
+    smallest normal float has lost its precision and counts as none).
+    Callers treat ``None`` as "keep whatever estimate you already
+    have".  The fit also reports ``x_std``, the population standard
+    deviation of ``xs``.
     """
     n = len(xs)
     if n != len(ys):
@@ -56,17 +57,20 @@ def fit_k_b(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit | None:
         return None
     if not all(map(math.isfinite, xs)) or not all(map(math.isfinite, ys)):
         return None
-    mx = math.fsum(xs) / n
-    my = math.fsum(ys) / n
-    sxx = math.fsum((x - mx) ** 2 for x in xs)
-    syy = math.fsum((y - my) ** 2 for y in ys)
-    sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    try:
+        mx = math.fsum(xs) / n
+        my = math.fsum(ys) / n
+        sxx = math.fsum((x - mx) ** 2 for x in xs)
+        syy = math.fsum((y - my) ** 2 for y in ys)
+        sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    except OverflowError:  # a sum beyond the float range
+        return None
     if sxx < sys.float_info.min or syy < sys.float_info.min:
         return None
     k = sxy / sxx
     b = my - k * mx
-    product = sxx * syy  # the roots are taken apart only where this underflows
-    corr = sxy / (math.sqrt(product) if product >= sys.float_info.min
+    product = sxx * syy  # the roots are taken apart only where this under- or overflows
+    corr = sxy / (math.sqrt(product) if sys.float_info.min <= product <= sys.float_info.max
                   else math.sqrt(sxx) * math.sqrt(syy))
     # Guard against rounding pushing a perfect correlation past +/-1.
     corr = max(-1.0, min(1.0, corr))

@@ -17,7 +17,9 @@ produce byte-identical files.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
@@ -43,16 +45,30 @@ class FlowTotals:
     in_flight: int = 0  # unresolved at the end of the run
 
 
+_row_time = attrgetter("time")
+
+
 @dataclass
 class FlowTrace:
+    """One flow's rows and totals.
+
+    ``rows`` must be sorted by time (non-decreasing), as the simulator
+    emits them and :func:`read_trace_csv` returns them:
+    :meth:`rows_between` bisects over them.
+    """
+
     flow_id: int
     kind: str
     rows: list[TraceRow] = field(default_factory=list)
     totals: FlowTotals = field(default_factory=FlowTotals)
 
     def rows_between(self, t0: float, t1: float) -> list[TraceRow]:
-        """Rows with t0 < time <= t1."""
-        return [row for row in self.rows if t0 < row.time <= t1]
+        """Rows with t0 < time <= t1, found by bisection."""
+        if not t0 < t1:
+            return []
+        rows = self.rows
+        lo = bisect_right(rows, t0, key=_row_time)
+        return rows[lo:bisect_right(rows, t1, lo, key=_row_time)]
 
 
 def _format_row(flow_id: int, row: TraceRow) -> list[str]:

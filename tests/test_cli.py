@@ -154,6 +154,22 @@ def test_analyze_rejects_unfittable_trace(tmp_path, capsys):
     assert "unfittable" in capsys.readouterr().err
 
 
+def test_analyze_rejects_trace_whose_sums_overflow(tmp_path, capsys):
+    # A send rate of 1e200 squares beyond the float range: no fit, not a traceback.
+    config = write_config(tmp_path, duration=1000)
+    out = tmp_path / "out"
+    main(["run", "--config", str(config), "--out", str(out)])
+    capsys.readouterr()
+    path = out / "trace.csv"
+    lines = path.read_text().splitlines()
+    fields = lines[-1].split(",")
+    fields[2] = "1e200"
+    lines[-1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["analyze", "--trace", str(path)]) == 1
+    assert "unfittable" in capsys.readouterr().err
+
+
 def test_analyze_directory_is_an_error(tmp_path, capsys):
     assert main(["analyze", "--trace", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err

@@ -28,6 +28,8 @@ def test_simulator_invariants(seed):
         assert totals.sent == (totals.delivered + totals.dropped_random
                                + totals.dropped_overflow + totals.in_flight)
         assert all(row.queue <= link.queue_capacity for row in trace.rows)
+        # Sorted rows are what FlowTrace.rows_between bisects over.
+        assert all(a.time <= b.time for a, b in zip(trace.rows, trace.rows[1:]))
         times = [flow.spec.start_time] + [row.time for row in trace.rows]
         gaps = [later - earlier for earlier, later in zip(times, times[1:])]
         assert gaps == pytest.approx([flow.epoch_len] * len(gaps))

@@ -1,5 +1,8 @@
 """Fairness and stability metrics, checked against hand-built traces
-whose windowed values are computable in closed form."""
+whose windowed values are computable in closed form, and against the
+same metrics with every window found by a full scan of the rows."""
+
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given
@@ -197,3 +200,59 @@ def test_stability_steady_rate_is_zero():
 def test_stability_none_without_rows():
     trace = make_trace([1.0] * 10)
     assert stability([trace], 10_000.0) is None
+
+
+# --- bisection against a full scan ---------------------------------------------
+
+def scan_rows(trace, t0, t1):
+    """The oracle: rows with t0 < time <= t1, each row tested in turn."""
+    return [row for row in trace.rows if t0 < row.time <= t1]
+
+
+def scanned(metric, *args, **kwargs):
+    """``metric`` with every window of rows found by :func:`scan_rows`."""
+    with patch.object(FlowTrace, "rows_between", scan_rows):
+        return metric(*args, **kwargs)
+
+
+def lattice_trace(rows):
+    """A trace of ``(step, throughput)`` rows at ``25 * step`` ms, sorted by time."""
+    trace = FlowTrace(flow_id=0, kind="constant", totals=FlowTotals())
+    for step, tput in sorted(rows):
+        trace.rows.append(TraceRow(time=25.0 * step, send_rate=tput, throughput=tput,
+                                   rtt=50.0, queue=0.0, drops=0))
+    return trace
+
+
+# Row times, window edges and grid points all lie on a 25 ms lattice, so
+# rows fall exactly on ``t - window`` and on ``t``; times repeat, and
+# traces may be empty or hold one row.
+lattice = st.integers(min_value=-2, max_value=50).map(lambda step: 25.0 * step)
+lattice_traces = st.lists(st.tuples(st.integers(0, 48), st.floats(0.0, 10.0)),
+                          max_size=30).map(lattice_trace)
+windows = st.sampled_from([25.0, 50.0, 100.0, 1000.0])
+
+
+@given(lattice_traces, lattice, lattice)
+@example(lattice_trace([(1, 1.0), (2, 2.0), (2, 3.0), (3, 4.0)]), 50.0, 75.0)
+@example(lattice_trace([(2, 1.0)]), 50.0, 50.0)
+@example(lattice_trace([(2, 1.0)]), 25.0, 50.0)
+@example(lattice_trace([]), 0.0, 100.0)
+def test_rows_between_matches_scan(trace, t0, t1):
+    assert trace.rows_between(t0, t1) == scan_rows(trace, t0, t1)
+
+
+@given(lattice_traces, lattice, windows)
+def test_window_throughput_matches_scan(trace, t, window):
+    assert window_throughput(trace, t, window) == scanned(window_throughput, trace, t, window)
+
+
+@given(st.lists(lattice_traces, min_size=1, max_size=4), st.integers(0, 1300),
+       lattice, windows, st.sampled_from([25.0, 50.0]),
+       st.sampled_from([0.0, 0.5, 0.9]), st.sampled_from([0.0, 100.0, 500.0]))
+def test_jain_series_and_fairness_report_match_scan(traces, duration, after, window, grid,
+                                                    threshold, sustain):
+    assert jain_series(traces, duration, window, grid) == scanned(
+        jain_series, traces, duration, window, grid)
+    args = (traces, duration, after, threshold, sustain, window, grid)
+    assert fairness_report(*args) == scanned(fairness_report, *args)

@@ -106,6 +106,22 @@ def test_tiny_clouds():
     assert fit_k_b([0.0, 0.0, 1e-160], [1.0, 2.0, 3.0]) is None
 
 
+def test_sums_beyond_float_range():
+    # Each of these sums overflows: the mean, a square, a sum of squares.
+    assert fit_k_b([1.7e308, 1.7e308, 1.0], [0.0, 1.0, 2.0]) is None
+    assert fit_k_b([0.0, 1.0, 1e200], [0.0, 1.0, 2.0]) is None
+    assert fit_k_b([0.0, 1.0, 2.0], [0.0, 1e154, -1e154]) is None
+
+
+def test_huge_clouds():
+    # The product of the two sums of squares (about 4e400) overflows;
+    # the correlation must still come out.
+    huge = [0.0, 1e100, 2e100]
+    fit = fit_k_b(huge, huge)
+    assert fit.k == pytest.approx(1.0, rel=1e-12)
+    assert fit.plcc == pytest.approx(1.0, rel=1e-12)
+
+
 def test_non_finite_samples():
     assert fit_k_b([1.0, math.nan], [1.0, 2.0]) is None
     assert fit_k_b([1.0, 2.0], [math.inf, 2.0]) is None

@@ -1,6 +1,8 @@
 """Trace CSV writing and reading: determinism, ordering, and the
 row-window helper."""
 
+import random
+
 import pytest
 
 from iriscc.trace import (
@@ -80,6 +82,20 @@ def test_read_sorts_rows_per_flow(tmp_path):
     )
     back = read_trace_csv(path)
     assert [r.time for r in back[0]] == [50.0, 100.0]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_read_of_shuffled_rows_is_time_sorted(tmp_path, seed):
+    traces = [FlowTrace(flow_id=flow, kind="iris", totals=FlowTotals(),
+                        rows=[row(25.0 * (i + 1), tput=(i + flow) / 8) for i in range(40)])
+              for flow in range(3)]
+    path = tmp_path / "trace.csv"
+    write_trace_csv(traces, path)
+    header, *lines = path.read_text().splitlines()
+    random.Random(seed).shuffle(lines)
+    path.write_text("\n".join([header, *lines]) + "\n")
+    back = read_trace_csv(path)
+    assert [back[trace.flow_id] for trace in traces] == [trace.rows for trace in traces]
 
 
 def test_rows_between_is_left_open_right_closed():

@@ -5,13 +5,15 @@ working tree and on another revision, and compare what they produce.
 
 REV is checked out into a temporary ``git worktree``.  Each tree runs
 every scenario in its own Python process, with its own ``src`` first on
-the path, and reports per scenario the sha256 of four outputs: the
-trace CSV, the per-flow totals, the iris decision logs and the adopted
-slope fits, each fit as ``(time, k, b, plcc, n)`` (a run that raises
-reports its error instead).  The first scenario whose digests differ is
-printed as a JSON config that ``iriscc run`` loads, after the names of
-the outputs that differ; the exit status is then 1.  When every scenario
-agrees it prints how many slope fits the runs adopted and exits 0.
+the path, and reports per scenario the sha256 of five outputs: the
+trace CSV, the per-flow totals, the iris decision logs, the adopted
+slope fits, each fit as ``(time, k, b, plcc, n)``, and the metrics,
+the run's ``fairness_report`` and ``utilization`` (a run that raises
+reports its error instead).  The first scenario whose digests differ
+is printed as a JSON config that ``iriscc run`` loads, after the names
+of the outputs that differ; the exit status is then 1.  When every
+scenario agrees it prints how many slope fits the runs adopted and
+exits 0.
 
 :func:`random_scenario` is also the generator of the simulator
 invariant test, ``tests/test_invariants.py``.
@@ -30,7 +32,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-PARTS = ("trace_csv", "totals", "decisions", "applied_fits")
+PARTS = ("trace_csv", "totals", "decisions", "applied_fits", "metrics")
 
 
 def _random_flow(rng: random.Random, duration: float, max_capacity: float) -> dict:
@@ -89,6 +91,7 @@ def random_scenario(rng: random.Random, max_duration: float = 2000.0) -> dict:
 def digest_runs(docs: list[dict]) -> dict:
     """Run each scenario with the ``iriscc`` on the path and hash its outputs."""
     import iriscc
+    from iriscc.metrics import fairness_report, utilization
     from iriscc.netsim import Simulation
     from iriscc.scenario import scenario_from_dict
     from iriscc.trace import write_trace_csv
@@ -99,9 +102,14 @@ def digest_runs(docs: list[dict]) -> dict:
         path = Path(tmp) / "trace.csv"
         for doc in docs:
             try:
-                sim = Simulation(scenario_from_dict(doc))
+                scenario = scenario_from_dict(doc)
+                sim = Simulation(scenario)
                 traces = sim.run()
                 write_trace_csv(traces, path)
+                duration = scenario.duration
+                capacity = scenario.link.mean_capacity(0.0, duration)
+                metrics = (fairness_report(traces, duration),
+                           utilization(traces, capacity, 0.0, duration))
             except Exception as exc:  # a run that fails is a result to compare
                 digests.append({"error": f"{type(exc).__name__}: {exc}"})
                 continue
@@ -113,6 +121,7 @@ def digest_runs(docs: list[dict]) -> dict:
                 "applied_fits": repr([[(time, fit.k, fit.b, fit.plcc, fit.n)
                                        for time, fit in c.state.applied_fits]
                                       for c in iris]).encode(),
+                "metrics": repr(metrics).encode(),
             }
             digests.append({name: hashlib.sha256(outputs[name]).hexdigest() for name in PARTS})
             fits += sum(len(c.state.applied_fits) for c in iris)
