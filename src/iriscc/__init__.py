@@ -10,7 +10,6 @@ from .controller import (
     IrisParams,
     IrisState,
     Phase,
-    RateDecision,
     compute_objective,
     effective_slope,
     expected_rtt_variation,
@@ -67,7 +66,6 @@ __all__ = [
     "LinkConfig",
     "Phase",
     "RateController",
-    "RateDecision",
     "RegressionFit",
     "Scenario",
     "ScenarioError",

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .feedback import EpochFeedback
 
@@ -29,28 +28,22 @@ def _require_initial_cwnd(initial_cwnd: float) -> None:
         raise ValueError(f"initial_cwnd must be >= 1 and finite, got {initial_cwnd}")
 
 
-class AimdMode(Enum):
-    SLOW_START = "slow_start"
-    AVOIDANCE = "avoidance"
-
-
 @dataclass
 class AimdState:
+    """Slow start is ``cwnd < ssthresh``: a loss sets both to the same
+    value, and above ssthresh the window only grows."""
+
     cwnd: float              # packets
     ssthresh: float          # packets
     rtt_est: float           # smoothed RTT, ms
-    mode: AimdMode
 
 
 def aimd_on_ack(state: AimdState) -> None:
     """Grow the window for one ACK: exponentially below ssthresh,
     by 1/cwnd (one packet per window) above it."""
-    if state.mode is AimdMode.SLOW_START and state.cwnd < state.ssthresh:
+    if state.cwnd < state.ssthresh:
         state.cwnd += 1.0
-        if state.cwnd >= state.ssthresh:
-            state.mode = AimdMode.AVOIDANCE
     else:
-        state.mode = AimdMode.AVOIDANCE
         state.cwnd += 1.0 / state.cwnd
 
 
@@ -58,7 +51,6 @@ def aimd_on_loss(state: AimdState) -> None:
     """Multiplicative decrease: halve the window, never below one packet."""
     state.ssthresh = max(1.0, state.cwnd / 2.0)
     state.cwnd = max(1.0, state.cwnd / 2.0)
-    state.mode = AimdMode.AVOIDANCE
 
 
 class AimdController:
@@ -74,12 +66,7 @@ class AimdController:
         if not initial_ssthresh >= 1:  # infinity: no threshold
             raise ValueError(f"initial_ssthresh must be >= 1, got {initial_ssthresh}")
         self.epoch_len = epoch_len
-        self.state = AimdState(
-            cwnd=initial_cwnd,
-            ssthresh=initial_ssthresh,
-            rtt_est=initial_rtt,
-            mode=AimdMode.SLOW_START,
-        )
+        self.state = AimdState(cwnd=initial_cwnd, ssthresh=initial_ssthresh, rtt_est=initial_rtt)
 
     def start_rate(self) -> float:
         return self.state.cwnd / self.state.rtt_est

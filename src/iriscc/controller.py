@@ -77,10 +77,10 @@ class IrisParams:
         for name in ("k_update_period", "rtt_window"):  # infinity reads as "never"
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not self.history_cap >= 2:
-            raise ValueError(f"history_cap must be >= 2, got {self.history_cap}")
-        if not self.min_fit_samples >= 2:
-            raise ValueError(f"min_fit_samples must be >= 2, got {self.min_fit_samples}")
+        for name in ("history_cap", "min_fit_samples", "cold_fit_samples"):
+            value = getattr(self, name)
+            if not (isinstance(value, int) and value >= 2):
+                raise ValueError(f"{name} must be an int >= 2, got {value!r}")
         if not 0.0 <= self.min_fit_plcc < 1.0:
             raise ValueError(f"min_fit_plcc must be in [0, 1), got {self.min_fit_plcc}")
         if not 0.0 <= self.excitation_floor < math.inf:
@@ -95,19 +95,30 @@ class IrisParams:
             raise ValueError(f"cold_loss_severe must be in (0, 1], got {self.cold_loss_severe}")
         if not 0.0 < self.cold_backoff < 1.0:
             raise ValueError(f"cold_backoff must be in (0, 1), got {self.cold_backoff}")
-        if not self.cold_fit_samples >= 2:
-            raise ValueError(f"cold_fit_samples must be >= 2, got {self.cold_fit_samples}")
 
 
 @dataclass(frozen=True)
-class RateDecision:
-    """Outcome of one steady-state control step."""
+class DecisionLogEntry:
+    """One epoch's rate decision, as the step that made it reports it.
 
-    next_rate: float   # packets/ms
-    rtt_step: float    # desired RTT change that produced it, ms
-    objective: float   # objective value it reacted to
-    k_used: float      # slope the step was divided by (after the gain bound)
-    contraction: float # gap-contraction factor at this decision (loop gain)
+    ``phase`` is the phase the step ran in and ``k`` the slope it used
+    (for a steady step, after the gain bound); ``objective``,
+    ``rtt_step`` and ``contraction`` are None except on a measured
+    steady epoch.
+    """
+
+    time: float
+    epoch_index: int
+    phase: Phase
+    rate: float
+    k: float
+    measured: bool
+    rtt: float | None
+    target_delay: float | None
+    objective: float | None
+    rtt_step: float | None
+    recv_rate: float | None
+    contraction: float | None  # gap-contraction factor at this decision
 
 
 @dataclass
@@ -303,26 +314,53 @@ def _record_measurement(state: IrisState, fb: EpochFeedback) -> None:
     state.rtt_samples.append((fb.end, fb.mean_rtt))
 
 
-def on_epoch_end(state: IrisState, fb: EpochFeedback, now: float) -> RateDecision:
-    """One steady-state control step for a measured epoch.
+def _log_entry(state: IrisState, fb: EpochFeedback, now: float, phase: Phase, k: float,
+               objective: float | None = None, rtt_step: float | None = None,
+               contraction: float | None = None) -> DecisionLogEntry:
+    """The record of the decision a step just made: its rate is the
+    state's current rate, its target the state's target delay."""
+    return DecisionLogEntry(
+        time=now,
+        epoch_index=fb.index,
+        phase=phase,
+        rate=state.current_rate,
+        k=k,
+        measured=fb.measured,
+        rtt=fb.mean_rtt,
+        target_delay=state.target_delay,
+        objective=objective,
+        rtt_step=rtt_step,
+        recv_rate=fb.recv_rate if fb.measured else None,
+        contraction=contraction,
+    )
 
-    Records the measurement, refreshes the target delay, derives the
-    next pacing rate, and periodically re-fits the slope.  Loss does not
-    enter the decision directly: random loss must not read as
-    congestion, and genuine congestion already shows up in the RTT.
+
+def on_epoch_end(state: IrisState, fb: EpochFeedback, now: float) -> DecisionLogEntry:
+    """One steady-state control step.
+
+    An unmeasured epoch holds the rate.  A measured one is recorded,
+    refreshes the target delay, derives the next pacing rate, and
+    periodically re-fits the slope.  If the target window holds no
+    sample and no target was ever set, the epoch's own RTT becomes the
+    target.  Loss does not enter the decision directly: random loss must
+    not read as congestion, and genuine congestion already shows up in
+    the RTT.
     """
+    if not fb.measured:
+        return _log_entry(state, fb, now, Phase.STEADY, state.k)
     params = state.params
     _record_measurement(state, fb)
     target = update_target_delay(state, now)
-    assert target is not None  # the epoch itself is in the window
+    if target is None:
+        target = state.target_delay = fb.mean_rtt
     objective = compute_objective(fb.send_rate, fb.mean_rtt, target, params.queue_load_target)
     rtt_step = expected_rtt_variation(objective, params.rtt_step_bound, params.objective_scale)
     k_used = effective_slope(params, state.k, fb.mean_rtt, target)
-    rate = next_sending_rate(fb.recv_rate, rtt_step, k_used, params.k_min, params.rate_floor)
+    state.current_rate = next_sending_rate(fb.recv_rate, rtt_step, k_used,
+                                           params.k_min, params.rate_floor)
     _maybe_refit_k(state, now)
-    state.current_rate = rate
-    return RateDecision(next_rate=rate, rtt_step=rtt_step, objective=objective, k_used=k_used,
-                        contraction=gap_contraction_factor(params, fb.mean_rtt, target, k_used))
+    return _log_entry(state, fb, now, Phase.STEADY, k_used, objective, rtt_step,
+                      gap_contraction_factor(params, fb.mean_rtt, target, k_used))
 
 
 def _exit_cold(state: IrisState, fb: EpochFeedback,
@@ -340,7 +378,7 @@ def _exit_cold(state: IrisState, fb: EpochFeedback,
     state.current_rate = max(state.params.rate_floor, landing)
 
 
-def cold_start_step(state: IrisState, fb: EpochFeedback, now: float) -> float:
+def cold_start_step(state: IrisState, fb: EpochFeedback, now: float) -> DecisionLogEntry:
     """One cold-start step: double the rate until loss reveals capacity.
 
     A loss burst — a per-epoch loss rate that jumps ``cold_loss_jump``
@@ -361,55 +399,38 @@ def cold_start_step(state: IrisState, fb: EpochFeedback, now: float) -> float:
     the rate is halved instead and probing continues, so the next
     overshoot adds more learnable records.  The safety rate ceiling
     forces an exit with the ungated fit of the whole history.  On exit
-    the pacing rate falls back to the last observed receiving rate.
+    the pacing rate falls back to the last observed receiving rate.  The
+    record logs the slope the flow had before the step.
     """
     params = state.params
+    k = state.k
     if fb.measured:
         _record_measurement(state, fb)
         update_target_delay(state, now)
     loss_rate = fb.loss_rate
     prev_loss = state.prev_loss_rate
     state.prev_loss_rate = loss_rate
-    if state.current_rate >= params.rate_ceiling:
-        _exit_cold(state, fb, _plain_fit(state.history), now)
-        return state.current_rate
     loss_burst = (
         loss_rate > params.cold_loss_threshold
         and (loss_rate > prev_loss + params.cold_loss_jump
              or loss_rate >= params.cold_loss_severe)
     )
-    if loss_burst:
+    if state.current_rate >= params.rate_ceiling:
+        _exit_cold(state, fb, _plain_fit(state.history), now)
+    elif loss_burst:
         fit = _gated_fit(params, state.history, params.cold_fit_samples)
         if fit is not None:
             _exit_cold(state, fb, fit, now)
-            return state.current_rate
-        # Burst before the ramp became informative: back off, keep probing.
-        state.current_rate = max(params.rate_floor,
-                                 state.current_rate * params.cold_backoff)
-        return state.current_rate
-    state.current_rate = min(state.current_rate * 2.0, params.rate_ceiling)
-    return state.current_rate
+        else:
+            # Burst before the ramp became informative: back off, keep probing.
+            state.current_rate = max(params.rate_floor,
+                                     state.current_rate * params.cold_backoff)
+    else:
+        state.current_rate = min(state.current_rate * 2.0, params.rate_ceiling)
+    return _log_entry(state, fb, now, Phase.COLD_START, k)
 
 
 # --- simulator-facing adapter ----------------------------------------------
-
-@dataclass(frozen=True)
-class DecisionLogEntry:
-    """Per-epoch diagnostic row kept by :class:`IrisController`."""
-
-    time: float
-    epoch_index: int
-    phase: Phase
-    rate: float
-    k: float
-    measured: bool
-    rtt: float | None
-    target_delay: float | None
-    objective: float | None
-    rtt_step: float | None
-    recv_rate: float | None
-    contraction: float | None  # gap-contraction factor at this decision
-
 
 class IrisController:
     """Adapter that drives the controller from simulator epoch feedback."""
@@ -429,34 +450,7 @@ class IrisController:
         return self.state.current_rate
 
     def on_epoch(self, feedback: EpochFeedback, now: float) -> float:
-        state = self.state
-        measured = feedback.measured
-        objective = rtt_step = contraction = None
-        phase = state.phase
-        k_used = state.k
-        if phase is Phase.COLD_START:
-            rate = cold_start_step(state, feedback, now)
-        elif not measured:
-            rate = state.current_rate  # nothing measured: hold
-        else:
-            decision = on_epoch_end(state, feedback, now)
-            rate = decision.next_rate
-            objective = decision.objective
-            rtt_step = decision.rtt_step
-            k_used = decision.k_used
-            contraction = decision.contraction
-        self.decisions.append(DecisionLogEntry(
-            time=now,
-            epoch_index=feedback.index,
-            phase=phase,
-            rate=rate,
-            k=k_used,
-            measured=measured,
-            rtt=feedback.mean_rtt,
-            target_delay=state.target_delay,
-            objective=objective,
-            rtt_step=rtt_step,
-            recv_rate=feedback.recv_rate if measured else None,
-            contraction=contraction,
-        ))
-        return rate
+        step = cold_start_step if self.state.phase is Phase.COLD_START else on_epoch_end
+        entry = step(self.state, feedback, now)
+        self.decisions.append(entry)
+        return entry.rate

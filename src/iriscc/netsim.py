@@ -137,7 +137,6 @@ class _EpochAccum:
     rtt_sum: float = 0.0
     last_ack: float | None = None
     occ_sum: float = 0.0
-    occ_n: int = 0
 
 
 @dataclass
@@ -256,7 +255,6 @@ class Simulation:
         flow = self.flows[flow_id]
         acc: _EpochAccum = flow.accums[epoch_idx]
         acc.occ_sum += self.queue.occupancy(now)
-        acc.occ_n += 1
         flow.trace.totals.sent += 1
         result, service_start = self.queue.enqueue(now)
         if result is EnqueueResult.QUEUED:
@@ -355,7 +353,7 @@ class Simulation:
                 send_rate=send_rate,
                 throughput=acc.acked / epoch_len,
                 rtt=flow.prev_mean_rtt if flow.prev_mean_rtt is not None else flow.rtprop,
-                queue=acc.occ_sum / acc.occ_n if acc.occ_n else 0.0,
+                queue=acc.occ_sum / acc.planned if acc.planned else 0.0,
                 drops=acc.dropped,
             ))
 

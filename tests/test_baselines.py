@@ -9,7 +9,6 @@ import pytest
 from conftest import feedback, flow, make_link, scenario
 from iriscc.baselines import (
     AimdController,
-    AimdMode,
     AimdState,
     ConstantRateController,
     VegasController,
@@ -25,15 +24,16 @@ from iriscc.netsim import run_scenario
 # --- AIMD window arithmetic ---------------------------------------------------
 
 def test_aimd_loss_halves_window():
-    state = AimdState(cwnd=10.0, ssthresh=1e9, rtt_est=100.0, mode=AimdMode.SLOW_START)
+    state = AimdState(cwnd=10.0, ssthresh=1e9, rtt_est=100.0)
     aimd_on_loss(state)
     assert state.cwnd == 5.0
     assert state.ssthresh == 5.0
-    assert state.mode is AimdMode.AVOIDANCE
+    aimd_on_ack(state)  # cwnd == ssthresh: avoidance, one packet per window
+    assert state.cwnd == pytest.approx(5.2)
 
 
 def test_aimd_loss_never_drops_below_one_packet():
-    state = AimdState(cwnd=1.5, ssthresh=1.5, rtt_est=100.0, mode=AimdMode.AVOIDANCE)
+    state = AimdState(cwnd=1.5, ssthresh=1.5, rtt_est=100.0)
     aimd_on_loss(state)
     assert state.cwnd == 1.0
     aimd_on_loss(state)
@@ -41,23 +41,27 @@ def test_aimd_loss_never_drops_below_one_packet():
 
 
 def test_aimd_ack_exponential_below_ssthresh():
-    state = AimdState(cwnd=3.0, ssthresh=1e9, rtt_est=100.0, mode=AimdMode.SLOW_START)
+    state = AimdState(cwnd=3.0, ssthresh=1e9, rtt_est=100.0)
     aimd_on_ack(state)
     assert state.cwnd == 4.0
-    assert state.mode is AimdMode.SLOW_START
+    assert state.ssthresh == 1e9
+    aimd_on_ack(state)  # still below ssthresh: another whole packet
+    assert state.cwnd == 5.0
 
 
 def test_aimd_ack_linear_above_ssthresh():
-    state = AimdState(cwnd=10.0, ssthresh=5.0, rtt_est=100.0, mode=AimdMode.AVOIDANCE)
+    state = AimdState(cwnd=10.0, ssthresh=5.0, rtt_est=100.0)
     aimd_on_ack(state)
     assert state.cwnd == pytest.approx(10.1)
 
 
 def test_aimd_ack_crosses_into_avoidance():
-    state = AimdState(cwnd=9.5, ssthresh=10.0, rtt_est=100.0, mode=AimdMode.SLOW_START)
+    state = AimdState(cwnd=9.5, ssthresh=10.0, rtt_est=100.0)
     aimd_on_ack(state)
     assert state.cwnd == 10.5
-    assert state.mode is AimdMode.AVOIDANCE
+    aimd_on_ack(state)  # now above ssthresh: 1/cwnd per ACK
+    assert state.cwnd == pytest.approx(10.5 + 1.0 / 10.5)
+    assert state.ssthresh == 10.0
 
 
 def test_aimd_controller_one_halving_per_epoch():

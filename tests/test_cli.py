@@ -112,6 +112,20 @@ def test_run_seed_override_is_recorded(tmp_path):
     assert load_scenario(out / "scenario.json").link.seed == 99
 
 
+def test_run_iris_with_a_target_window_shorter_than_the_rtt(tmp_path, capsys):
+    # Each epoch is released at least one RTT after it ends, so a 1 ms
+    # target window has evicted the epoch's own RTT sample by then.
+    config = write_config(tmp_path, controller="iris", params={"rtt_window": 1}, duration=5000)
+    doc = json.loads(config.read_text())
+    doc["link"]["prop_delay_ms"] = 30.0
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    rows = read_trace_csv(out / "trace.csv")[0]
+    assert rows[-1].time > 4500.0  # epochs keep coming to the end of the run
+    assert "utilization=" in capsys.readouterr().out
+
+
 # --- analyze ---------------------------------------------------------------------
 
 def test_analyze_fits_trace_from_run(tmp_path, capsys):

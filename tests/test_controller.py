@@ -185,28 +185,41 @@ def test_equilibrium_is_a_fixed_point():
     state = steady_state()
     state.rtt_samples.append((0.0, 50.0))  # establishes the 50 ms baseline
     fb = feedback(send=2.0, recv=2.0, rtt=55.0, end=50.0)
-    decision = on_epoch_end(state, fb, 50.0)
-    assert decision.objective == 0.0
-    assert decision.rtt_step == 0.0
-    assert decision.next_rate == 2.0
-    assert decision.contraction == pytest.approx(3.0 / 2.0 * 5.0 / 100.0)  # loop gain
+    entry = on_epoch_end(state, fb, 50.0)
+    assert entry.objective == 0.0
+    assert entry.rtt_step == 0.0
+    assert entry.rate == 2.0
+    assert entry.contraction == pytest.approx(3.0 / 2.0 * 5.0 / 100.0)  # loop gain
 
 
 def test_queue_above_target_pushes_rate_down():
     state = steady_state()
     state.rtt_samples.append((0.0, 50.0))
     fb = feedback(send=2.0, recv=2.0, rtt=60.0, end=50.0)  # 20 packets queued
-    decision = on_epoch_end(state, fb, 50.0)
-    assert decision.objective == pytest.approx(10.0)
-    assert decision.next_rate < 2.0
+    entry = on_epoch_end(state, fb, 50.0)
+    assert entry.objective == pytest.approx(10.0)
+    assert entry.rate < 2.0
 
 
 def test_empty_queue_pushes_rate_up():
     state = steady_state()
     fb = feedback(send=2.0, recv=2.0, rtt=50.0, end=50.0)  # rtt == target
-    decision = on_epoch_end(state, fb, 50.0)
-    assert decision.objective == pytest.approx(-10.0)
-    assert decision.next_rate > 2.0
+    entry = on_epoch_end(state, fb, 50.0)
+    assert entry.objective == pytest.approx(-10.0)
+    assert entry.rate > 2.0
+
+
+@pytest.mark.parametrize("target, expected", [(None, 50.0), (40.0, 40.0)])
+def test_steady_target_when_the_window_is_empty(target, expected):
+    # The epoch is released 150 ms after it ends, so a 1 ms window has
+    # evicted its RTT sample: a flow that never had a target takes the
+    # epoch's RTT, and one that had a target keeps it, stale.
+    state = steady_state(rtt_window=1.0)
+    state.target_delay = target
+    entry = on_epoch_end(state, feedback(end=50.0), 200.0)
+    assert state.target_delay == entry.target_delay == expected
+    assert state.target_stale_epochs == 1
+    assert entry.objective == pytest.approx(1.0 * (50.0 - expected) - 10.0)
 
 
 def test_slope_refit_recovers_linear_response():
@@ -362,20 +375,20 @@ def test_cold_ceiling_exit_installs_plain_fit_of_quiet_ramp():
 
 def test_cold_backoff_on_early_loss_burst():
     state = new_state(IrisParams(initial_rate=1.0))
-    rate = cold_start_step(state, feedback(send=1.0, recv=0.5, rtt=60.0, dropped=25), 50.0)
-    assert rate == pytest.approx(0.5)
+    entry = cold_start_step(state, feedback(send=1.0, recv=0.5, rtt=60.0, dropped=25), 50.0)
+    assert entry.rate == pytest.approx(0.5)
     assert state.phase is Phase.COLD_START
 
 
 def test_cold_ignores_steady_background_loss():
     state = new_state(IrisParams(initial_rate=1.0))
-    rate = cold_start_step(state, feedback(send=1.0, recv=0.98, rtt=50.0, dropped=1), 50.0)
-    assert rate == pytest.approx(2.0)  # 2% loss
-    rate = cold_start_step(
+    entry = cold_start_step(state, feedback(send=1.0, recv=0.98, rtt=50.0, dropped=1), 50.0)
+    assert entry.rate == pytest.approx(2.0)  # 2% loss
+    entry = cold_start_step(
         state, feedback(index=1, send=2.0, recv=1.96, rtt=50.0, delta=0.0, end=100.0,
                         sent=250, dropped=7),
         100.0)  # 2.8%: above threshold but no jump over the last epoch
-    assert rate == pytest.approx(4.0)
+    assert entry.rate == pytest.approx(4.0)
     assert state.phase is Phase.COLD_START
 
 
@@ -429,9 +442,11 @@ def test_cold_exit_fits_slope_from_ramp():
     # from the ramp history alone.
     burst = feedback(index=9, send=state.current_rate, recv=2.0, rtt=rtt,
                      delta=None, end=now, dropped=25)
-    cold_start_step(state, burst, now)
+    entry = cold_start_step(state, burst, now)
     assert state.phase is Phase.STEADY
     assert state.k == pytest.approx(24.0, rel=0.2)
+    # The exit step is logged as cold start, with the slope it started from.
+    assert entry.phase is Phase.COLD_START and entry.k == state.params.k_min
     assert state.current_rate == pytest.approx(2.0)  # lands on the receiving rate
     assert len(state.applied_fits) == 1
 
@@ -468,9 +483,12 @@ def test_feedback_rejects_bad_values():
     {"history_cap": math.nan},
     {"min_fit_samples": math.nan},
     {"cold_fit_samples": math.nan},
+    {"history_cap": 2.5},
+    {"min_fit_samples": 2.5},
+    {"cold_fit_samples": 2.5},
 ])
 def test_params_validation(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
         IrisParams(**kwargs)
 
 
@@ -485,6 +503,7 @@ def test_adapter_holds_rate_on_unmeasured_epoch():
     assert rate == 1.5
     entry = ctrl.decisions[-1]
     assert entry.measured is False and entry.rtt is None
+    assert entry.phase is Phase.STEADY and entry.k == 2.0 and entry.objective is None
 
 
 def test_adapter_cold_doubles_then_logs():

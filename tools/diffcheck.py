@@ -12,7 +12,8 @@ the run's ``fairness_report`` and ``utilization`` (a run that raises
 reports its error instead).  The first scenario whose digests differ
 is printed as a JSON config that ``iriscc run`` loads, after the names
 of the outputs that differ; the exit status is then 1.  When every
-scenario agrees it prints how many slope fits the runs adopted and
+scenario agrees it prints how many slope fits the runs adopted and how
+many iris decisions took each path (cold start, steady, hold), and
 exits 0.
 
 :func:`random_scenario` is also the generator of the simulator
@@ -29,10 +30,12 @@ import random
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PARTS = ("trace_csv", "totals", "decisions", "applied_fits", "metrics")
+PATHS = ("cold start", "steady", "hold")  # of an iris decision
 
 
 def _random_flow(rng: random.Random, duration: float, max_capacity: float) -> dict:
@@ -91,6 +94,7 @@ def random_scenario(rng: random.Random, max_duration: float = 2000.0) -> dict:
 def digest_runs(docs: list[dict]) -> dict:
     """Run each scenario with the ``iriscc`` on the path and hash its outputs."""
     import iriscc
+    from iriscc.controller import Phase
     from iriscc.metrics import fairness_report, utilization
     from iriscc.netsim import Simulation
     from iriscc.scenario import scenario_from_dict
@@ -98,6 +102,7 @@ def digest_runs(docs: list[dict]) -> dict:
 
     digests = []
     fits = 0
+    paths = Counter()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
         for doc in docs:
@@ -125,7 +130,11 @@ def digest_runs(docs: list[dict]) -> dict:
             }
             digests.append({name: hashlib.sha256(outputs[name]).hexdigest() for name in PARTS})
             fits += sum(len(c.state.applied_fits) for c in iris)
-    return {"iriscc": iriscc.__file__, "digests": digests, "fits": fits}
+            paths.update("cold start" if entry.phase is Phase.COLD_START
+                         else "steady" if entry.measured else "hold"
+                         for c in iris for entry in c.decisions)
+    return {"iriscc": iriscc.__file__, "digests": digests, "fits": fits,
+            "paths": [paths[name] for name in PATHS]}
 
 
 def _tree_digests(src: Path, docs: list[dict]) -> dict:
@@ -170,7 +179,9 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps(doc, indent=2))
             return 1
     print(f"{args.count} of {args.count} scenarios identical to {args.against} "
-          f"over {', '.join(PARTS)} (seed {args.seed}), {ours['fits']} adopted slope fits")
+          f"over {', '.join(PARTS)} (seed {args.seed}), {ours['fits']} adopted slope fits, "
+          f"iris decisions by path: "
+          f"{', '.join(f'{n} {name}' for name, n in zip(PATHS, ours['paths']))}")
     return 0
 
 
