@@ -6,18 +6,28 @@ ideal reverse path (no queueing, no loss).  Serialization occupies the
 server but is not added to a packet's own latency, so an unqueued
 packet measures exactly its two-way propagation delay.
 
-Three event kinds are processed in a fixed order at equal timestamps
-(queue arrivals, ACKs, epoch timers), with flow id and packet id as
-further tie-breakers, and the only randomness is a seeded Bernoulli
-draw per arrival for random loss — so a scenario is a pure function of
-its description and seed, and equal seeds give byte-identical traces.
+Two event kinds go through one heap, queue arrivals before epoch
+timers at equal timestamps, with flow id and packet id as further
+tie-breakers, and the only randomness is a seeded Bernoulli draw per
+arrival for random loss — so a scenario is a pure function of its
+description and seed, and equal seeds give byte-identical traces.
 Departures need no events: the capacity schedule is known in advance,
 so the FIFO fixes each admitted packet's service start and departure
 when it arrives (see :class:`BottleneckQueue`).  A departure at an
 instant follows that instant's arrivals and precedes its timers.
-Delivery and ACK happen at known offsets from the start of service (the
-reverse path is ideal), so both are folded into the ACK event, pushed
-on arrival.
+
+Pacing is lazy: an epoch timer pushes only the epoch's first arrival,
+and each arrival pushes its successor while that is inside the epoch,
+so the heap holds at most one arrival and one timer per flow.
+
+ACKs need no events either.  Delivery and ACK happen at known offsets
+from the start of service (the reverse path is ideal), so an admitted
+packet's ACK time is fixed on arrival.  Service starts never decrease
+and a flow's round-trip propagation delay is fixed, so each flow's ACK
+times never decrease in send order: they wait in a per-flow FIFO, and
+a flow's timer takes in every ACK up to and including its own instant
+(an ACK precedes a timer at the same instant), as does the end of the
+run.  Only the flow's own timer reads what its ACKs tally.
 
 Each flow tallies its packets per sender epoch.  At every epoch timer
 the closed epochs whose packets have all been ACKed or dropped are
@@ -32,12 +42,12 @@ Time is ms, rates are packets/ms throughout.
 
 from __future__ import annotations
 
-import bisect
 import heapq
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum, IntEnum
+from enum import Enum
 
 from .baselines import AimdController, ConstantRateController, VegasController
 from .controller import IrisController, IrisParams
@@ -49,12 +59,10 @@ from .units import mbps_to_pkts_per_ms
 _MAX_EMISSIONS_PER_EPOCH = 1_000_000  # guard against runaway controllers
 
 
-class EventKind(IntEnum):
-    """Event ordering at equal timestamps follows these values."""
-
-    PACKET_ARRIVE_QUEUE = 0
-    ACK_DELIVERED = 1      # delivery is folded in (ideal reverse path)
-    EPOCH_TIMER = 2
+# Event kinds, the second field of every heap key: at equal timestamps
+# queue arrivals come before epoch timers.
+_ARRIVAL = 0
+_TIMER = 1
 
 
 class EnqueueResult(Enum):
@@ -86,11 +94,15 @@ class BottleneckQueue:
     that start, so an entry at exactly a packet's start applies only
     from the next packet on.  A packet counts towards the occupancy
     through the instant of its departure.
+
+    Packets arrive in time order, so service starts never decrease and
+    the schedule entry in force only moves forward.
     """
 
     def __init__(self, link: LinkConfig, rng: random.Random):
-        self._change_times = [t for t, _ in link.bandwidth_schedule]
-        self._rates = [rate for _, rate in link.bandwidth_schedule]
+        self._change_times = [t for t, _ in link.bandwidth_schedule] + [math.inf]
+        self._service_times = [1.0 / rate for _, rate in link.bandwidth_schedule]
+        self._entry = 0  # schedule entry of the latest service start
         self.capacity = link.queue_capacity
         self.random_loss = link.random_loss
         self._rng = rng
@@ -110,20 +122,28 @@ class BottleneckQueue:
         while departures and departures[0] <= now:
             departures.popleft()
 
-    def enqueue(self, now: float) -> tuple[EnqueueResult, float | None]:
+    def enqueue(self, now: float, occupancy: int | None = None) -> tuple[EnqueueResult, float | None]:
         """Admit or drop an arriving packet.
 
         Random loss is decided first (one seeded draw per arrival),
-        then drop-tail against the occupancy bound.  Returns the result
-        plus the service start of an admitted packet, else None.
+        then drop-tail against the occupancy bound; a caller that has
+        just read :meth:`occupancy` at ``now`` passes it on.  Returns
+        the result plus the service start of an admitted packet, else
+        None.
         """
         if self.random_loss > 0.0 and self._rng.random() < self.random_loss:
             return EnqueueResult.DROPPED_RANDOM, None
-        if self.occupancy(now) >= self.capacity:
+        if occupancy is None:
+            occupancy = self.occupancy(now)
+        if occupancy >= self.capacity:
             return EnqueueResult.DROPPED_OVERFLOW, None
-        start = self._departures[-1] if self._departures else now
-        entry = max(bisect.bisect_left(self._change_times, start) - 1, 0)
-        self._departures.append(start + 1.0 / self._rates[entry])
+        departures = self._departures
+        start = departures[-1] if departures else now
+        entry = self._entry
+        while self._change_times[entry + 1] < start:
+            entry += 1
+        self._entry = entry
+        departures.append(start + self._service_times[entry])
         return EnqueueResult.QUEUED, start
 
 
@@ -144,21 +164,33 @@ class _FlowRuntime:
     flow_id: int
     spec: FlowSpec
     controller: RateController
-    prop_delay: float
+    rtprop: float                # round-trip propagation delay
     epoch_len: float
     rate: float
+    interval: float = 0.0        # pacing gap of the open epoch
+    window_end: float = 0.0      # end of the open epoch
     last_emit: float | None = None
     packet_seq: int = 0
     accums: dict = field(default_factory=dict)  # epoch index -> _EpochAccum
+    acks: deque = field(default_factory=deque)  # (ack time, epoch index, send time), in send order
     next_release: int = 0
     last_meas_ack: float | None = None    # last ACK time of the last measured epoch
     prev_mean_rtt: float | None = None
     prev_recv: float | None = None
     trace: FlowTrace = None  # type: ignore[assignment]
 
-    @property
-    def rtprop(self) -> float:
-        return 2.0 * self.prop_delay
+    def take_acks(self, now: float) -> None:
+        """Tally the ACKs due by ``now``, inclusive, in send order."""
+        acks = self.acks
+        accums = self.accums
+        totals = self.trace.totals
+        while acks and acks[0][0] <= now:
+            ack_time, epoch_idx, send_time = acks.popleft()
+            acc: _EpochAccum = accums[epoch_idx]
+            acc.acked += 1
+            acc.rtt_sum += ack_time - send_time
+            acc.last_ack = ack_time
+            totals.delivered += 1
 
 
 _WHOLE_PARAMS = frozenset({"history_cap", "min_fit_samples", "cold_fit_samples"})
@@ -228,76 +260,71 @@ class Simulation:
         self.flows: list[_FlowRuntime] = []
         for i, spec in enumerate(scenario.flows):
             controller = build_controller(spec, i, scenario.link.packet_bytes)
+            prop_delay = spec.prop_delay if spec.prop_delay is not None else scenario.link.prop_delay
             flow = _FlowRuntime(
                 flow_id=i,
                 spec=spec,
                 controller=controller,
-                prop_delay=spec.prop_delay if spec.prop_delay is not None else scenario.link.prop_delay,
+                rtprop=2.0 * prop_delay,
                 epoch_len=controller.epoch_len,
                 rate=controller.start_rate(),
             )
             flow.trace = FlowTrace(flow_id=i, kind=spec.controller, totals=FlowTotals())
             self.flows.append(flow)
             if spec.start_time <= scenario.duration:
-                self._push(spec.start_time, EventKind.EPOCH_TIMER, i, 0)
+                heapq.heappush(self._heap, (spec.start_time, _TIMER, i, 0, 0))
         self._ran = False
 
     @property
     def controllers(self) -> list[RateController]:
         return [flow.controller for flow in self.flows]
 
-    def _push(self, time: float, kind: EventKind, flow_id: int, packet_id: int, *fields) -> None:
-        heapq.heappush(self._heap, (time, int(kind), flow_id, packet_id, *fields))
-
     # -- event handlers -----------------------------------------------------
+    #
+    # A heap key is (time, kind, flow id, packet id, epoch index); a
+    # timer's packet id is 0, since a flow has one pending timer.
 
     def _on_arrive(self, now: float, flow_id: int, packet_id: int, epoch_idx: int) -> None:
         flow = self.flows[flow_id]
         acc: _EpochAccum = flow.accums[epoch_idx]
-        acc.occ_sum += self.queue.occupancy(now)
-        flow.trace.totals.sent += 1
-        result, service_start = self.queue.enqueue(now)
-        if result is EnqueueResult.QUEUED:
-            flow.trace.totals.in_flight += 1
-            self._push(service_start + flow.rtprop, EventKind.ACK_DELIVERED,
-                       flow_id, packet_id, epoch_idx, now)
+        if acc.planned >= _MAX_EMISSIONS_PER_EPOCH:
+            raise RuntimeError(f"flow {flow_id} emission rate exploded ({flow.rate}/ms)")
+        acc.planned += 1
+        flow.packet_seq = packet_id + 1
+        flow.last_emit = now
+        next_emit = now + flow.interval  # the epoch's next packet, if any
+        if next_emit < flow.window_end:
+            heapq.heappush(self._heap, (next_emit, _ARRIVAL, flow_id, packet_id + 1, epoch_idx))
+        queue = self.queue
+        occupancy = queue.occupancy(now)
+        acc.occ_sum += occupancy
+        totals = flow.trace.totals
+        totals.sent += 1
+        result, service_start = queue.enqueue(now, occupancy)
+        if service_start is not None:
+            flow.acks.append((service_start + flow.rtprop, epoch_idx, now))
             return
         if result is EnqueueResult.DROPPED_RANDOM:
-            flow.trace.totals.dropped_random += 1
+            totals.dropped_random += 1
         else:
-            flow.trace.totals.dropped_overflow += 1
+            totals.dropped_overflow += 1
         acc.dropped += 1
 
-    def _on_ack(self, now: float, flow_id: int, epoch_idx: int, send_time: float) -> None:
-        flow = self.flows[flow_id]
-        acc: _EpochAccum = flow.accums[epoch_idx]
-        acc.acked += 1
-        acc.rtt_sum += now - send_time
-        acc.last_ack = now
-        flow.trace.totals.delivered += 1
-        flow.trace.totals.in_flight -= 1
-
     def _on_timer(self, now: float, flow_id: int, epoch_idx: int) -> None:
-        # This instant's departures precede the timer and the arrivals
-        # it emits now.
+        # This instant's departures and this flow's ACKs precede the
+        # timer; the departures also precede the arrivals it emits now.
         self.queue.retire_through(now)
         flow = self.flows[flow_id]
+        flow.take_acks(now)
         self._release(flow, now)
-        interval = 1.0 / flow.rate
-        acc = _EpochAccum()
-        flow.accums[epoch_idx] = acc
-        window_end = now + flow.epoch_len
-        next_emit = now if flow.last_emit is None else max(now, flow.last_emit + interval)
-        while next_emit < window_end:
-            if acc.planned >= _MAX_EMISSIONS_PER_EPOCH:
-                raise RuntimeError(f"flow {flow_id} emission rate exploded ({flow.rate}/ms)")
-            self._push(next_emit, EventKind.PACKET_ARRIVE_QUEUE, flow_id, flow.packet_seq, epoch_idx)
-            flow.packet_seq += 1
-            acc.planned += 1
-            flow.last_emit = next_emit
-            next_emit += interval
+        flow.interval = interval = 1.0 / flow.rate
+        flow.accums[epoch_idx] = _EpochAccum()
+        flow.window_end = window_end = now + flow.epoch_len
+        first = now if flow.last_emit is None else max(now, flow.last_emit + interval)
+        if first < window_end:
+            heapq.heappush(self._heap, (first, _ARRIVAL, flow_id, flow.packet_seq, epoch_idx))
         if window_end <= self.scenario.duration:
-            self._push(window_end, EventKind.EPOCH_TIMER, flow_id, epoch_idx + 1)
+            heapq.heappush(self._heap, (window_end, _TIMER, flow_id, 0, epoch_idx + 1))
 
     # -- epoch accounting ---------------------------------------------------
 
@@ -365,19 +392,18 @@ class Simulation:
         self._ran = True
         duration = self.scenario.duration
         heap = self._heap
+        on_arrive = self._on_arrive
         while heap:
-            event = heapq.heappop(heap)
-            now = event[0]
+            now, kind, flow_id, packet_id, epoch_idx = heapq.heappop(heap)
             if now > duration:
                 break
-            kind = event[1]
-            if kind == EventKind.PACKET_ARRIVE_QUEUE:
-                self._on_arrive(now, event[2], event[3], event[4])
-            elif kind == EventKind.ACK_DELIVERED:
-                self._on_ack(now, event[2], event[4], event[5])
-            elif kind == EventKind.EPOCH_TIMER:
-                self._on_timer(now, event[2], event[3])
+            if kind == _ARRIVAL:
+                on_arrive(now, flow_id, packet_id, epoch_idx)
+            else:
+                self._on_timer(now, flow_id, epoch_idx)
         for flow in self.flows:
+            flow.take_acks(duration)
+            flow.trace.totals.in_flight = len(flow.acks)
             if flow.accums:
                 flow.accums.popitem()  # the newest epoch is still open
             self._release(flow, duration, decide=False)

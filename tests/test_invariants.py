@@ -1,12 +1,15 @@
 """Simulator invariants over small seeded random scenarios, drawn by the
 generator that ``tools/diffcheck.py`` also uses."""
 
+import heapq
 import random
+from collections import Counter, deque
 
 import pytest
 
 from diffcheck import random_scenario
-from iriscc.netsim import Simulation
+from iriscc import netsim
+from iriscc.netsim import BottleneckQueue, Simulation
 from iriscc.scenario import scenario_from_dict
 
 
@@ -40,3 +43,64 @@ def test_simulator_invariants(seed):
     delivered = sum(trace.totals.delivered for trace in traces)
     bound = capacity_integral(link.bandwidth_schedule, scenario.duration)
     assert delivered <= bound + len(link.bandwidth_schedule)
+
+
+class _AckLog(deque):
+    """A flow's ACK FIFO that also keeps every ACK time pushed."""
+
+    def __init__(self):
+        super().__init__()
+        self.times = []
+
+    def append(self, ack):
+        self.times.append(ack[0])
+        super().append(ack)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_service_starts_and_ack_times_never_decrease(seed, monkeypatch):
+    # The premise of the per-flow ACK FIFO: it yields a flow's ACKs in
+    # the order a heap of ACK events would.
+    starts = []
+    enqueue = BottleneckQueue.enqueue
+
+    def recording_enqueue(queue, now, *args):
+        result = enqueue(queue, now, *args)
+        if result[1] is not None:
+            starts.append(result[1])
+        return result
+
+    monkeypatch.setattr(BottleneckQueue, "enqueue", recording_enqueue)
+    sim = Simulation(scenario_from_dict(random_scenario(random.Random(seed))))
+    for flow in sim.flows:
+        flow.acks = _AckLog()
+    traces = sim.run()
+    assert starts
+    assert all(a <= b for a, b in zip(starts, starts[1:]))
+    for flow, trace in zip(sim.flows, traces):
+        times = flow.acks.times
+        assert len(times) == trace.totals.delivered + trace.totals.in_flight
+        assert all(a <= b for a, b in zip(times, times[1:]))
+
+
+class _CheckedHeapq:
+    """``heapq`` stand-in that checks the event heap after every push."""
+
+    heappop = staticmethod(heapq.heappop)
+
+    def __init__(self):
+        self.pushes = 0
+
+    def heappush(self, heap, event):
+        heapq.heappush(heap, event)
+        self.pushes += 1
+        per_flow = Counter((kind, flow_id) for _, kind, flow_id, *_ in heap)
+        assert max(per_flow.values()) == 1
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_heap_holds_one_arrival_and_one_timer_per_flow(seed, monkeypatch):
+    checked = _CheckedHeapq()
+    monkeypatch.setattr(netsim, "heapq", checked)
+    traces = Simulation(scenario_from_dict(random_scenario(random.Random(seed)))).run()
+    assert checked.pushes >= sum(trace.totals.sent for trace in traces)

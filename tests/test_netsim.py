@@ -214,8 +214,9 @@ def test_nonpositive_controller_rate_is_fatal():
 def test_emission_budget_guard(monkeypatch):
     monkeypatch.setattr(netsim, "_MAX_EMISSIONS_PER_EPOCH", 10)
     sc = scenario(make_link(), [flow("constant", rate=1.0)], 1_000.0)
-    with pytest.raises(RuntimeError, match="emission"):
+    with pytest.raises(RuntimeError) as excinfo:
         run_scenario(sc)
+    assert str(excinfo.value) == "flow 0 emission rate exploded (1.0/ms)"
 
 
 def test_simulation_runs_only_once():
@@ -387,3 +388,17 @@ def test_dropped_epochs_released_after_their_predecessor_repeat_its_estimate():
         assert not fb.measured and fb.dropped == fb.sent > 0
         assert now == released
         assert fb.recv_rate == epoch20.recv_rate
+
+
+def test_ack_at_a_timer_instant_counts_at_that_timer():
+    # One packet per 50 ms epoch over a 50 ms RTT: every ACK lands
+    # exactly on the next epoch timer, and an ACK precedes a timer at
+    # the same instant, so epoch 0 is measured at 50 ms, not at 100.
+    sc = scenario(make_link(sched=((0.0, 2.0),), prop=25.0),
+                  [flow("constant", rate=0.02)], 300.0)
+    sim = Simulation(sc)
+    recorder = RecordingController(sim.flows[0].controller)
+    sim.flows[0].controller = recorder
+    sim.run()
+    released = [(fb.index, fb.sent, fb.measured, now) for fb, now in recorder.received]
+    assert released == [(i, 1, True, 50.0 * (i + 1)) for i in range(6)]

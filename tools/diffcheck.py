@@ -5,7 +5,8 @@ working tree and on another revision, and compare what they produce.
 
 REV is checked out into a temporary ``git worktree``.  Each tree runs
 every scenario in its own Python process, with its own ``src`` first on
-the path, and reports per scenario the sha256 of five outputs: the
+the path; the two processes run at the same time.  Each reports per
+scenario the sha256 of five outputs: the
 trace CSV, the per-flow totals, the iris decision logs, the adopted
 slope fits, each fit as ``(time, k, b, plcc, n)``, and the metrics,
 the run's ``fairness_report`` and ``utilization`` (a run that raises
@@ -137,13 +138,22 @@ def digest_runs(docs: list[dict]) -> dict:
             "paths": [paths[name] for name in PATHS]}
 
 
-def _tree_digests(src: Path, docs: list[dict]) -> dict:
+def _start_tree(src: Path, docs_path: Path) -> subprocess.Popen:
+    """Start a process that runs the scenarios in ``docs_path`` with the
+    package under ``src``; :func:`_tree_digests` collects its result."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(ROOT / "tools")]))
     code = ("import json, sys, diffcheck\n"
-            "json.dump(diffcheck.digest_runs(json.load(sys.stdin)), sys.stdout)\n")
-    proc = subprocess.run([sys.executable, "-c", code], input=json.dumps(docs), cwd=src,
-                          env=env, capture_output=True, text=True, check=True)
-    result = json.loads(proc.stdout)
+            "with open(sys.argv[1]) as docs:\n"
+            "    json.dump(diffcheck.digest_runs(json.load(docs)), sys.stdout)\n")
+    return subprocess.Popen([sys.executable, "-c", code, str(docs_path)], cwd=src, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def _tree_digests(proc: subprocess.Popen, src: Path) -> dict:
+    out, err = proc.communicate()
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, proc.args, out, err)
+    result = json.loads(out)
     if not Path(result["iriscc"]).resolve().is_relative_to(src.resolve()):
         raise RuntimeError(f"imported {result['iriscc']}, not the package under {src}")
     return result
@@ -164,13 +174,19 @@ def main(argv: list[str] | None = None) -> int:
     # Runs of up to 6 s, so that more iris flows reach steady state and re-fit.
     docs = [random_scenario(rng, max_duration=6000.0) for _ in range(args.count)]
     with tempfile.TemporaryDirectory() as tmp:
+        docs_path = Path(tmp) / "docs.json"
+        docs_path.write_text(json.dumps(docs))
         tree = Path(tmp) / "tree"
         _git("worktree", "add", "--detach", "--quiet", str(tree), args.against)
         try:
-            theirs = _tree_digests(tree / "src", docs)
+            # Leaving the block waits for both processes, so the
+            # worktree outlives its run even when the other one fails.
+            with _start_tree(tree / "src", docs_path) as their_run, \
+                    _start_tree(ROOT / "src", docs_path) as our_run:
+                theirs = _tree_digests(their_run, tree / "src")
+                ours = _tree_digests(our_run, ROOT / "src")
         finally:
             _git("worktree", "remove", "--force", str(tree))
-    ours = _tree_digests(ROOT / "src", docs)
     for index, (doc, mine, other) in enumerate(zip(docs, ours["digests"], theirs["digests"])):
         differing = [name for name in sorted(set(mine) | set(other)) if mine.get(name) != other.get(name)]
         if differing:
