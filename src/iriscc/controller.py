@@ -29,7 +29,22 @@ from .feedback import EpochFeedback
 from .regression import RegressionFit, fit_k_b
 from .units import kbps_to_pkts_per_ms
 
-DEFAULT_INITIAL_RATE = kbps_to_pkts_per_ms(100.0)  # 100 kbit/s worth of packets
+# Guards, gates and cold-start values.  They bound and seed the control
+# law rather than state it, so they are fixed, not per-flow knobs.
+K_MIN = 0.01                 # lower clamp for the learned slope
+HISTORY_CAP = 1000           # epoch records kept for fitting
+RATE_FLOOR = 0.01            # never pace below this, packets/ms
+INITIAL_RATE = kbps_to_pkts_per_ms(100.0)  # cold start begins at 100 kbit/s
+COLD_LOSS_THRESHOLD = 0.01   # loss rate that can end cold start
+COLD_LOSS_JUMP = 0.05        # loss-rate rise over the previous epoch
+COLD_LOSS_SEVERE = 0.25      # loss rate treated as a burst on its own
+COLD_BACKOFF = 0.5           # rate multiplier when probing past a loss burst
+COLD_FIT_SAMPLES = 8         # samples the cold-exit fit needs
+RATE_CEILING = 1e4           # cold-start safety cap, packets/ms
+MIN_FIT_SAMPLES = 10         # samples required for a periodic re-fit
+MIN_FIT_PLCC = 0.2           # correlation a re-fit needs to be adopted
+EXCITATION_FLOOR = 0.05      # rate-excursion spread a window needs, relative
+CONTRACTION_CAP = 0.95       # loop-gain bound enforced per decision
 
 
 class Phase(Enum):
@@ -39,9 +54,9 @@ class Phase(Enum):
 
 @dataclass(frozen=True)
 class IrisParams:
-    """Tuning knobs for the controller.
+    """The knobs of the control law.
 
-    Times are ms, rates packets/ms, queue loads packets.
+    Times are ms, queue loads packets.
     """
 
     epoch_len: float = 50.0             # decision interval
@@ -50,51 +65,15 @@ class IrisParams:
     rtt_step_bound: float = 3.0         # max desired RTT change per epoch, ms
     k_update_period: float = 5000.0     # how often the slope is re-fitted, ms
     rtt_window: float = 10_000.0        # sliding window for the target delay, ms
-    k_min: float = 0.01                 # lower clamp for the learned slope
-    history_cap: int = 1000             # epoch records kept for fitting
-    rate_floor: float = 0.01            # never pace below this, packets/ms
-    initial_rate: float = DEFAULT_INITIAL_RATE
-    cold_loss_threshold: float = 0.01   # loss rate that can end cold start
-    cold_loss_jump: float = 0.05        # loss-rate rise over the previous epoch
-    cold_loss_severe: float = 0.25      # loss rate treated as a burst on its own
-    cold_backoff: float = 0.5           # rate multiplier when probing past a loss burst
-    cold_fit_samples: int = 8           # samples the cold-exit fit needs
-    rate_ceiling: float = 1e4           # cold-start safety cap, packets/ms
-    min_fit_samples: int = 10           # samples required for a periodic re-fit
-    min_fit_plcc: float = 0.2           # correlation a re-fit needs to be adopted
-    excitation_floor: float = 0.05      # rate-excursion spread a window needs, relative
-    contraction_cap: float = 0.95       # loop-gain bound enforced per decision
 
     def __post_init__(self) -> None:
-        positive = [
-            "epoch_len", "queue_load_target", "objective_scale", "rtt_step_bound",
-            "k_min", "rate_floor", "initial_rate", "rate_ceiling",
-        ]
-        for name in positive:
+        for name in ("epoch_len", "queue_load_target", "objective_scale", "rtt_step_bound"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         for name in ("k_update_period", "rtt_window"):  # infinity reads as "never"
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("history_cap", "min_fit_samples", "cold_fit_samples"):
-            value = getattr(self, name)
-            if not (isinstance(value, int) and value >= 2):
-                raise ValueError(f"{name} must be an int >= 2, got {value!r}")
-        if not 0.0 <= self.min_fit_plcc < 1.0:
-            raise ValueError(f"min_fit_plcc must be in [0, 1), got {self.min_fit_plcc}")
-        if not 0.0 <= self.excitation_floor < math.inf:
-            raise ValueError(f"excitation_floor must be >= 0 and finite, got {self.excitation_floor}")
-        if not 0.0 < self.contraction_cap < 1.0:
-            raise ValueError(f"contraction_cap must be in (0, 1), got {self.contraction_cap}")
-        if not 0.0 <= self.cold_loss_threshold < 1.0:
-            raise ValueError(f"cold_loss_threshold must be in [0, 1), got {self.cold_loss_threshold}")
-        if not 0.0 <= self.cold_loss_jump < 1.0:
-            raise ValueError(f"cold_loss_jump must be in [0, 1), got {self.cold_loss_jump}")
-        if not 0.0 < self.cold_loss_severe <= 1.0:
-            raise ValueError(f"cold_loss_severe must be in (0, 1], got {self.cold_loss_severe}")
-        if not 0.0 < self.cold_backoff < 1.0:
-            raise ValueError(f"cold_backoff must be in (0, 1), got {self.cold_backoff}")
 
 
 @dataclass(frozen=True)
@@ -132,7 +111,7 @@ class IrisState:
     target_delay: float | None = None
     target_stale_epochs: int = 0
     rtt_samples: deque = field(default_factory=deque)   # (time, rtt)
-    history: deque = field(default_factory=deque)       # measured EpochFeedback
+    history: deque = field(default_factory=lambda: deque(maxlen=HISTORY_CAP))  # measured EpochFeedback
     prev_loss_rate: float = 0.0
     applied_fits: list = field(default_factory=list)    # (time, RegressionFit)
 
@@ -146,15 +125,8 @@ class IrisState:
 
 
 def new_state(params: IrisParams | None = None) -> IrisState:
-    params = params or IrisParams()
-    state = IrisState(
-        params=params,
-        phase=Phase.COLD_START,
-        current_rate=params.initial_rate,
-        k=params.k_min,
-    )
-    state.history = deque(maxlen=params.history_cap)
-    return state
+    return IrisState(params=params or IrisParams(), phase=Phase.COLD_START,
+                     current_rate=INITIAL_RATE, k=K_MIN)
 
 
 # --- pure decision math ----------------------------------------------------
@@ -187,18 +159,17 @@ def expected_rtt_variation(objective: float, rtt_step_bound: float,
     return step
 
 
-def next_sending_rate(recv_rate: float, rtt_step: float, k: float,
-                      k_min: float = 0.01, rate_floor: float = 0.01) -> float:
+def next_sending_rate(recv_rate: float, rtt_step: float, k: float) -> float:
     """Next pacing rate from the latest receiving rate and desired RTT step.
 
     The learned slope ``k`` (ms of RTT change per packet/ms of
     overshoot) converts the desired RTT change into a rate delta.
-    ``k`` below ``k_min`` is a contract violation: callers must clamp
+    ``k`` below ``K_MIN`` is a contract violation: callers must clamp
     when they adopt a fit.
     """
-    if k < k_min:
-        raise ValueError(f"k={k} below k_min={k_min}; clamp fits before use")
-    return max(rate_floor, recv_rate + rtt_step / k)
+    if k < K_MIN:
+        raise ValueError(f"k={k} below K_MIN={K_MIN}; clamp fits before use")
+    return max(RATE_FLOOR, recv_rate + rtt_step / k)
 
 
 def gap_contraction_factor(params: IrisParams, rtt: float, target_delay: float,
@@ -216,7 +187,7 @@ def effective_slope(params: IrisParams, k: float, rtt: float,
                     target_delay: float) -> float:
     """Slope a decision divides by: the learned ``k``, floored so the
     per-step loop gain (:func:`gap_contraction_factor`) stays at or
-    below ``contraction_cap``.
+    below ``CONTRACTION_CAP``.
 
     A slope estimate far below the network's true response turns the
     bounded RTT step into an outsized rate swing; bounding the realized
@@ -224,7 +195,7 @@ def effective_slope(params: IrisParams, k: float, rtt: float,
     re-fit corrects it.
     """
     floor = (params.rtt_step_bound * (rtt - target_delay)
-             / (params.objective_scale * params.contraction_cap))
+             / (params.objective_scale * CONTRACTION_CAP))
     return max(k, floor)
 
 
@@ -256,7 +227,7 @@ def _adopt_fit(state: IrisState, fit: RegressionFit | None, now: float) -> bool:
     """Clamp and install a fitted slope; report whether one was applied."""
     if fit is None or not math.isfinite(fit.k):
         return False
-    state.k = max(state.params.k_min, fit.k)
+    state.k = max(K_MIN, fit.k)
     state.applied_fits.append((now, fit))
     return True
 
@@ -268,7 +239,7 @@ def _plain_fit(records) -> RegressionFit | None:
                    [fb.delta_rtt for fb in usable])
 
 
-def _gated_fit(params: IrisParams, records, min_samples: int) -> RegressionFit | None:
+def _gated_fit(records, min_samples: int) -> RegressionFit | None:
     """Fit ``records``; return the fit only if the window identifies the slope.
 
     The slope is only identifiable from data that actually moved the
@@ -278,17 +249,17 @@ def _gated_fit(params: IrisParams, records, min_samples: int) -> RegressionFit |
     well-correlated while its slope is an artifact of the loop, not the
     network.  Dividing the next rate step by such a slope is what makes
     the controller lurch.  The fit is returned only when it has
-    ``min_samples`` samples, its correlation clears ``min_fit_plcc``,
+    ``min_samples`` samples, its correlation clears ``MIN_FIT_PLCC``,
     and its excitation — ``x_std`` over the mean send rate of all the
     records, 0.0 when that mean is not positive — clears
-    ``excitation_floor``.
+    ``EXCITATION_FLOOR``.
     """
     fit = _plain_fit(records)
-    if fit is None or fit.n < min_samples or fit.plcc < params.min_fit_plcc:
+    if fit is None or fit.n < min_samples or fit.plcc < MIN_FIT_PLCC:
         return None
     mean_rate = math.fsum(fb.send_rate for fb in records) / len(records)
     excitation = fit.x_std / mean_rate if mean_rate > 0.0 else 0.0
-    if excitation < params.excitation_floor:
+    if excitation < EXCITATION_FLOOR:
         return None
     return fit
 
@@ -306,7 +277,7 @@ def _maybe_refit_k(state: IrisState, now: float) -> None:
         return
     cutoff = now - params.k_update_period
     recent = [fb for fb in state.history if fb.end >= cutoff]
-    _adopt_fit(state, _gated_fit(params, recent, params.min_fit_samples), now)
+    _adopt_fit(state, _gated_fit(recent, MIN_FIT_SAMPLES), now)
 
 
 def _record_measurement(state: IrisState, fb: EpochFeedback) -> None:
@@ -356,8 +327,7 @@ def on_epoch_end(state: IrisState, fb: EpochFeedback, now: float) -> DecisionLog
     objective = compute_objective(fb.send_rate, fb.mean_rtt, target, params.queue_load_target)
     rtt_step = expected_rtt_variation(objective, params.rtt_step_bound, params.objective_scale)
     k_used = effective_slope(params, state.k, fb.mean_rtt, target)
-    state.current_rate = next_sending_rate(fb.recv_rate, rtt_step, k_used,
-                                           params.k_min, params.rate_floor)
+    state.current_rate = next_sending_rate(fb.recv_rate, rtt_step, k_used)
     _maybe_refit_k(state, now)
     return _log_entry(state, fb, now, Phase.STEADY, k_used, objective, rtt_step,
                       gap_contraction_factor(params, fb.mean_rtt, target, k_used))
@@ -368,27 +338,27 @@ def _exit_cold(state: IrisState, fb: EpochFeedback,
     """Leave the ramp: install the fit and land on the receiving rate."""
     state.phase = Phase.STEADY
     if not _adopt_fit(state, fit, now):
-        state.k = state.params.k_min  # ramp data was degenerate; learn on the fly
+        state.k = K_MIN  # ramp data was degenerate; learn on the fly
     if fb.measured:
         landing = fb.recv_rate
     elif state.history:
         landing = state.history[-1].recv_rate
     else:
         landing = state.current_rate
-    state.current_rate = max(state.params.rate_floor, landing)
+    state.current_rate = max(RATE_FLOOR, landing)
 
 
 def cold_start_step(state: IrisState, fb: EpochFeedback, now: float) -> DecisionLogEntry:
     """One cold-start step: double the rate until loss reveals capacity.
 
-    A loss burst — a per-epoch loss rate that jumps ``cold_loss_jump``
-    above the previous epoch's and clears ``cold_loss_threshold`` —
+    A loss burst — a per-epoch loss rate that jumps ``COLD_LOSS_JUMP``
+    above the previous epoch's and clears ``COLD_LOSS_THRESHOLD`` —
     marks the probe as having overfilled the bottleneck.  (Requiring a
     jump keeps a noisy but steady background loss rate from reading as
     an overshoot; on thin epochs of one or two packets a single stray
     drop swings the measured rate violently.)  Loss pinned at
     saturation never jumps epoch over epoch, so a rate at or above
-    ``cold_loss_severe`` counts as a burst on its own; without that a
+    ``COLD_LOSS_SEVERE`` counts as a burst on its own; without that a
     rejected burst would resume doubling into a saturated queue
     unchecked.  The ramp ends there only
     if the gathered records already support a usable slope fit — enough
@@ -402,7 +372,6 @@ def cold_start_step(state: IrisState, fb: EpochFeedback, now: float) -> Decision
     the pacing rate falls back to the last observed receiving rate.  The
     record logs the slope the flow had before the step.
     """
-    params = state.params
     k = state.k
     if fb.measured:
         _record_measurement(state, fb)
@@ -411,22 +380,20 @@ def cold_start_step(state: IrisState, fb: EpochFeedback, now: float) -> Decision
     prev_loss = state.prev_loss_rate
     state.prev_loss_rate = loss_rate
     loss_burst = (
-        loss_rate > params.cold_loss_threshold
-        and (loss_rate > prev_loss + params.cold_loss_jump
-             or loss_rate >= params.cold_loss_severe)
+        loss_rate > COLD_LOSS_THRESHOLD
+        and (loss_rate > prev_loss + COLD_LOSS_JUMP or loss_rate >= COLD_LOSS_SEVERE)
     )
-    if state.current_rate >= params.rate_ceiling:
+    if state.current_rate >= RATE_CEILING:
         _exit_cold(state, fb, _plain_fit(state.history), now)
     elif loss_burst:
-        fit = _gated_fit(params, state.history, params.cold_fit_samples)
+        fit = _gated_fit(state.history, COLD_FIT_SAMPLES)
         if fit is not None:
             _exit_cold(state, fb, fit, now)
         else:
             # Burst before the ramp became informative: back off, keep probing.
-            state.current_rate = max(params.rate_floor,
-                                     state.current_rate * params.cold_backoff)
+            state.current_rate = max(RATE_FLOOR, state.current_rate * COLD_BACKOFF)
     else:
-        state.current_rate = min(state.current_rate * 2.0, params.rate_ceiling)
+        state.current_rate = min(state.current_rate * 2.0, RATE_CEILING)
     return _log_entry(state, fb, now, Phase.COLD_START, k)
 
 

@@ -52,7 +52,7 @@ from enum import Enum
 from .baselines import AimdController, ConstantRateController, VegasController
 from .controller import IrisController, IrisParams
 from .feedback import EpochFeedback, RateController
-from .scenario import FlowSpec, LinkConfig, Scenario, ScenarioError, _integer, _number
+from .scenario import FlowSpec, LinkConfig, Scenario, ScenarioError, _number
 from .trace import FlowTotals, FlowTrace, TraceRow
 from .units import mbps_to_pkts_per_ms
 
@@ -193,22 +193,12 @@ class _FlowRuntime:
             totals.delivered += 1
 
 
-_WHOLE_PARAMS = frozenset({"history_cap", "min_fit_samples", "cold_fit_samples"})
-
-
 def _checked_params(params: dict, allowed: set[str], prefix: str) -> dict:
-    """Reject unknown names and values that are not numbers; the
-    whole-number parameters become ints."""
+    """Reject unknown names and values that are not numbers."""
     unknown = set(params) - allowed
     if unknown:
         raise ScenarioError(f"{prefix}.{sorted(unknown)[0]}", "unknown parameter")
-    checked = {}
-    for name, value in params.items():
-        if name in _WHOLE_PARAMS:
-            checked[name] = _integer(value, f"{prefix}.{name}")
-        else:
-            checked[name] = _number(value, f"{prefix}.{name}")
-    return checked
+    return {name: _number(value, f"{prefix}.{name}") for name, value in params.items()}
 
 
 def _construct(cls, kwargs: dict, prefix: str):

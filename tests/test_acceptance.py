@@ -11,7 +11,7 @@ import random
 import statistics
 
 from conftest import ACCEPTANCE_LINES, flow, make_link, scenario
-from iriscc.controller import Phase, expected_rtt_variation
+from iriscc.controller import K_MIN, Phase, expected_rtt_variation
 from iriscc.metrics import (
     convergence_time,
     mean_throughput,
@@ -236,7 +236,7 @@ def test_10_startup_doubles_then_switches_to_learned_slope():
           and exit_ms < 1000.0
           and ctrl.state.phase is Phase.STEADY
           and fit is not None
-          and ctrl.state.k >= ctrl.params.k_min)
+          and ctrl.state.k >= K_MIN)
     assert verdict(10, "startup-ramp", ok,
                    f"{doublings} clean doublings, handoff at {exit_ms:.0f} ms < 1000, "
                    f"slope {ctrl.state.k:.1f}, settled util {util:.3f}")

@@ -14,6 +14,9 @@ from hypothesis import strategies as st
 
 from conftest import feedback
 from iriscc.controller import (
+    EXCITATION_FLOOR,
+    K_MIN,
+    RATE_CEILING,
     IrisController,
     IrisParams,
     Phase,
@@ -281,34 +284,37 @@ def test_slope_refit_rejects_weak_correlation():
     assert state.applied_fits == []
 
 
-def _excitation_window():
+def _excitation_window(spread):
     # Eleven steady epochs, the first without an RTT change and with a
     # higher send rate, so the mean over all records differs from the
     # mean over the fitted ones; the RTT follows the overshoot with
-    # slope 2.  Returns the records and the window's relative spread:
-    # population deviation of the overshoots over the mean send rate of
-    # every record.
-    diffs = [0.3, -0.1, 0.25, -0.4, 0.05, 0.35, -0.2, 0.15, -0.3, 0.1]
+    # slope 2.  The overshoots are scaled so that the window's relative
+    # spread, the population deviation of the overshoots over the mean
+    # send rate of every record, is ``spread``.
+    base = [0.3, -0.1, 0.25, -0.4, 0.05, 0.35, -0.2, 0.15, -0.3, 0.1]
+    # spread = c * pstdev(base) / ((3 + 10 + c * sum(base)) / 11), solved for c
+    scale = 13.0 * spread / (11.0 * statistics.pstdev(base) - spread * math.fsum(base))
     records = [feedback(index=0, send=3.0, recv=3.0, rtt=50.0, end=50.0)]
     rtt = 50.0
-    for i, diff in enumerate(diffs, start=1):
+    for i, diff in enumerate((scale * d for d in base), start=1):
         rtt += 2.0 * diff
         records.append(feedback(index=i, send=1.0 + diff, recv=1.0, rtt=rtt,
                                 delta=2.0 * diff, end=50.0 * (i + 1)))
     overshoots = [fb.send_rate - fb.recv_rate for fb in records[1:]]
-    spread = statistics.pstdev(overshoots) / statistics.fmean(fb.send_rate for fb in records)
-    return records, spread
+    assert (statistics.pstdev(overshoots) / statistics.fmean(fb.send_rate for fb in records)
+            == pytest.approx(spread, rel=1e-12))
+    return records
 
 
 @pytest.mark.parametrize("floor_scale, adopted", [(1.0 - 1e-9, True), (1.0 + 1e-9, False)])
 def test_slope_refit_excitation_gate_at_its_floor(floor_scale, adopted):
-    # A floor just below the window's relative spread adopts the fit and
-    # one just above rejects it.  The sample deviation (about 5% larger
-    # with 10 samples) or a mean over the fitted records only (lower,
-    # because the first record sends the most) would adopt both.
-    records, spread = _excitation_window()
-    state = steady_state(min_fit_samples=len(records) - 1,
-                         excitation_floor=spread * floor_scale)
+    # A window whose relative spread sits just above the floor adopts
+    # the fit and one just below rejects it.  The sample deviation
+    # (about 5% larger with 10 samples) or a mean over the fitted
+    # records only (lower, because the first record sends the most)
+    # would adopt both.  Ten fitted records meet MIN_FIT_SAMPLES exactly.
+    records = _excitation_window(EXCITATION_FLOOR / floor_scale)
+    state = steady_state()
     state.rtt_samples.append((0.0, 50.0))
     for fb in records:
         on_epoch_end(state, fb, fb.end)
@@ -328,21 +334,27 @@ def test_cold_ramp_doubles_every_epoch():
     assert state.phase is Phase.COLD_START
 
 
+def cold_state(rate):
+    state = new_state()
+    state.current_rate = rate
+    return state
+
+
 def test_cold_ramp_caps_at_ceiling_then_exits():
-    state = new_state(IrisParams(initial_rate=0.4, rate_ceiling=1.0))
+    state = cold_state(0.4 * RATE_CEILING)
     cold_start_step(state, NOTHING_SENT, 50.0)
-    assert state.current_rate == pytest.approx(0.8)
+    assert state.current_rate == pytest.approx(0.8 * RATE_CEILING)
     cold_start_step(state, NOTHING_SENT, 100.0)
-    assert state.current_rate == 1.0
+    assert state.current_rate == RATE_CEILING
     cold_start_step(state, NOTHING_SENT, 150.0)
     assert state.phase is Phase.STEADY
-    assert state.k == state.params.k_min  # no data: conservative slope
+    assert state.k == K_MIN  # no data: conservative slope
 
 
 def test_cold_ceiling_exit_installs_plain_fit_of_quiet_ramp():
     # A quiet ramp history: the gate rejects it at a loss burst, but the
     # rate ceiling forces the exit with its ordinary least-squares fit.
-    state = new_state(IrisParams(initial_rate=1.0, rate_ceiling=4.0))
+    state = new_state()
     xs, ys = [], []
     now = 0.0
     for i in range(10):
@@ -354,11 +366,11 @@ def test_cold_ceiling_exit_installs_plain_fit_of_quiet_ramp():
         fb = feedback(index=i, send=1.0 + diff, recv=1.0, rtt=50.0, delta=delta, end=now)
         state.history.append(fb)
         state.rtt_samples.append((now, fb.mean_rtt))
-    state.current_rate = 1.0
+    state.current_rate = RATE_CEILING / 2.0
     now += 50.0
     cold_start_step(state, feedback(index=10, end=now, dropped=30, measured=False), now)
     assert state.phase is Phase.COLD_START and state.applied_fits == []  # gate rejected
-    for _ in range(4):  # 0.5 -> 1 -> 2 -> 4, then the exit at the ceiling
+    for _ in range(3):  # a quarter -> half -> all of the ceiling, then the exit there
         now += 50.0
         cold_start_step(state, NOTHING_SENT, now)
     assert state.phase is Phase.STEADY
@@ -374,14 +386,14 @@ def test_cold_ceiling_exit_installs_plain_fit_of_quiet_ramp():
 
 
 def test_cold_backoff_on_early_loss_burst():
-    state = new_state(IrisParams(initial_rate=1.0))
+    state = cold_state(1.0)
     entry = cold_start_step(state, feedback(send=1.0, recv=0.5, rtt=60.0, dropped=25), 50.0)
     assert entry.rate == pytest.approx(0.5)
     assert state.phase is Phase.COLD_START
 
 
 def test_cold_ignores_steady_background_loss():
-    state = new_state(IrisParams(initial_rate=1.0))
+    state = cold_state(1.0)
     entry = cold_start_step(state, feedback(send=1.0, recv=0.98, rtt=50.0, dropped=1), 50.0)
     assert entry.rate == pytest.approx(2.0)  # 2% loss
     entry = cold_start_step(
@@ -393,7 +405,7 @@ def test_cold_ignores_steady_background_loss():
 
 
 def test_cold_saturated_loss_keeps_backing_off():
-    state = new_state(IrisParams(initial_rate=8.0))
+    state = cold_state(8.0)
     cold_start_step(state, feedback(send=8.0, recv=0.5, rtt=90.0, dropped=45), 50.0)
     assert state.current_rate == pytest.approx(4.0)
     # No epoch-over-epoch jump, but the rate is pinned at severe loss:
@@ -406,7 +418,7 @@ def test_cold_saturated_loss_keeps_backing_off():
 
 def test_cold_exit_requires_informative_history():
     # Plenty of samples, but all quiet: a burst must back off, not exit.
-    state = new_state(IrisParams(initial_rate=1.0))
+    state = new_state()
     now = 0.0
     for i in range(10):
         now += 50.0
@@ -423,7 +435,7 @@ def test_cold_exit_requires_informative_history():
 
 
 def test_cold_exit_fits_slope_from_ramp():
-    state = new_state(IrisParams(initial_rate=0.1))
+    state = cold_state(0.1)
     now = 0.0
     rtt = 50.0
     last = None
@@ -446,7 +458,7 @@ def test_cold_exit_fits_slope_from_ramp():
     assert state.phase is Phase.STEADY
     assert state.k == pytest.approx(24.0, rel=0.2)
     # The exit step is logged as cold start, with the slope it started from.
-    assert entry.phase is Phase.COLD_START and entry.k == state.params.k_min
+    assert entry.phase is Phase.COLD_START and entry.k == K_MIN
     assert state.current_rate == pytest.approx(2.0)  # lands on the receiving rate
     assert len(state.applied_fits) == 1
 
@@ -468,24 +480,13 @@ def test_feedback_rejects_bad_values():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"epoch_len": 0.0},
-    {"k_min": -1.0},
-    {"history_cap": 1},
-    {"min_fit_samples": 1},
-    {"min_fit_plcc": 1.0},
-    {"excitation_floor": -0.1},
-    {"contraction_cap": 1.0},
-    {"cold_loss_threshold": 1.0},
-    {"cold_loss_jump": -0.01},
-    {"cold_loss_severe": 0.0},
-    {"cold_backoff": 1.0},
-    {"cold_fit_samples": 1},
-    {"history_cap": math.nan},
-    {"min_fit_samples": math.nan},
-    {"cold_fit_samples": math.nan},
-    {"history_cap": 2.5},
-    {"min_fit_samples": 2.5},
-    {"cold_fit_samples": 2.5},
+    *({name: value}
+      for name in ("epoch_len", "queue_load_target", "objective_scale", "rtt_step_bound")
+      for value in (0.0, math.nan, math.inf)),
+    # Infinity reads as "never" for these two, so only minus infinity is out.
+    *({name: value}
+      for name in ("k_update_period", "rtt_window")
+      for value in (0.0, math.nan, -math.inf)),
 ])
 def test_params_validation(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):

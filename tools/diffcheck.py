@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -39,18 +40,26 @@ PARTS = ("trace_csv", "totals", "decisions", "applied_fits", "metrics")
 PATHS = ("cold start", "steady", "hold")  # of an iris decision
 
 
+def _on_grid(rng: random.Random, low: float, high: float) -> float:
+    """A multiple of 5 ms in ``[low, high]``.  Delays, epochs and start
+    times on one grid make an ACK that lands exactly on an epoch timer
+    common, so a change in tie order shows."""
+    return 5.0 * rng.randint(math.ceil(low / 5.0), math.floor(high / 5.0))
+
+
+def _delay(rng: random.Random) -> float:
+    return rng.choice((rng.uniform(2.0, 60.0), _on_grid(rng, 5.0, 60.0)))
+
+
 def _random_flow(rng: random.Random, duration: float, max_capacity: float) -> dict:
     kind = rng.choice(("iris", "iris", "aimd", "vegas", "constant"))
-    params: dict = {"epoch_len": rng.choice((20.0, 50.0, rng.uniform(10.0, 100.0)))}
+    params: dict = {"epoch_len": rng.choice((20.0, 50.0, rng.uniform(10.0, 100.0),
+                                             _on_grid(rng, 10.0, 100.0)))}
     if kind == "iris" and rng.random() < 0.5:
-        # Short histories and re-fit periods, so that short runs re-fit.
+        # Short re-fit periods and RTT windows, so that short runs re-fit.
         params.update(
-            history_cap=rng.randint(2, 60),
             k_update_period=rng.uniform(100.0, 2000.0),
-            min_fit_samples=rng.randint(2, 12),
-            cold_fit_samples=rng.randint(2, 12),
             rtt_window=rng.uniform(200.0, 10_000.0),
-            excitation_floor=rng.uniform(0.0, 0.2),
         )
     elif kind == "aimd":
         params["initial_cwnd"] = rng.uniform(1.0, 20.0)
@@ -60,10 +69,11 @@ def _random_flow(rng: random.Random, duration: float, max_capacity: float) -> di
     elif kind == "constant":
         params["rate"] = rng.uniform(0.01, 2.0 * max_capacity)
     flow = {"controller": kind,
-            "start_ms": rng.choice((0.0, rng.uniform(0.0, duration / 2.0))),
+            "start_ms": rng.choice((0.0, rng.uniform(0.0, duration / 2.0),
+                                    _on_grid(rng, 0.0, duration / 2.0))),
             "params": params}
     if rng.random() < 0.3:
-        flow["prop_delay_ms"] = rng.uniform(2.0, 60.0)
+        flow["prop_delay_ms"] = _delay(rng)
     return flow
 
 
@@ -73,7 +83,8 @@ def random_scenario(rng: random.Random, max_duration: float = 2000.0) -> dict:
     Runs of 0.2 s to ``max_duration`` ms; a capacity schedule with up to
     four changes 0.5-500 ms apart, down to 0.001 packets/ms; one to
     three flows of mixed controllers with varied epochs, start times and
-    delays; random loss up to 50%; queues of 1-104 packets.
+    delays, each sometimes on a 5 ms grid; random loss up to 50%; queues
+    of 1-104 packets.
     """
     duration = rng.uniform(200.0, max_duration)
     schedule = [[0.0, rng.uniform(0.05, 2.0)]]
@@ -82,7 +93,7 @@ def random_scenario(rng: random.Random, max_duration: float = 2000.0) -> dict:
         schedule.append([schedule[-1][0] + step, rng.choice((0.001, rng.uniform(0.05, 2.0)))])
     link = {
         "bandwidth_schedule": schedule,
-        "prop_delay_ms": rng.uniform(2.0, 60.0),
+        "prop_delay_ms": _delay(rng),
         "queue_capacity_pkts": rng.randint(1, 104),
         "random_loss": rng.choice((0.0, 0.0, rng.uniform(0.0, 0.1), rng.uniform(0.0, 0.5))),
         "seed": rng.randrange(1000),
