@@ -301,7 +301,7 @@ def _log_entry(state: IrisState, fb: EpochFeedback, now: float, phase: Phase, k:
         target_delay=state.target_delay,
         objective=objective,
         rtt_step=rtt_step,
-        recv_rate=fb.recv_rate if fb.measured else None,
+        recv_rate=fb.recv_rate,
         contraction=contraction,
     )
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 
 @dataclass(frozen=True)
@@ -20,9 +20,9 @@ class EpochFeedback:
     """Measurement summary for one finished sender epoch.
 
     An epoch is :attr:`measured` when an ACK came back; otherwise
-    (nothing was sent, or every packet was lost) ``mean_rtt`` and
-    ``delta_rtt`` are None and ``recv_rate`` repeats the last known
-    estimate.
+    (nothing was sent, or every packet was lost) it carries no receive
+    estimate or RTT: ``recv_rate``, ``mean_rtt`` and ``delta_rtt`` are
+    None.
     """
 
     index: int
@@ -31,12 +31,14 @@ class EpochFeedback:
     sent: int
     acked: int
     dropped: int
-    recv_rate: float        # estimated receiving rate, packets/ms
+    recv_rate: float | None # estimated receiving rate, packets/ms
     mean_rtt: float | None  # mean RTT over this epoch's ACKed packets, ms
     delta_rtt: float | None # mean_rtt minus previous measured epoch's, ms
 
     def __post_init__(self) -> None:
-        if self.send_rate < 0 or self.recv_rate < 0:
+        if self.measured != (self.recv_rate is not None):
+            raise ValueError(f"recv_rate must be None exactly when no ACK came back, got {self.recv_rate}")
+        if self.send_rate < 0 or (self.measured and not self.recv_rate >= 0):
             raise ValueError(f"rates must be non-negative: {self.send_rate}, {self.recv_rate}")
         if self.measured and not (math.isfinite(self.mean_rtt) and self.mean_rtt > 0):
             raise ValueError(f"mean_rtt must be positive and finite, got {self.mean_rtt}")
@@ -50,7 +52,6 @@ class EpochFeedback:
         return self.dropped / self.sent if self.sent else 0.0
 
 
-@runtime_checkable
 class RateController(Protocol):
     """What the simulator needs from any congestion controller."""
 

@@ -108,23 +108,6 @@ def _sustained_start(series: Sequence[tuple[float, float | None]], after: float,
     return None
 
 
-def convergence_time(
-    traces: Sequence[FlowTrace],
-    duration: float,
-    after: float = 0.0,
-    threshold: float = DEFAULT_THRESHOLD,
-    sustain: float = DEFAULT_SUSTAIN,
-    window: float = DEFAULT_WINDOW,
-    grid: float = DEFAULT_GRID,
-    starts: Sequence[float] | None = None,
-) -> float | None:
-    """Earliest time >= ``after`` from which the fairness index stays
-    above ``threshold`` for at least ``sustain`` ms.  None if that never
-    happens within the trace (including when flows stay starved)."""
-    series = jain_series(traces, duration, window, grid, starts)
-    return _sustained_start(series, after, threshold, sustain, grid)
-
-
 def stability(traces: Sequence[FlowTrace], t0: float) -> float | None:
     """Mean per-flow standard deviation of epoch throughput after t0.
 
@@ -192,6 +175,9 @@ def fairness_report(
     grid: float = DEFAULT_GRID,
     starts: Sequence[float] | None = None,
 ) -> FairnessReport:
+    """Fairness summary.  Convergence is the earliest grid point >= ``after``
+    from which the Jain index stays above ``threshold`` for ``sustain`` ms;
+    None if that never happens within the trace (flows starved included)."""
     series = jain_series(traces, duration, window, grid, starts)
     converged = _sustained_start(series, after, threshold, sustain, grid)
     values = [v for t, v in series if t >= after and v is not None]

@@ -6,9 +6,9 @@ ideal reverse path (no queueing, no loss).  Serialization occupies the
 server but is not added to a packet's own latency, so an unqueued
 packet measures exactly its two-way propagation delay.
 
-Two event kinds go through one heap, queue arrivals before epoch
-timers at equal timestamps, with flow id and packet id as further
-tie-breakers, and the only randomness is a seeded Bernoulli draw per
+Two event kinds go through one heap as ``(time, kind, flow id)``:
+queue arrivals come before epoch timers at equal timestamps, then lower
+flow ids first, and the only randomness is a seeded Bernoulli draw per
 arrival for random loss — so a scenario is a pure function of its
 description and seed, and equal seeds give byte-identical traces.
 Departures need no events: the capacity schedule is known in advance,
@@ -29,9 +29,10 @@ a flow's timer takes in every ACK up to and including its own instant
 (an ACK precedes a timer at the same instant), as does the end of the
 run.  Only the flow's own timer reads what its ACKs tally.
 
-Each flow tallies its packets per sender epoch.  At every epoch timer
-the closed epochs whose packets have all been ACKed or dropped are
-summarized in index order, each into one
+Each flow tallies its packets per sender epoch, in a FIFO with the open
+epoch last; a pending ACK points at its own epoch's tally.  At every
+epoch timer the closed epochs whose packets have all been ACKed or
+dropped are summarized from the front of the FIFO, each into one
 :class:`~iriscc.feedback.EpochFeedback` that goes to the controller and
 one trace row.  A flow's ACKs return in send order, so measured epochs
 resolve in index order anyway; only an all-dropped epoch can resolve
@@ -59,8 +60,8 @@ from .units import mbps_to_pkts_per_ms
 _MAX_EMISSIONS_PER_EPOCH = 1_000_000  # guard against runaway controllers
 
 
-# Event kinds, the second field of every heap key: at equal timestamps
-# queue arrivals come before epoch timers.
+# Event kinds, the middle field of every heap event: at equal
+# timestamps queue arrivals come before epoch timers.
 _ARRIVAL = 0
 _TIMER = 1
 
@@ -170,23 +171,19 @@ class _FlowRuntime:
     interval: float = 0.0        # pacing gap of the open epoch
     window_end: float = 0.0      # end of the open epoch
     last_emit: float | None = None
-    packet_seq: int = 0
-    accums: dict = field(default_factory=dict)  # epoch index -> _EpochAccum
-    acks: deque = field(default_factory=deque)  # (ack time, epoch index, send time), in send order
-    next_release: int = 0
+    epochs: deque = field(default_factory=deque)  # unreleased _EpochAccum tallies, open one last
+    acks: deque = field(default_factory=deque)    # (ack time, epoch tally, send time), in send order
+    next_release: int = 0                 # index of the epoch at the front of ``epochs``
     last_meas_ack: float | None = None    # last ACK time of the last measured epoch
     prev_mean_rtt: float | None = None
-    prev_recv: float | None = None
     trace: FlowTrace = None  # type: ignore[assignment]
 
     def take_acks(self, now: float) -> None:
         """Tally the ACKs due by ``now``, inclusive, in send order."""
         acks = self.acks
-        accums = self.accums
         totals = self.trace.totals
         while acks and acks[0][0] <= now:
-            ack_time, epoch_idx, send_time = acks.popleft()
-            acc: _EpochAccum = accums[epoch_idx]
+            ack_time, acc, send_time = acks.popleft()
             acc.acked += 1
             acc.rtt_sum += ack_time - send_time
             acc.last_ack = ack_time
@@ -262,7 +259,7 @@ class Simulation:
             flow.trace = FlowTrace(flow_id=i, kind=spec.controller, totals=FlowTotals())
             self.flows.append(flow)
             if spec.start_time <= scenario.duration:
-                heapq.heappush(self._heap, (spec.start_time, _TIMER, i, 0, 0))
+                heapq.heappush(self._heap, (spec.start_time, _TIMER, i))
         self._ran = False
 
     @property
@@ -271,20 +268,20 @@ class Simulation:
 
     # -- event handlers -----------------------------------------------------
     #
-    # A heap key is (time, kind, flow id, packet id, epoch index); a
-    # timer's packet id is 0, since a flow has one pending timer.
+    # A heap event is (time, kind, flow id).  A flow has at most one
+    # pending arrival and one pending timer, so no two events tie, and
+    # an arrival always belongs to its flow's open epoch.
 
-    def _on_arrive(self, now: float, flow_id: int, packet_id: int, epoch_idx: int) -> None:
+    def _on_arrive(self, now: float, flow_id: int) -> None:
         flow = self.flows[flow_id]
-        acc: _EpochAccum = flow.accums[epoch_idx]
+        acc: _EpochAccum = flow.epochs[-1]
         if acc.planned >= _MAX_EMISSIONS_PER_EPOCH:
             raise RuntimeError(f"flow {flow_id} emission rate exploded ({flow.rate}/ms)")
         acc.planned += 1
-        flow.packet_seq = packet_id + 1
         flow.last_emit = now
         next_emit = now + flow.interval  # the epoch's next packet, if any
         if next_emit < flow.window_end:
-            heapq.heappush(self._heap, (next_emit, _ARRIVAL, flow_id, packet_id + 1, epoch_idx))
+            heapq.heappush(self._heap, (next_emit, _ARRIVAL, flow_id))
         queue = self.queue
         occupancy = queue.occupancy(now)
         acc.occ_sum += occupancy
@@ -292,7 +289,7 @@ class Simulation:
         totals.sent += 1
         result, service_start = queue.enqueue(now, occupancy)
         if service_start is not None:
-            flow.acks.append((service_start + flow.rtprop, epoch_idx, now))
+            flow.acks.append((service_start + flow.rtprop, acc, now))
             return
         if result is EnqueueResult.DROPPED_RANDOM:
             totals.dropped_random += 1
@@ -300,7 +297,7 @@ class Simulation:
             totals.dropped_overflow += 1
         acc.dropped += 1
 
-    def _on_timer(self, now: float, flow_id: int, epoch_idx: int) -> None:
+    def _on_timer(self, now: float, flow_id: int) -> None:
         # This instant's departures and this flow's ACKs precede the
         # timer; the departures also precede the arrivals it emits now.
         self.queue.retire_through(now)
@@ -308,13 +305,13 @@ class Simulation:
         flow.take_acks(now)
         self._release(flow, now)
         flow.interval = interval = 1.0 / flow.rate
-        flow.accums[epoch_idx] = _EpochAccum()
+        flow.epochs.append(_EpochAccum())
         flow.window_end = window_end = now + flow.epoch_len
         first = now if flow.last_emit is None else max(now, flow.last_emit + interval)
         if first < window_end:
-            heapq.heappush(self._heap, (first, _ARRIVAL, flow_id, flow.packet_seq, epoch_idx))
+            heapq.heappush(self._heap, (first, _ARRIVAL, flow_id))
         if window_end <= self.scenario.duration:
-            heapq.heappush(self._heap, (window_end, _TIMER, flow_id, 0, epoch_idx + 1))
+            heapq.heappush(self._heap, (window_end, _TIMER, flow_id))
 
     # -- epoch accounting ---------------------------------------------------
 
@@ -323,17 +320,18 @@ class Simulation:
 
         Each one becomes an :class:`EpochFeedback`, goes to the
         controller (unless ``decide`` is False) and adds a trace row.
-        Every accumulator present must be a closed epoch: a timer
+        Every tally in the FIFO must be a closed epoch: a timer
         releases before it opens the next epoch, and the end of the run
         drops the open one first.
         """
         epoch_len = flow.epoch_len
-        while True:
-            index = flow.next_release
-            acc = flow.accums.get(index)
-            if acc is None or acc.acked + acc.dropped < acc.planned:
+        epochs = flow.epochs
+        while epochs:
+            acc = epochs[0]
+            if acc.acked + acc.dropped < acc.planned:
                 return
-            del flow.accums[index]
+            epochs.popleft()
+            index = flow.next_release
             flow.next_release = index + 1
             send_rate = acc.planned / epoch_len
             if acc.acked > 0:
@@ -346,10 +344,8 @@ class Simulation:
                 delta = None if flow.prev_mean_rtt is None else mean_rtt - flow.prev_mean_rtt
                 flow.last_meas_ack = acc.last_ack
                 flow.prev_mean_rtt = mean_rtt
-                flow.prev_recv = recv
             else:
-                mean_rtt = delta = None
-                recv = flow.prev_recv if flow.prev_recv is not None else 0.0
+                mean_rtt = delta = recv = None
             fb = EpochFeedback(
                 index=index,
                 end=(flow.spec.start_time + index * epoch_len) + epoch_len,
@@ -384,18 +380,18 @@ class Simulation:
         heap = self._heap
         on_arrive = self._on_arrive
         while heap:
-            now, kind, flow_id, packet_id, epoch_idx = heapq.heappop(heap)
+            now, kind, flow_id = heapq.heappop(heap)
             if now > duration:
                 break
             if kind == _ARRIVAL:
-                on_arrive(now, flow_id, packet_id, epoch_idx)
+                on_arrive(now, flow_id)
             else:
-                self._on_timer(now, flow_id, epoch_idx)
+                self._on_timer(now, flow_id)
         for flow in self.flows:
             flow.take_acks(duration)
             flow.trace.totals.in_flight = len(flow.acks)
-            if flow.accums:
-                flow.accums.popitem()  # the newest epoch is still open
+            if flow.epochs:
+                flow.epochs.pop()  # the newest epoch is still open
             self._release(flow, duration, decide=False)
         return [flow.trace for flow in self.flows]
 

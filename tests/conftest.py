@@ -44,9 +44,10 @@ def feedback(index: int = 0, send: float = 1.0, recv: float = 1.0, rtt: float = 
              acked: int | None = None, dropped: int = 0,
              measured: bool = True) -> EpochFeedback:
     """One epoch's feedback; ``acked`` defaults to the packets not
-    dropped (none when unmeasured), and an unmeasured epoch has no RTT."""
+    dropped (none when unmeasured), and an unmeasured epoch has no
+    receive estimate or RTT."""
     if acked is None:
         acked = sent - dropped if measured else 0
     return EpochFeedback(index=index, end=end, send_rate=send, sent=sent, acked=acked,
-                         dropped=dropped, recv_rate=recv,
+                         dropped=dropped, recv_rate=recv if measured else None,
                          mean_rtt=rtt if measured else None, delta_rtt=delta)

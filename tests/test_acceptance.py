@@ -13,7 +13,7 @@ import statistics
 from conftest import ACCEPTANCE_LINES, flow, make_link, scenario
 from iriscc.controller import K_MIN, Phase, expected_rtt_variation
 from iriscc.metrics import (
-    convergence_time,
+    fairness_report,
     mean_throughput,
     utilization,
     window_throughput,
@@ -66,7 +66,7 @@ def test_03_staggered_flows_reach_fair_shares():
     starts = [0.0, 5000.0, 10_000.0]
     traces = run_scenario(scenario(
         make_link(), [flow("iris", start=s) for s in starts], 30_000.0))
-    tconv = convergence_time(traces, 30_000.0, after=starts[-1], starts=starts)
+    tconv = fairness_report(traces, 30_000.0, after=starts[-1], starts=starts).convergence_time
     ok = tconv is not None and tconv - starts[-1] <= 15_000.0
     detail = ("never converged" if tconv is None
               else f"fair after {(tconv - starts[-1]) / 1000.0:.2f} s <= 15 s")

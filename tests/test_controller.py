@@ -7,6 +7,7 @@ implementation under test.
 
 import math
 import statistics
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -476,7 +477,17 @@ def test_feedback_rejects_bad_values():
         feedback(recv=-1.0)
     with pytest.raises(ValueError):
         feedback(rtt=math.inf)
-    assert feedback(sent=0, measured=False).mean_rtt is None  # unmeasured: no RTT needed
+    with pytest.raises(ValueError):
+        feedback(recv=math.nan)
+    # A receive estimate exists exactly when an ACK came back.
+    with pytest.raises(ValueError, match="recv_rate"):
+        feedback(recv=None)
+    unmeasured = feedback(sent=0, measured=False)
+    assert unmeasured.mean_rtt is None and unmeasured.recv_rate is None
+    with pytest.raises(ValueError, match="recv_rate"):
+        replace(unmeasured, recv_rate=1.0)
+    with pytest.raises(ValueError, match="recv_rate"):
+        replace(unmeasured, recv_rate=0.0)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -9,7 +9,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from iriscc.metrics import (
-    convergence_time,
     fairness_report,
     jain_index,
     jain_series,
@@ -137,27 +136,27 @@ def test_convergence_time_closed_form():
     # reaches 0.55 once 11 of the 20 rows in the trailing second lie
     # past the join at t=2000 - first true at t = 2550.
     traces = staggered_pair()
-    assert convergence_time(traces, 10_000.0, starts=[0.0, 0.0]) == 2550.0
+    assert fairness_report(traces, 10_000.0, starts=[0.0, 0.0]).convergence_time == 2550.0
 
 
 def test_convergence_requires_sustained_fairness():
     # Same pair, but the run after 2550 is shorter than the sustain
     # requirement: no convergence verdict.
     traces = staggered_pair(duration=5000.0)
-    assert convergence_time(traces, 5000.0, starts=[0.0, 0.0]) is None
+    assert fairness_report(traces, 5000.0, starts=[0.0, 0.0]).convergence_time is None
 
 
 def test_convergence_none_when_starved():
     steps = 200
     a = make_trace([1.0] * steps)
     b = make_trace([0.0] * steps, flow_id=1)
-    assert convergence_time([a, b], 10_000.0, starts=[0.0, 0.0]) is None
+    assert fairness_report([a, b], 10_000.0, starts=[0.0, 0.0]).convergence_time is None
 
 
 def test_convergence_respects_after_bound():
     traces = staggered_pair()
-    assert convergence_time(traces, 10_000.0, after=3000.0,
-                            starts=[0.0, 0.0]) == 3000.0
+    report = fairness_report(traces, 10_000.0, after=3000.0, starts=[0.0, 0.0])
+    assert report.convergence_time == 3000.0
 
 
 def test_fairness_report_on_staggered_pair():

@@ -373,11 +373,12 @@ class RecordingController:
         return self.inner.on_epoch(feedback, now)
 
 
-def test_dropped_epochs_released_after_their_predecessor_repeat_its_estimate():
+def test_dropped_epochs_released_after_their_predecessor_carry_no_receive_estimate():
     # The link nearly stops at 1000 ms: epoch 20's four admitted packets
     # drain for two seconds while epochs 21-25 are dropped whole, so
-    # those resolve first.  Released in index order, they repeat epoch
-    # 20's receive estimate, the last one known.
+    # those resolve first.  They are released in index order, at the
+    # same instant as epoch 20, and with nothing ACKed they carry no
+    # receive estimate.
     sc = scenario(make_link(sched=((0.0, 2.0), (1000.0, 0.001)), queue=3),
                   [flow("constant", rate=0.1)], 4000.0)
     sim = Simulation(sc)
@@ -393,7 +394,7 @@ def test_dropped_epochs_released_after_their_predecessor_repeat_its_estimate():
         fb, now = by_index[index]
         assert not fb.measured and fb.dropped == fb.sent > 0
         assert now == released
-        assert fb.recv_rate == epoch20.recv_rate
+        assert fb.recv_rate is None
 
 
 def test_ack_at_a_timer_instant_counts_at_that_timer():
