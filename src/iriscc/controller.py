@@ -46,6 +46,22 @@ MIN_FIT_PLCC = 0.2           # correlation a re-fit needs to be adopted
 EXCITATION_FLOOR = 0.05      # rate-excursion spread a window needs, relative
 CONTRACTION_CAP = 0.95       # loop-gain bound enforced per decision
 
+# The re-fit screen (see :func:`_screen_rejects`) reads running sums
+# over the history; it may only reject windows the exact gate rejects.
+# Between re-sums a running sum takes under 3 * HISTORY_CAP pushes and
+# evictions and a re-sum of at most HISTORY_CAP terms, each rounding a
+# partial sum of at most HISTORY_CAP terms by 2**-53.  So it is off the
+# exact sum of its terms by at most 4 * HISTORY_CAP**2 * 2**-53 = 4.4e-10
+# times its largest term; SUM_DRIFT rounds that up.
+SUM_DRIFT = 1e-9
+# A centred sum is then off by at most 3 * SUM_DRIFT times the largest
+# squared term, so above SCREEN_CONDITION times it, it is good to 0.3%.
+SCREEN_CONDITION = 1000 * SUM_DRIFT
+# Centred sums good to 0.3% move the plcc estimate by under 0.01.
+SCREEN_PLCC_MARGIN = 0.05
+# ... and, with the send-rate sum, the excitation estimate by under 0.3%.
+SCREEN_EXCITATION_MARGIN = 0.1   # relative
+
 
 class Phase(Enum):
     COLD_START = "cold_start"
@@ -101,8 +117,81 @@ class DecisionLogEntry:
 
 
 @dataclass
+class WindowSums:
+    """Running sums over the records of ``IrisState.history``.
+
+    Over the records with an RTT change, where x is ``send_rate -
+    recv_rate`` and y is ``delta_rtt``: their count ``n`` and the sums
+    of x, y, x², y² and xy.  Over all records: the sum of
+    ``send_rate``.  ``max_x``, ``max_y`` and ``max_send`` are the
+    largest |x|, |y| and send rate the sums have held since they were
+    last re-summed, which bound their rounding (see ``SUM_DRIFT``).
+    """
+
+    n: int = 0
+    sx: float = 0.0
+    sy: float = 0.0
+    sxx: float = 0.0
+    syy: float = 0.0
+    sxy: float = 0.0
+    send: float = 0.0
+    max_x: float = 0.0
+    max_y: float = 0.0
+    max_send: float = 0.0
+    evictions: int = 0   # since the last re-sum
+
+    def add(self, fb: EpochFeedback) -> None:
+        send = fb.send_rate
+        self.send += send
+        if send > self.max_send:
+            self.max_send = send
+        y = fb.delta_rtt
+        if y is not None:
+            x = send - fb.recv_rate
+            self.n += 1
+            self.sx += x
+            self.sy += y
+            self.sxx += x * x
+            self.syy += y * y
+            self.sxy += x * y
+            if abs(x) > self.max_x:
+                self.max_x = abs(x)
+            if abs(y) > self.max_y:
+                self.max_y = abs(y)
+
+    def remove(self, fb: EpochFeedback) -> None:
+        self.send -= fb.send_rate
+        y = fb.delta_rtt
+        if y is not None:
+            x = fb.send_rate - fb.recv_rate
+            self.n -= 1
+            self.sx -= x
+            self.sy -= y
+            self.sxx -= x * x
+            self.syy -= y * y
+            self.sxy -= x * y
+        self.evictions += 1
+
+    @classmethod
+    def of(cls, records) -> WindowSums:
+        """Fresh sums over ``records``, free of the rounding of any that left."""
+        sums = cls()
+        for fb in records:
+            sums.add(fb)
+        return sums
+
+
+@dataclass
 class IrisState:
-    """Mutable controller state; create via :func:`new_state`."""
+    """Mutable controller state; create via :func:`new_state`.
+
+    ``history`` holds measured epochs in order of their ends, at most
+    ``HISTORY_CAP`` of them.  Each steady re-fit attempt first trims it
+    to the re-fit window, the records of the last ``k_update_period``;
+    cold start trims nothing.  ``sums`` follows it.  ``rtt_samples``
+    keeps only the samples that can still be a window minimum, each
+    below every later one.
+    """
 
     params: IrisParams
     phase: Phase
@@ -110,8 +199,9 @@ class IrisState:
     k: float
     target_delay: float | None = None
     target_stale_epochs: int = 0
-    rtt_samples: deque = field(default_factory=deque)   # (time, rtt)
+    rtt_samples: deque = field(default_factory=deque)   # (time, rtt), rtt increasing
     history: deque = field(default_factory=lambda: deque(maxlen=HISTORY_CAP))  # measured EpochFeedback
+    sums: WindowSums = field(default_factory=WindowSums)
     prev_loss_rate: float = 0.0
     applied_fits: list = field(default_factory=list)    # (time, RegressionFit)
 
@@ -208,7 +298,9 @@ def update_target_delay(state: IrisState, now: float) -> float | None:
     target_delay)`` counts this flow's queued packets.  Samples older
     than ``rtt_window`` are evicted.  If the window goes empty (a long
     stall), the previous target survives and a staleness counter is
-    bumped so callers can notice.
+    bumped so callers can notice.  The samples rise from oldest to
+    newest (see :func:`_record_measurement`), so the oldest is the
+    minimum.
     """
     window_start = now - state.params.rtt_window
     samples = state.rtt_samples
@@ -217,7 +309,7 @@ def update_target_delay(state: IrisState, now: float) -> float | None:
     if not samples:
         state.target_stale_epochs += 1
         return state.target_delay
-    target = min(rtt for _, rtt in samples)
+    target = samples[0][1]
     state.target_delay = target
     state.target_stale_epochs = 0
     return target
@@ -264,25 +356,86 @@ def _gated_fit(records, min_samples: int) -> RegressionFit | None:
     return fit
 
 
+def _screen_rejects(sums: WindowSums, records: int, min_samples: int) -> bool:
+    """Whether ``sums`` show that :func:`_gated_fit` rejects the
+    window of ``records`` records they sum.
+
+    Fewer than ``min_samples`` samples is exact.  Otherwise the window's
+    correlation and excitation are estimated from the centred sums and
+    rejected when they fall short of the gate by more than their
+    margins.  That is done only when the sums are finite, each centred
+    sum exceeds ``SCREEN_CONDITION`` times its largest squared term and
+    the send-rate sum that times its largest rate: there ``SUM_DRIFT``
+    keeps the estimates within the margins of the exact fit's values.
+    Every other window is left to the exact fit, so ``fit_k_b`` decides
+    each adopted fit.
+    """
+    n = sums.n
+    if n < min_samples:
+        return True
+    mx = sums.sx / n
+    cxx = sums.sxx - mx * sums.sx
+    cyy = sums.syy - sums.sy / n * sums.sy
+    cxy = sums.sxy - mx * sums.sy
+    if not (all(map(math.isfinite, (cxx, cyy, cxy, sums.send)))
+            and cxx > SCREEN_CONDITION * sums.max_x * sums.max_x
+            and cyy > SCREEN_CONDITION * sums.max_y * sums.max_y
+            and sums.send > SCREEN_CONDITION * sums.max_send):
+        return False
+    plcc = cxy / (math.sqrt(cxx) * math.sqrt(cyy))
+    excitation = math.sqrt(cxx / n) / (sums.send / records)
+    return (plcc < MIN_FIT_PLCC - SCREEN_PLCC_MARGIN
+            or excitation < EXCITATION_FLOOR * (1.0 - SCREEN_EXCITATION_MARGIN))
+
+
+def _screened_fit(state: IrisState, min_samples: int) -> RegressionFit | None:
+    """:func:`_gated_fit` of the history, unless the screen rejects it."""
+    if _screen_rejects(state.sums, len(state.history), min_samples):
+        return None
+    return _gated_fit(state.history, min_samples)
+
+
+def _evict_oldest(state: IrisState) -> None:
+    state.sums.remove(state.history.popleft())
+    if state.sums.evictions >= HISTORY_CAP:
+        state.sums = WindowSums.of(state.history)
+
+
 def _maybe_refit_k(state: IrisState, now: float) -> None:
     """Periodic slope re-fit over the most recent window of records.
 
-    Attempts the gate rejects do not advance the update clock, so the
-    fit retries every epoch and adopts as soon as an informative window
-    (a capacity change, a competing flow, a loss burst) shows up,
-    instead of waiting out another full period.
+    The history drops the records that ended before the last
+    ``k_update_period`` and is fitted whole.  Attempts the gate rejects
+    do not advance the update clock, so the fit retries every epoch and
+    adopts as soon as an informative window (a capacity change, a
+    competing flow, a loss burst) shows up, instead of waiting out
+    another full period.
     """
     params = state.params
     if now - state.last_k_update < params.k_update_period:
         return
     cutoff = now - params.k_update_period
-    recent = [fb for fb in state.history if fb.end >= cutoff]
-    _adopt_fit(state, _gated_fit(recent, MIN_FIT_SAMPLES), now)
+    history = state.history
+    while history and history[0].end < cutoff:
+        _evict_oldest(state)
+    _adopt_fit(state, _screened_fit(state, MIN_FIT_SAMPLES), now)
 
 
 def _record_measurement(state: IrisState, fb: EpochFeedback) -> None:
+    """Append a measured epoch to the history, its sums and the RTT samples.
+
+    A full history evicts its oldest record first.  The RTT samples
+    drop every sample at or above the new one, which outlives them in
+    any window, so the rest stay the candidates for its minimum.
+    """
+    if len(state.history) == HISTORY_CAP:
+        _evict_oldest(state)
     state.history.append(fb)
-    state.rtt_samples.append((fb.end, fb.mean_rtt))
+    state.sums.add(fb)
+    samples = state.rtt_samples
+    while samples and samples[-1][1] >= fb.mean_rtt:
+        samples.pop()
+    samples.append((fb.end, fb.mean_rtt))
 
 
 def _log_entry(state: IrisState, fb: EpochFeedback, now: float, phase: Phase, k: float,
@@ -386,7 +539,7 @@ def cold_start_step(state: IrisState, fb: EpochFeedback, now: float) -> Decision
     if state.current_rate >= RATE_CEILING:
         _exit_cold(state, fb, _plain_fit(state.history), now)
     elif loss_burst:
-        fit = _gated_fit(state.history, COLD_FIT_SAMPLES)
+        fit = _screened_fit(state, COLD_FIT_SAMPLES)
         if fit is not None:
             _exit_cold(state, fb, fit, now)
         else:

@@ -6,21 +6,31 @@ implementation under test.
 """
 
 import math
+import random
 import statistics
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import feedback
 from iriscc.controller import (
     EXCITATION_FLOOR,
+    HISTORY_CAP,
     K_MIN,
+    MIN_FIT_PLCC,
+    MIN_FIT_SAMPLES,
     RATE_CEILING,
+    SUM_DRIFT,
     IrisController,
     IrisParams,
     Phase,
+    _evict_oldest,
+    _gated_fit,
+    _maybe_refit_k,
+    _record_measurement,
+    _screen_rejects,
     cold_start_step,
     compute_objective,
     effective_slope,
@@ -176,6 +186,34 @@ def test_target_survives_empty_window_with_staleness():
     assert state.target_stale_epochs == 1
 
 
+@given(st.sampled_from([1.0, 120.0, 1000.0]),
+       st.lists(st.tuples(st.booleans(), st.sampled_from([40.0, 50.0, 50.0, 60.0, 75.0]),
+                          st.floats(0.0, 300.0)), max_size=60))
+def test_target_is_the_window_minimum_of_every_sample(rtt_window, steps):
+    # Each step closes a 50 ms epoch, released `lag` ms after its end but
+    # never before the previous release; a measured one records its RTT
+    # first.  RTTs repeat, and lags beyond a short window evict a sample
+    # on arrival.  The kept samples must give the minimum over every
+    # sample in the window, and the same staleness count.
+    state = new_state(IrisParams(rtt_window=rtt_window))
+    seen = []
+    target, stale = None, 0
+    now = 0.0
+    for i, (measured, rtt, lag) in enumerate(steps):
+        end = 50.0 * (i + 1)
+        now = max(now, end + lag)
+        if measured:
+            _record_measurement(state, feedback(index=i, rtt=rtt, end=end))
+            seen.append((end, rtt))
+        window = [r for t, r in seen if t >= now - rtt_window]
+        if window:
+            target, stale = min(window), 0
+        else:
+            stale += 1
+        assert update_target_delay(state, now) == target
+        assert state.target_stale_epochs == stale
+
+
 # --- steady-state step ---------------------------------------------------------
 
 def steady_state(**kwargs):
@@ -324,6 +362,165 @@ def test_slope_refit_excitation_gate_at_its_floor(floor_scale, adopted):
         assert state.k == pytest.approx(2.0, rel=1e-9)
 
 
+def test_history_is_bounded_by_its_cap_when_no_record_ages_out():
+    # With an infinite re-fit period the window never evicts by time;
+    # quiet epochs keep every attempt rejected, so the history would grow
+    # without the cap, which evicts the oldest record and its sums.
+    state = steady_state(k_update_period=math.inf)
+    for i in range(HISTORY_CAP + 50):
+        diff = 1e-4 if i % 2 else -1e-4
+        end = 50.0 * (i + 1)
+        on_epoch_end(state, feedback(index=i, send=1.0 + diff, recv=1.0,
+                                     delta=2.0 * diff if i % 3 else None, end=end), end)
+    assert state.applied_fits == []
+    assert len(state.history) == HISTORY_CAP
+    assert state.history[0].index == 50
+    assert state.sums.n == sum(fb.delta_rtt is not None for fb in state.history)
+    assert state.sums.send == pytest.approx(math.fsum(fb.send_rate for fb in state.history),
+                                            rel=1e-12)
+
+
+def _unit(values):
+    """``values`` centred and scaled to a population deviation of 1, or
+    None when they have no spread."""
+    mean = math.fsum(values) / len(values)
+    centred = [v - mean for v in values]
+    spread = math.sqrt(math.fsum(c * c for c in centred) / len(values))
+    return [c / spread for c in centred] if spread > 1e-3 else None
+
+
+@st.composite
+def screened_windows(draw):
+    """A state whose history is a re-fit window, built through the
+    controller's own pushes and evictions.
+
+    Its n overshoots x and RTT changes y are unit-spread shapes, shifted
+    by offsets of up to 1000 spreads (so the raw sums cancel when
+    centred) and scaled by 1e-150 to 1e150.  The correlation or the
+    excitation can sit at its gate threshold, within 1e-12; x or y can
+    be flat.  Up to three epochs carry no RTT change, and up to two
+    overshoots of up to 1e200 times the window's scale (whose squares
+    can overflow) pass through the sums before it.
+    """
+    n = draw(st.integers(MIN_FIT_SAMPLES - 1, 24))
+    unit = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
+    u = _unit(draw(unit)) or _unit([(-1.0) ** i + i / n for i in range(n)])
+    z = _unit(draw(unit)) or _unit([(-1.0) ** (i // 2) for i in range(n)])
+    shape = draw(st.sampled_from(("plcc edge", "excitation edge", "flat x", "flat y", "free")))
+    edge = draw(st.sampled_from((-1e-12, 0.0, 1e-12)))
+    if shape == "plcc edge":
+        along = math.fsum(a * b for a, b in zip(u, z)) / n
+        z = _unit([b - along * a for a, b in zip(u, z)])
+        assume(z is not None)
+        rho = MIN_FIT_PLCC + edge
+        x_unit, y_unit = u, [rho * a + math.sqrt(1.0 - rho * rho) * b for a, b in zip(u, z)]
+    elif shape == "excitation edge":
+        x_unit, y_unit = u, [a + 0.1 * b for a, b in zip(u, z)]
+    elif shape == "flat x":
+        x_unit, y_unit = [0.0] * n, z
+    elif shape == "flat y":
+        x_unit, y_unit = u, [0.0] * n
+    else:
+        x_unit, y_unit = u, z
+    scale_x = 10.0 ** draw(st.integers(-150, 150))
+    scale_y = 10.0 ** draw(st.integers(-150, 150))
+    # A negative mean overshoot keeps the excitation up.
+    offset_x = scale_x * draw(st.sampled_from((0.0, -1e2, -1e3)))
+    offset_y = scale_y * draw(st.sampled_from((0.0, 1e2, -1e3)))
+    xs = [offset_x + scale_x * a for a in x_unit]
+    ys = [offset_y + scale_y * b for b in y_unit]
+    plain = draw(st.integers(0, 3))  # epochs without an RTT change, overshooting by offset_x
+    lowest = -min(0.0, offset_x, *xs)  # receive rate that keeps every send rate non-negative
+    if shape == "excitation edge":
+        mean_send = statistics.pstdev(xs) / (EXCITATION_FLOOR * (1.0 + edge))
+        rate = mean_send - (math.fsum(xs) + plain * offset_x) / (n + plain)
+        assume(rate >= lowest)
+    else:
+        rate = lowest + scale_x * draw(st.floats(0.0, 4.0))
+    # From 1e4 to 1e16 times the scale, a transient's rounding in the
+    # squared sums is as large as the window's spread.
+    powers = st.one_of(st.integers(4, 16), st.integers(0, 200))
+    transients = [(scale_x * 10.0 ** k, scale_y * 10.0 ** k)
+                  for k in draw(st.lists(powers, max_size=2))]
+    state = new_state()
+    records = [*transients, *[(offset_x, None)] * plain, *zip(xs, ys)]
+    for i, (x, y) in enumerate(records):
+        _record_measurement(state, feedback(index=i, send=rate + x, recv=rate, delta=y,
+                                            end=50.0 * (i + 1)))
+    for _ in transients:
+        _evict_oldest(state)
+    return state
+
+
+@settings(max_examples=400)
+@given(screened_windows())
+def test_screen_rejects_only_windows_the_exact_gate_rejects(state):
+    if _screen_rejects(state.sums, len(state.history), MIN_FIT_SAMPLES):
+        assert _gated_fit(state.history, MIN_FIT_SAMPLES) is None
+
+
+def test_screen_stays_one_sided_after_an_overshoot_leaves():
+    # An overshoot of 1e6 to 1e9 leaves rounding in the squared sums
+    # about as large as the unit-spread window that follows it, while
+    # those sums are far from tiny: a guard relative to the raw sums
+    # would read them and reject windows the exact gate adopts.
+    rng = random.Random(3)
+    adopted = 0
+    for _ in range(1500):
+        state = new_state()
+        big = 10.0 ** rng.uniform(6.0, 9.0)
+        records = [(big, big)]
+        for _ in range(20):
+            x = rng.gauss(0.0, 1.0)
+            records.append((x, 0.5 * x + rng.gauss(0.0, 1.0)))
+        for i, (x, y) in enumerate(records):
+            _record_measurement(state, feedback(index=i, send=10.0 + x, recv=10.0, delta=y,
+                                                end=50.0 * (i + 1)))
+        _evict_oldest(state)
+        if _gated_fit(state.history, MIN_FIT_SAMPLES) is not None:
+            adopted += 1
+            assert not _screen_rejects(state.sums, len(state.history), MIN_FIT_SAMPLES)
+    assert adopted > 1000
+
+
+def test_running_sums_stay_within_their_drift_bound():
+    # 100k epochs through a 1 s re-fit window, one of them overshooting
+    # by 1e200: its square overflows, so the sums stay non-finite from
+    # its push until the first re-sum after it leaves.  Meanwhile the
+    # screen leaves every window with enough samples to the exact fit.
+    rng = random.Random(5)
+    state = steady_state(k_update_period=1000.0)
+    non_finite = 0
+    for i in range(100_000):
+        end = 50.0 * (i + 1)
+        diff = 1e200 if i == 50_000 else rng.uniform(-0.5, 0.5)
+        delta = rng.uniform(-1.0, 1.0) if i % 7 else None
+        _record_measurement(state, feedback(index=i, send=1.0 + diff, recv=1.0, delta=delta,
+                                            end=end))
+        _maybe_refit_k(state, end)
+        sums = state.sums
+        if not all(map(math.isfinite, (sums.sx, sums.sy, sums.sxx, sums.syy, sums.sxy))):
+            non_finite += 1
+            assert sums.n >= MIN_FIT_SAMPLES
+            assert not _screen_rejects(sums, len(state.history), MIN_FIT_SAMPLES)
+    assert 0 < non_finite <= 2 * HISTORY_CAP
+    usable = [fb for fb in state.history if fb.delta_rtt is not None]
+    xs = [fb.send_rate - fb.recv_rate for fb in usable]
+    ys = [fb.delta_rtt for fb in usable]
+    sends = [fb.send_rate for fb in state.history]
+    assert sums.n == len(usable)
+    for value, terms, largest in (
+            (sums.sx, xs, sums.max_x),
+            (sums.sy, ys, sums.max_y),
+            (sums.sxx, [x * x for x in xs], sums.max_x ** 2),
+            (sums.syy, [y * y for y in ys], sums.max_y ** 2),
+            (sums.sxy, [x * y for x, y in zip(xs, ys)], sums.max_x * sums.max_y),
+            (sums.send, sends, sums.max_send)):
+        assert abs(value - math.fsum(terms)) <= SUM_DRIFT * largest
+    assert max(map(abs, xs)) <= sums.max_x < 1.0  # the 1e200 overshoot is forgotten
+    assert max(map(abs, ys)) <= sums.max_y and max(sends) <= sums.max_send
+
+
 # --- cold start -----------------------------------------------------------------
 
 def test_cold_ramp_doubles_every_epoch():
@@ -364,9 +561,8 @@ def test_cold_ceiling_exit_installs_plain_fit_of_quiet_ramp():
         delta = 2.0 * diff + 1e-5 * (i % 4)
         xs.append(diff)
         ys.append(delta)
-        fb = feedback(index=i, send=1.0 + diff, recv=1.0, rtt=50.0, delta=delta, end=now)
-        state.history.append(fb)
-        state.rtt_samples.append((now, fb.mean_rtt))
+        _record_measurement(state, feedback(index=i, send=1.0 + diff, recv=1.0, rtt=50.0,
+                                            delta=delta, end=now))
     state.current_rate = RATE_CEILING / 2.0
     now += 50.0
     cold_start_step(state, feedback(index=10, end=now, dropped=30, measured=False), now)
@@ -424,10 +620,8 @@ def test_cold_exit_requires_informative_history():
     for i in range(10):
         now += 50.0
         diff = 1e-4 if i % 2 == 0 else -1e-4
-        fb = feedback(index=i, send=1.0 + diff, recv=1.0, rtt=50.0,
-                     delta=2.0 * diff, end=now)
-        state.history.append(fb)
-        state.rtt_samples.append((now, fb.mean_rtt))
+        _record_measurement(state, feedback(index=i, send=1.0 + diff, recv=1.0, rtt=50.0,
+                                            delta=2.0 * diff, end=now))
     state.current_rate = 1.0
     cold_start_step(state, feedback(index=10, end=now + 50.0, dropped=30, measured=False),
                     now + 50.0)  # 60% loss, nothing ACKed

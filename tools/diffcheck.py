@@ -13,9 +13,10 @@ the run's ``fairness_report`` and ``utilization`` (a run that raises
 reports its error instead).  The first scenario whose digests differ
 is printed as a JSON config that ``iriscc run`` loads, after the names
 of the outputs that differ; the exit status is then 1.  When every
-scenario agrees it prints how many slope fits the runs adopted and how
-many iris decisions took each path (cold start, steady, hold), and
-exits 0.
+scenario agrees it prints how many slope fits the runs adopted, how
+many exact ``fit_k_b`` attempts each tree's controller made for them,
+and how many iris decisions took each path (cold start, steady, hold),
+and exits 0.
 
 :func:`random_scenario` is also the generator of the simulator
 invariant test, ``tests/test_invariants.py``.
@@ -34,6 +35,7 @@ import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 PARTS = ("trace_csv", "totals", "decisions", "applied_fits", "metrics")
@@ -106,6 +108,7 @@ def random_scenario(rng: random.Random, max_duration: float = 2000.0) -> dict:
 def digest_runs(docs: list[dict]) -> dict:
     """Run each scenario with the ``iriscc`` on the path and hash its outputs."""
     import iriscc
+    from iriscc import controller
     from iriscc.controller import Phase
     from iriscc.metrics import fairness_report, utilization
     from iriscc.netsim import Simulation
@@ -115,7 +118,8 @@ def digest_runs(docs: list[dict]) -> dict:
     digests = []
     fits = 0
     paths = Counter()
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(controller, "fit_k_b", wraps=controller.fit_k_b) as exact_fit:
         path = Path(tmp) / "trace.csv"
         for doc in docs:
             try:
@@ -146,7 +150,7 @@ def digest_runs(docs: list[dict]) -> dict:
                          else "steady" if entry.measured else "hold"
                          for c in iris for entry in c.decisions)
     return {"iriscc": iriscc.__file__, "digests": digests, "fits": fits,
-            "paths": [paths[name] for name in PATHS]}
+            "fit_attempts": exact_fit.call_count, "paths": [paths[name] for name in PATHS]}
 
 
 def _start_tree(src: Path, docs_path: Path) -> subprocess.Popen:
@@ -206,8 +210,9 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps(doc, indent=2))
             return 1
     print(f"{args.count} of {args.count} scenarios identical to {args.against} "
-          f"over {', '.join(PARTS)} (seed {args.seed}), {ours['fits']} adopted slope fits, "
-          f"iris decisions by path: "
+          f"over {', '.join(PARTS)} (seed {args.seed}), {ours['fits']} adopted slope fits "
+          f"from {ours['fit_attempts']} exact fit_k_b attempts ({theirs['fit_attempts']} "
+          f"at {args.against}), iris decisions by path: "
           f"{', '.join(f'{n} {name}' for name, n in zip(PATHS, ours['paths']))}")
     return 0
 
