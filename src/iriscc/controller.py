@@ -24,6 +24,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .feedback import EpochFeedback
 from .regression import RegressionFit, fit_k_b
@@ -92,8 +93,7 @@ class IrisParams:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
-class DecisionLogEntry:
+class DecisionLogEntry(NamedTuple):
     """One epoch's rate decision, as the step that made it reports it.
 
     ``phase`` is the phase the step ran in and ``k`` the slope it used

@@ -38,8 +38,8 @@ class EpochFeedback:
     def __post_init__(self) -> None:
         if self.measured != (self.recv_rate is not None):
             raise ValueError(f"recv_rate must be None exactly when no ACK came back, got {self.recv_rate}")
-        if self.send_rate < 0 or (self.measured and not self.recv_rate >= 0):
-            raise ValueError(f"rates must be non-negative: {self.send_rate}, {self.recv_rate}")
+        if not 0 <= self.send_rate < math.inf or (self.measured and not 0 <= self.recv_rate < math.inf):
+            raise ValueError(f"rates must be non-negative and finite: {self.send_rate}, {self.recv_rate}")
         if self.measured and not (math.isfinite(self.mean_rtt) and self.mean_rtt > 0):
             raise ValueError(f"mean_rtt must be positive and finite, got {self.mean_rtt}")
 

@@ -22,21 +22,22 @@ so the heap holds at most one arrival and one timer per flow.
 
 ACKs need no events either.  Delivery and ACK happen at known offsets
 from the start of service (the reverse path is ideal), so an admitted
-packet's ACK time is fixed on arrival.  Service starts never decrease
-and a flow's round-trip propagation delay is fixed, so each flow's ACK
-times never decrease in send order: they wait in a per-flow FIFO, and
-a flow's timer takes in every ACK up to and including its own instant
-(an ACK precedes a timer at the same instant), as does the end of the
-run.  Only the flow's own timer reads what its ACKs tally.
+packet's ACK time is fixed on arrival, and the packet is tallied into
+its epoch then: ACK count, RTT sum and latest ACK time.  It counts as
+delivered if that ACK falls within the run, else as in flight.  Only
+the flow's own timer reads the tally, and it treats an epoch as
+resolved once its latest ACK is due: service starts never decrease and
+a flow's round-trip propagation delay is fixed, so each flow's ACK
+times never decrease in send order, and an ACK precedes a timer at the
+same instant.
 
 Each flow tallies its packets per sender epoch, in a FIFO with the open
-epoch last; a pending ACK points at its own epoch's tally.  At every
-epoch timer the closed epochs whose packets have all been ACKed or
-dropped are summarized from the front of the FIFO, each into one
+epoch last.  At every epoch timer the closed epochs that are resolved
+are summarized from the front of the FIFO, each into one
 :class:`~iriscc.feedback.EpochFeedback` that goes to the controller and
-one trace row.  A flow's ACKs return in send order, so measured epochs
-resolve in index order anyway; only an all-dropped epoch can resolve
-before its predecessor, and it then waits for it.
+one trace row; the end of the run does the same without decisions.
+Measured epochs resolve in index order anyway; only an all-dropped
+epoch can resolve before its predecessor, and it then waits for it.
 
 Time is ms, rates are packets/ms throughout.
 """
@@ -150,7 +151,8 @@ class BottleneckQueue:
 
 @dataclass
 class _EpochAccum:
-    """Running tallies for one sender epoch until all packets resolve."""
+    """Running tallies for one sender epoch until it is released; an
+    admitted packet's ACK is tallied when it is queued."""
 
     planned: int = 0
     acked: int = 0
@@ -172,22 +174,10 @@ class _FlowRuntime:
     window_end: float = 0.0      # end of the open epoch
     last_emit: float | None = None
     epochs: deque = field(default_factory=deque)  # unreleased _EpochAccum tallies, open one last
-    acks: deque = field(default_factory=deque)    # (ack time, epoch tally, send time), in send order
     next_release: int = 0                 # index of the epoch at the front of ``epochs``
     last_meas_ack: float | None = None    # last ACK time of the last measured epoch
     prev_mean_rtt: float | None = None
     trace: FlowTrace = None  # type: ignore[assignment]
-
-    def take_acks(self, now: float) -> None:
-        """Tally the ACKs due by ``now``, inclusive, in send order."""
-        acks = self.acks
-        totals = self.trace.totals
-        while acks and acks[0][0] <= now:
-            ack_time, acc, send_time = acks.popleft()
-            acc.acked += 1
-            acc.rtt_sum += ack_time - send_time
-            acc.last_ack = ack_time
-            totals.delivered += 1
 
 
 def _checked_params(params: dict, allowed: set[str], prefix: str) -> dict:
@@ -289,7 +279,14 @@ class Simulation:
         totals.sent += 1
         result, service_start = queue.enqueue(now, occupancy)
         if service_start is not None:
-            flow.acks.append((service_start + flow.rtprop, acc, now))
+            ack = service_start + flow.rtprop
+            acc.acked += 1
+            acc.rtt_sum += ack - now
+            acc.last_ack = ack
+            if ack <= self.scenario.duration:
+                totals.delivered += 1
+            else:
+                totals.in_flight += 1
             return
         if result is EnqueueResult.DROPPED_RANDOM:
             totals.dropped_random += 1
@@ -298,11 +295,10 @@ class Simulation:
         acc.dropped += 1
 
     def _on_timer(self, now: float, flow_id: int) -> None:
-        # This instant's departures and this flow's ACKs precede the
-        # timer; the departures also precede the arrivals it emits now.
+        # This instant's departures precede the timer and the arrivals
+        # it emits now.
         self.queue.retire_through(now)
         flow = self.flows[flow_id]
-        flow.take_acks(now)
         self._release(flow, now)
         flow.interval = interval = 1.0 / flow.rate
         flow.epochs.append(_EpochAccum())
@@ -316,7 +312,8 @@ class Simulation:
     # -- epoch accounting ---------------------------------------------------
 
     def _release(self, flow: _FlowRuntime, now: float, decide: bool = True) -> None:
-        """Summarize closed, fully resolved epochs in index order.
+        """Summarize closed epochs whose ACKs are all due by ``now``, in
+        index order.
 
         Each one becomes an :class:`EpochFeedback`, goes to the
         controller (unless ``decide`` is False) and adds a trace row.
@@ -328,7 +325,7 @@ class Simulation:
         epochs = flow.epochs
         while epochs:
             acc = epochs[0]
-            if acc.acked + acc.dropped < acc.planned:
+            if acc.last_ack is not None and acc.last_ack > now:
                 return
             epochs.popleft()
             index = flow.next_release
@@ -388,8 +385,6 @@ class Simulation:
             else:
                 self._on_timer(now, flow_id)
         for flow in self.flows:
-            flow.take_acks(duration)
-            flow.trace.totals.in_flight = len(flow.acks)
             if flow.epochs:
                 flow.epochs.pop()  # the newest epoch is still open
             self._release(flow, duration, decide=False)

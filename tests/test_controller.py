@@ -399,8 +399,8 @@ def screened_windows(draw):
     centred) and scaled by 1e-150 to 1e150.  The correlation or the
     excitation can sit at its gate threshold, within 1e-12; x or y can
     be flat.  Up to three epochs carry no RTT change, and up to two
-    overshoots of up to 1e200 times the window's scale (whose squares
-    can overflow) pass through the sums before it.
+    overshoots of up to 1e300 (whose squares can overflow) pass through
+    the sums before it.
     """
     n = draw(st.integers(MIN_FIT_SAMPLES - 1, 24))
     unit = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
@@ -422,8 +422,10 @@ def screened_windows(draw):
         x_unit, y_unit = u, [0.0] * n
     else:
         x_unit, y_unit = u, z
-    scale_x = 10.0 ** draw(st.integers(-150, 150))
-    scale_y = 10.0 ** draw(st.integers(-150, 150))
+    power_x = draw(st.integers(-150, 150))
+    power_y = draw(st.integers(-150, 150))
+    scale_x = 10.0 ** power_x
+    scale_y = 10.0 ** power_y
     # A negative mean overshoot keeps the excitation up.
     offset_x = scale_x * draw(st.sampled_from((0.0, -1e2, -1e3)))
     offset_y = scale_y * draw(st.sampled_from((0.0, 1e2, -1e3)))
@@ -438,9 +440,11 @@ def screened_windows(draw):
     else:
         rate = lowest + scale_x * draw(st.floats(0.0, 4.0))
     # From 1e4 to 1e16 times the scale, a transient's rounding in the
-    # squared sums is as large as the window's spread.
-    powers = st.one_of(st.integers(4, 16), st.integers(0, 200))
-    transients = [(scale_x * 10.0 ** k, scale_y * 10.0 ** k)
+    # squared sums is as large as the window's spread.  Transients stay
+    # within 1e300, so every send rate is finite, while squares overflow
+    # from about 1e154 on.
+    powers = st.one_of(st.integers(4, 16), st.integers(0, 300 - max(power_x, power_y)))
+    transients = [(10.0 ** (power_x + k), 10.0 ** (power_y + k))
                   for k in draw(st.lists(powers, max_size=2))]
     state = new_state()
     records = [*transients, *[(offset_x, None)] * plain, *zip(xs, ys)]
@@ -673,6 +677,13 @@ def test_feedback_rejects_bad_values():
         feedback(rtt=math.inf)
     with pytest.raises(ValueError):
         feedback(recv=math.nan)
+    for send in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            feedback(send=send)
+        with pytest.raises(ValueError, match="finite"):
+            feedback(send=send, sent=0, measured=False)
+    with pytest.raises(ValueError, match="finite"):
+        feedback(recv=math.inf)
     # A receive estimate exists exactly when an ACK came back.
     with pytest.raises(ValueError, match="recv_rate"):
         feedback(recv=None)

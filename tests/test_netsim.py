@@ -411,6 +411,17 @@ def test_ack_at_a_timer_instant_counts_at_that_timer():
     assert released == [(i, 1, True, 50.0 * (i + 1)) for i in range(6)]
 
 
+def test_ack_at_the_end_of_the_run_counts_as_delivered():
+    # One packet per 50 ms epoch over an idle link with a 50 ms RTT: the
+    # packet sent at 250 ms is ACKed exactly at the 300 ms end of the
+    # run and counts as delivered; the one sent at 300 ms is ACKed after
+    # it and is still in flight.
+    sc = scenario(make_link(sched=((0.0, 2.0),), prop=25.0),
+                  [flow("constant", rate=0.02)], 300.0)
+    totals = run_scenario(sc)[0].totals
+    assert (totals.sent, totals.delivered, totals.in_flight) == (7, 6, 1)
+
+
 # Drawn by tools/diffcheck.py's random_scenario(random.Random(110)) before
 # its generator changed, and pinned here so the case outlives it.
 BACKLOG_SCENARIO = """
@@ -443,3 +454,28 @@ def test_backlog_released_at_one_instant_grows_the_rate_at_most_twofold():
         growth.append(max(rates) / before)
         before = rates[-1]
     assert max(growth) <= 2.0
+
+
+@pytest.mark.xfail(strict=True, reason="RTT samples are keyed by epoch end but evicted "
+                                       "against the later release time")
+def test_short_rtt_window_keeps_the_target_fresh():
+    # A 1 ms RTT window is shorter than the lag from an epoch's end to
+    # its release, so every sample is evicted on arrival: the target is
+    # never refreshed and stays at the first steady epoch's RTT.
+    sim = Simulation(scenario(make_link(mbps=20.0, prop=30.0, queue=104, seed=1),
+                              [flow("iris", rtt_window=1)], 5000.0))
+    iris = sim.controllers[0]
+    on_epoch = iris.on_epoch
+    stale = []
+
+    def recording_on_epoch(fb, now):
+        steady = iris.state.phase is controller.Phase.STEADY
+        rate = on_epoch(fb, now)
+        if steady and fb.measured:
+            stale.append(iris.state.target_stale_epochs)
+        return rate
+
+    iris.on_epoch = recording_on_epoch
+    sim.run()
+    assert stale
+    assert stale == [0] * len(stale)

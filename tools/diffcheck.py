@@ -15,8 +15,9 @@ is printed as a JSON config that ``iriscc run`` loads, after the names
 of the outputs that differ; the exit status is then 1.  When every
 scenario agrees it prints how many slope fits the runs adopted, how
 many exact ``fit_k_b`` attempts each tree's controller made for them,
-and how many iris decisions took each path (cold start, steady, hold),
-and exits 0.
+how many iris decisions took each path (cold start, steady, hold), and
+how many packets all runs ended with delivered and in flight, and exits
+0.
 
 :func:`random_scenario` is also the generator of the simulator
 invariant test, ``tests/test_invariants.py``.
@@ -40,6 +41,7 @@ from unittest import mock
 ROOT = Path(__file__).resolve().parents[1]
 PARTS = ("trace_csv", "totals", "decisions", "applied_fits", "metrics")
 PATHS = ("cold start", "steady", "hold")  # of an iris decision
+PACKETS = ("delivered", "in flight")  # at the end of a run, summed over flows
 
 
 def _on_grid(rng: random.Random, low: float, high: float) -> float:
@@ -118,6 +120,7 @@ def digest_runs(docs: list[dict]) -> dict:
     digests = []
     fits = 0
     paths = Counter()
+    packets = Counter()
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(controller, "fit_k_b", wraps=controller.fit_k_b) as exact_fit:
         path = Path(tmp) / "trace.csv"
@@ -149,8 +152,12 @@ def digest_runs(docs: list[dict]) -> dict:
             paths.update("cold start" if entry.phase is Phase.COLD_START
                          else "steady" if entry.measured else "hold"
                          for c in iris for entry in c.decisions)
+            for trace in traces:
+                packets["delivered"] += trace.totals.delivered
+                packets["in flight"] += trace.totals.in_flight
     return {"iriscc": iriscc.__file__, "digests": digests, "fits": fits,
-            "fit_attempts": exact_fit.call_count, "paths": [paths[name] for name in PATHS]}
+            "fit_attempts": exact_fit.call_count, "paths": [paths[name] for name in PATHS],
+            "packets": [packets[name] for name in PACKETS]}
 
 
 def _start_tree(src: Path, docs_path: Path) -> subprocess.Popen:
@@ -213,7 +220,8 @@ def main(argv: list[str] | None = None) -> int:
           f"over {', '.join(PARTS)} (seed {args.seed}), {ours['fits']} adopted slope fits "
           f"from {ours['fit_attempts']} exact fit_k_b attempts ({theirs['fit_attempts']} "
           f"at {args.against}), iris decisions by path: "
-          f"{', '.join(f'{n} {name}' for name, n in zip(PATHS, ours['paths']))}")
+          f"{', '.join(f'{n} {name}' for name, n in zip(PATHS, ours['paths']))}; packets at "
+          f"the end of the runs: {', '.join(f'{n} {name}' for name, n in zip(PACKETS, ours['packets']))}")
     return 0
 
 
