@@ -13,8 +13,23 @@ arrival for random loss — so a scenario is a pure function of its
 description and seed, and equal seeds give byte-identical traces.
 Departures need no events: the capacity schedule is known in advance,
 so the FIFO fixes each admitted packet's service start and departure
-when it arrives (see :class:`BottleneckQueue`).  A departure at an
-instant follows that instant's arrivals and precedes its timers.
+when it arrives.  Its one server runs at the scheduled link capacity,
+and :meth:`Simulation.run` applies its rules inline:
+
+- each arrival takes one seeded draw for random loss first (when the
+  link has any), then is dropped if the occupancy, the packets queued
+  or in service, is at least the queue capacity;
+- a packet counts towards the occupancy through the instant of its
+  departure, so a departure follows its instant's arrivals and
+  precedes its timers: an arrival forgets only departures before it,
+  a timer (and the arrivals it emits at once) those at its instant too;
+- an admitted packet starts when the last pending departure leaves, at
+  once if none is pending, and is sent at the capacity of the last
+  schedule entry strictly before that start, so an entry at exactly a
+  packet's start applies only from the next packet on.
+
+Packets arrive in time order, so service starts never decrease and the
+schedule entry in force only moves forward.
 
 Pacing is lazy: an epoch timer pushes only the epoch's first arrival,
 and each arrival pushes its successor while that is inside the epoch,
@@ -49,12 +64,11 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .baselines import AimdController, ConstantRateController, VegasController
 from .controller import IrisController, IrisParams
 from .feedback import EpochFeedback, RateController
-from .scenario import FlowSpec, LinkConfig, Scenario, ScenarioError, _number
+from .scenario import FlowSpec, Scenario, ScenarioError, _number
 from .trace import FlowTotals, FlowTrace, TraceRow
 from .units import mbps_to_pkts_per_ms
 
@@ -65,12 +79,6 @@ _MAX_EMISSIONS_PER_EPOCH = 1_000_000  # guard against runaway controllers
 # timestamps queue arrivals come before epoch timers.
 _ARRIVAL = 0
 _TIMER = 1
-
-
-class EnqueueResult(Enum):
-    QUEUED = "queued"
-    DROPPED_RANDOM = "dropped_random"
-    DROPPED_OVERFLOW = "dropped_overflow"
 
 
 def estimate_receiving_rate(send_rate: float, epoch_len: float,
@@ -85,68 +93,6 @@ def estimate_receiving_rate(send_rate: float, epoch_len: float,
     if not t_last_ack > t_prev_ack:
         raise ValueError(f"ACK times must increase: {t_last_ack} after {t_prev_ack}")
     return send_rate * epoch_len / (t_last_ack - t_prev_ack)
-
-
-class BottleneckQueue:
-    """Drop-tail FIFO with one server at the scheduled link capacity.
-
-    Service is decided on arrival: an admitted packet starts when the
-    last pending departure leaves (at once if none is pending) and is
-    sent at the capacity of the last schedule entry strictly before
-    that start, so an entry at exactly a packet's start applies only
-    from the next packet on.  A packet counts towards the occupancy
-    through the instant of its departure.
-
-    Packets arrive in time order, so service starts never decrease and
-    the schedule entry in force only moves forward.
-    """
-
-    def __init__(self, link: LinkConfig, rng: random.Random):
-        self._change_times = [t for t, _ in link.bandwidth_schedule] + [math.inf]
-        self._service_times = [1.0 / rate for _, rate in link.bandwidth_schedule]
-        self._entry = 0  # schedule entry of the latest service start
-        self.capacity = link.queue_capacity
-        self.random_loss = link.random_loss
-        self._rng = rng
-        self._departures: deque[float] = deque()
-
-    def occupancy(self, now: float) -> int:
-        """Packets queued or in service at ``now``; forgets earlier departures."""
-        departures = self._departures
-        while departures and departures[0] < now:
-            departures.popleft()
-        return len(departures)
-
-    def retire_through(self, now: float) -> None:
-        """Forget departures at ``now`` as well, for work that comes
-        after them: an epoch timer and the arrivals it emits at once."""
-        departures = self._departures
-        while departures and departures[0] <= now:
-            departures.popleft()
-
-    def enqueue(self, now: float, occupancy: int | None = None) -> tuple[EnqueueResult, float | None]:
-        """Admit or drop an arriving packet.
-
-        Random loss is decided first (one seeded draw per arrival),
-        then drop-tail against the occupancy bound; a caller that has
-        just read :meth:`occupancy` at ``now`` passes it on.  Returns
-        the result plus the service start of an admitted packet, else
-        None.
-        """
-        if self.random_loss > 0.0 and self._rng.random() < self.random_loss:
-            return EnqueueResult.DROPPED_RANDOM, None
-        if occupancy is None:
-            occupancy = self.occupancy(now)
-        if occupancy >= self.capacity:
-            return EnqueueResult.DROPPED_OVERFLOW, None
-        departures = self._departures
-        start = departures[-1] if departures else now
-        entry = self._entry
-        while self._change_times[entry + 1] < start:
-            entry += 1
-        self._entry = entry
-        departures.append(start + self._service_times[entry])
-        return EnqueueResult.QUEUED, start
 
 
 @dataclass
@@ -232,7 +178,7 @@ class Simulation:
         scenario.validate()
         self.scenario = scenario
         self._rng = random.Random(scenario.link.seed)
-        self.queue = BottleneckQueue(scenario.link, self._rng)
+        self._departures: deque[float] = deque()  # pending departures, FIFO order
         self._heap: list = []
         self.flows: list[_FlowRuntime] = []
         for i, spec in enumerate(scenario.flows):
@@ -260,44 +206,15 @@ class Simulation:
     #
     # A heap event is (time, kind, flow id).  A flow has at most one
     # pending arrival and one pending timer, so no two events tie, and
-    # an arrival always belongs to its flow's open epoch.
-
-    def _on_arrive(self, now: float, flow_id: int) -> None:
-        flow = self.flows[flow_id]
-        acc: _EpochAccum = flow.epochs[-1]
-        if acc.planned >= _MAX_EMISSIONS_PER_EPOCH:
-            raise RuntimeError(f"flow {flow_id} emission rate exploded ({flow.rate}/ms)")
-        acc.planned += 1
-        flow.last_emit = now
-        next_emit = now + flow.interval  # the epoch's next packet, if any
-        if next_emit < flow.window_end:
-            heapq.heappush(self._heap, (next_emit, _ARRIVAL, flow_id))
-        queue = self.queue
-        occupancy = queue.occupancy(now)
-        acc.occ_sum += occupancy
-        totals = flow.trace.totals
-        totals.sent += 1
-        result, service_start = queue.enqueue(now, occupancy)
-        if service_start is not None:
-            ack = service_start + flow.rtprop
-            acc.acked += 1
-            acc.rtt_sum += ack - now
-            acc.last_ack = ack
-            if ack <= self.scenario.duration:
-                totals.delivered += 1
-            else:
-                totals.in_flight += 1
-            return
-        if result is EnqueueResult.DROPPED_RANDOM:
-            totals.dropped_random += 1
-        else:
-            totals.dropped_overflow += 1
-        acc.dropped += 1
+    # an arrival always belongs to its flow's open epoch.  Arrivals are
+    # handled in :meth:`run` itself.
 
     def _on_timer(self, now: float, flow_id: int) -> None:
         # This instant's departures precede the timer and the arrivals
         # it emits now.
-        self.queue.retire_through(now)
+        departures = self._departures
+        while departures and departures[0] <= now:
+            departures.popleft()
         flow = self.flows[flow_id]
         self._release(flow, now)
         flow.interval = interval = 1.0 / flow.rate
@@ -370,25 +287,79 @@ class Simulation:
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> list[FlowTrace]:
+        """Run the event loop; each arrival is admitted or dropped here."""
         if self._ran:
             raise RuntimeError("a Simulation can only run once")
         self._ran = True
         duration = self.scenario.duration
+        link = self.scenario.link
+        flows = self.flows
         heap = self._heap
-        on_arrive = self._on_arrive
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        on_timer = self._on_timer
+        max_emissions = _MAX_EMISSIONS_PER_EPOCH
+        departures = self._departures
+        retire = departures.popleft
+        depart = departures.append
+        capacity = link.queue_capacity
+        random_loss = link.random_loss
+        draw = self._rng.random
+        change_times = [t for t, _ in link.bandwidth_schedule[1:]] + [math.inf]
+        service_times = [1.0 / rate for _, rate in link.bandwidth_schedule]
+        entry = 0  # schedule entry of the latest service start
+        next_change = change_times[0]
+        service_time = service_times[0]
         while heap:
-            now, kind, flow_id = heapq.heappop(heap)
+            now, kind, flow_id = heappop(heap)
             if now > duration:
                 break
-            if kind == _ARRIVAL:
-                on_arrive(now, flow_id)
+            if kind == _TIMER:
+                on_timer(now, flow_id)
+                continue
+            # An arrival: it belongs to its flow's open epoch.
+            flow = flows[flow_id]
+            acc = flow.epochs[-1]
+            if acc.planned >= max_emissions:
+                raise RuntimeError(f"flow {flow_id} emission rate exploded ({flow.rate}/ms)")
+            acc.planned += 1
+            flow.last_emit = now
+            next_emit = now + flow.interval  # the epoch's next packet, if any
+            if next_emit < flow.window_end:
+                heappush(heap, (next_emit, _ARRIVAL, flow_id))
+            while departures and departures[0] < now:
+                retire()
+            occupancy = len(departures)
+            acc.occ_sum += occupancy
+            totals = flow.trace.totals
+            totals.sent += 1
+            if random_loss > 0.0 and draw() < random_loss:
+                totals.dropped_random += 1
+                acc.dropped += 1
+                continue
+            if occupancy >= capacity:
+                totals.dropped_overflow += 1
+                acc.dropped += 1
+                continue
+            start = departures[-1] if occupancy else now
+            while next_change < start:
+                entry += 1
+                next_change = change_times[entry]
+                service_time = service_times[entry]
+            depart(start + service_time)
+            ack = start + flow.rtprop
+            acc.acked += 1
+            acc.rtt_sum += ack - now
+            acc.last_ack = ack
+            if ack <= duration:
+                totals.delivered += 1
             else:
-                self._on_timer(now, flow_id)
-        for flow in self.flows:
+                totals.in_flight += 1
+        for flow in flows:
             if flow.epochs:
                 flow.epochs.pop()  # the newest epoch is still open
             self._release(flow, duration, decide=False)
-        return [flow.trace for flow in self.flows]
+        return [flow.trace for flow in flows]
 
 
 def run_scenario(scenario: Scenario) -> list[FlowTrace]:

@@ -21,13 +21,12 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 CSV_COLUMNS = ("time_ms", "flow_id", "send_rate", "throughput", "rtt_ms", "queue_pkts", "drops")
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     time: float        # epoch window end, ms
     send_rate: float   # packets/ms emitted during the epoch
     throughput: float  # packets/ms delivered
@@ -98,23 +97,26 @@ def write_trace_csv(traces: Iterable[FlowTrace], path: str | Path) -> None:
 
 
 def read_trace_csv(path: str | Path) -> dict[int, list[TraceRow]]:
-    """Read a trace CSV back into per-flow, time-ordered rows."""
+    """Read a trace CSV back into per-flow, time-ordered rows.
+
+    Columns are found by name, in any order; extra columns and blank
+    lines are ignored, and a line short of a named column is an error.
+    """
     per_flow: dict[int, list[TraceRow]] = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [col for col in CSV_COLUMNS if col not in (reader.fieldnames or [])]
+        reader = csv.reader(fh)
+        position = {name: i for i, name in enumerate(next(reader, []))}
+        missing = [col for col in CSV_COLUMNS if col not in position]
         if missing:
             raise ValueError(f"trace is missing columns: {', '.join(missing)}")
-        for entry in reader:
-            row = TraceRow(
-                time=float(entry["time_ms"]),
-                send_rate=float(entry["send_rate"]),
-                throughput=float(entry["throughput"]),
-                rtt=float(entry["rtt_ms"]),
-                queue=float(entry["queue_pkts"]),
-                drops=int(entry["drops"]),
-            )
-            per_flow.setdefault(int(entry["flow_id"]), []).append(row)
+        t, f, s, tp, r, q, d = (position[col] for col in CSV_COLUMNS)
+        try:
+            for entry in filter(None, reader):
+                row = TraceRow(float(entry[t]), float(entry[s]), float(entry[tp]),
+                               float(entry[r]), float(entry[q]), int(entry[d]))
+                per_flow.setdefault(int(entry[f]), []).append(row)
+        except IndexError:
+            raise ValueError(f"trace line {reader.line_num} has fewer fields than the header") from None
     for rows in per_flow.values():
-        rows.sort(key=lambda row: row.time)
+        rows.sort(key=_row_time)
     return per_flow

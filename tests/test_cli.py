@@ -184,6 +184,17 @@ def test_analyze_rejects_trace_whose_sums_overflow(tmp_path, capsys):
     assert "unfittable" in capsys.readouterr().err
 
 
+def test_analyze_rejects_a_short_trace_line(tmp_path, capsys):
+    path = tmp_path / "short.csv"
+    path.write_text(
+        "time_ms,flow_id,send_rate,throughput,rtt_ms,queue_pkts,drops\n"
+        "50.000,0,1.000000,1.000000,50.000000,0.000,0\n"
+        "100.000,0,1.000000\n"
+    )
+    assert main(["analyze", "--trace", str(path)]) == 1
+    assert "error: trace line 3 has fewer fields than the header" in capsys.readouterr().err
+
+
 def test_analyze_directory_is_an_error(tmp_path, capsys):
     assert main(["analyze", "--trace", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err

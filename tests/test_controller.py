@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import feedback
 from iriscc.controller import (
+    CONTRACTION_CAP,
     EXCITATION_FLOOR,
     HISTORY_CAP,
     K_MIN,
@@ -232,6 +233,17 @@ def test_equilibrium_is_a_fixed_point():
     assert entry.rtt_step == 0.0
     assert entry.rate == 2.0
     assert entry.contraction == pytest.approx(3.0 / 2.0 * 5.0 / 100.0)  # loop gain
+
+
+def test_floored_slope_logs_the_loop_gain_it_realizes():
+    # A learned slope far below the floor: the step divides by the
+    # floored slope, and the logged loop gain is that step's, at the cap.
+    state = steady_state()
+    state.k = 1e-3
+    state.rtt_samples.append((0.0, 50.0))
+    entry = on_epoch_end(state, feedback(send=2.0, recv=2.0, rtt=100.0, end=50.0), 50.0)
+    assert entry.k == pytest.approx(3.0 * 50.0 / (100.0 * CONTRACTION_CAP))
+    assert entry.contraction == pytest.approx(CONTRACTION_CAP)
 
 
 def test_queue_above_target_pushes_rate_down():

@@ -3,13 +3,13 @@ generator that ``tools/diffcheck.py`` also uses."""
 
 import heapq
 import random
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 
 from diffcheck import random_scenario
 from iriscc import netsim
-from iriscc.netsim import BottleneckQueue, Simulation
+from iriscc.netsim import Simulation
 from iriscc.scenario import scenario_from_dict
 
 
@@ -45,23 +45,46 @@ def test_simulator_invariants(seed):
     assert delivered <= bound + len(link.bandwidth_schedule)
 
 
+class _Clock:
+    """``heapq`` stand-in that notes the time of the event last popped."""
+
+    heappush = staticmethod(heapq.heappush)
+
+    def __init__(self):
+        self.now = None
+
+    def heappop(self, heap):
+        event = heapq.heappop(heap)
+        self.now = event[0]
+        return event
+
+
+class _StartRecorder(deque):
+    """Departure FIFO that notes each admitted packet's service start:
+    the last pending departure, or the arrival time if none is pending."""
+
+    def __init__(self, clock):
+        super().__init__()
+        self.clock = clock
+        self.starts = []
+
+    def append(self, departure):
+        self.starts.append(self[-1] if self else self.clock.now)
+        super().append(departure)
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_service_starts_and_ack_times_never_decrease(seed, monkeypatch):
     # The premise of tallying each ACK when its packet is queued: a
     # flow's ACK is its service start plus a fixed round-trip
     # propagation delay, so non-decreasing starts give each flow's ACKs
     # in send order, and an epoch's latest ACK is its last admitted one.
-    starts = []
-    enqueue = BottleneckQueue.enqueue
-
-    def recording_enqueue(queue, now, *args):
-        result = enqueue(queue, now, *args)
-        if result[1] is not None:
-            starts.append(result[1])
-        return result
-
-    monkeypatch.setattr(BottleneckQueue, "enqueue", recording_enqueue)
-    traces = Simulation(scenario_from_dict(random_scenario(random.Random(seed)))).run()
+    clock = _Clock()
+    monkeypatch.setattr(netsim, "heapq", clock)
+    sim = Simulation(scenario_from_dict(random_scenario(random.Random(seed))))
+    sim._departures = recorder = _StartRecorder(clock)
+    traces = sim.run()
+    starts = recorder.starts
     assert starts
     assert all(a <= b for a, b in zip(starts, starts[1:]))
     assert len(starts) == sum(trace.totals.delivered + trace.totals.in_flight

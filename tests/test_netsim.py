@@ -4,20 +4,13 @@ estimation, accounting identities, and determinism."""
 import itertools
 import json
 import math
-import random
 
 import pytest
 
 from conftest import flow, make_link, scenario
 from iriscc import controller, netsim
 from iriscc.metrics import mean_throughput
-from iriscc.netsim import (
-    BottleneckQueue,
-    EnqueueResult,
-    Simulation,
-    estimate_receiving_rate,
-    run_scenario,
-)
+from iriscc.netsim import Simulation, estimate_receiving_rate, run_scenario
 from iriscc.scenario import ScenarioError, scenario_from_dict
 
 
@@ -40,36 +33,61 @@ def test_recv_rate_requires_increasing_ack_times():
 
 
 # --- drop-tail queue -------------------------------------------------------------
+#
+# The FIFO's rules, seen through whole runs.  One constant flow sends at
+# most one packet per epoch over a 2 pkt/ms link, so each packet holds
+# the server for 0.5 ms, and every time is binary-exact: each closed
+# epoch's trace row is one packet's fate, with the occupancy it found,
+# and its RTT less the round trip is its wait for service.
 
-def tiny_link(capacity=2, loss=0.0):
-    return make_link(sched=((0.0, 2.0),), queue=capacity, loss=loss)
+RTPROP = 0.5  # 0.25 ms each way
+
+
+def tiny_link(capacity=2, loss=0.0, sched=((0.0, 2.0),)):
+    return make_link(sched=sched, queue=capacity, loss=loss)
+
+
+def fifo_run(link, rate=8.0, epoch_len=0.125, duration=3.0):
+    """A Simulation of one constant flow; with the defaults it sends one
+    packet at the start of each 0.125 ms epoch."""
+    return Simulation(scenario(link, [flow("constant", prop=RTPROP / 2, rate=rate,
+                                           epoch_len=epoch_len)], duration))
+
+
+def packet_fates(sim):
+    """Per packet of a closed epoch: the occupancy it found on arrival and
+    its wait for service, or None when it was dropped."""
+    return [(row.queue, None if row.drops else row.rtt - RTPROP)
+            for row in sim.run()[0].rows if row.send_rate]
+
+
+def service_starts(sim, count):
+    """Service starts of the first ``count`` packets, sent every 0.125 ms."""
+    waits = [wait for _, wait in packet_fates(sim)[:count]]
+    return [0.125 * i + wait for i, wait in enumerate(waits)]
 
 
 def test_queue_serves_immediately_when_idle():
-    q = BottleneckQueue(tiny_link(), random.Random(1))
-    assert q.enqueue(0.0) == (EnqueueResult.QUEUED, 0.0)
+    assert packet_fates(fifo_run(tiny_link()))[0] == (0.0, 0.0)
 
 
 def test_queue_waits_behind_in_service_packet():
-    q = BottleneckQueue(tiny_link(), random.Random(1))
-    q.enqueue(0.0)
-    # 2 pkt/ms link: the first packet holds the server for 0.5 ms.
-    assert q.enqueue(0.1) == (EnqueueResult.QUEUED, 0.5)
-    assert q.occupancy(0.1) == 2
+    # The first packet holds the server until 0.5 ms; the packet sent at
+    # 0.125 waits for it, and the next arrival finds both.
+    fates = packet_fates(fifo_run(tiny_link()))
+    assert fates[1] == (1.0, 0.375)
+    assert fates[2][0] == 2.0
 
 
 def test_queue_drop_tail_at_capacity():
-    q = BottleneckQueue(tiny_link(capacity=2), random.Random(1))
-    q.enqueue(0.0)
-    q.enqueue(0.1)
-    assert q.enqueue(0.2) == (EnqueueResult.DROPPED_OVERFLOW, None)
-    assert q.occupancy(0.2) == 2
+    # Two packets fill the queue until the first leaves at 0.5 ms; the
+    # packet sent then finds one and waits for it until 1.0 ms.
+    fates = packet_fates(fifo_run(tiny_link(capacity=2)))
+    assert fates[:5] == [(0.0, 0.0), (1.0, 0.375), (2.0, None), (2.0, None), (1.0, 0.5)]
 
 
 def test_queue_next_starts_at_previous_departure():
-    q = BottleneckQueue(tiny_link(capacity=3), random.Random(1))
-    starts = [q.enqueue(t)[1] for t in (0.0, 0.1, 0.2)]
-    assert starts == [0.0, 0.5, 1.0]
+    assert service_starts(fifo_run(tiny_link(capacity=3)), 3) == [0.0, 0.5, 1.0]
 
 
 class FakeRng:
@@ -83,44 +101,41 @@ class FakeRng:
 
 
 def test_queue_random_loss_decided_before_overflow():
-    q = BottleneckQueue(tiny_link(capacity=2, loss=0.5),
-                        FakeRng([0.9, 0.9, 0.01, 0.99]))
-    assert q.enqueue(0.0)[0] is EnqueueResult.QUEUED
-    assert q.enqueue(0.1)[0] is EnqueueResult.QUEUED
-    # Queue is full, but the loss draw fires first.
-    assert q.enqueue(0.2)[0] is EnqueueResult.DROPPED_RANDOM
-    assert q.enqueue(0.3)[0] is EnqueueResult.DROPPED_OVERFLOW
+    # Four packets; one draw each.  The third finds the queue full, but
+    # the loss draw fires first; the fourth draws no loss and overflows.
+    sim = fifo_run(tiny_link(capacity=2, loss=0.5), duration=0.375)
+    sim._rng = FakeRng([0.9, 0.9, 0.01, 0.99])
+    totals = sim.run()[0].totals
+    assert (totals.sent, totals.in_flight) == (4, 2)
+    assert (totals.dropped_random, totals.dropped_overflow) == (1, 1)
 
 
 def test_queue_rate_change_applies_to_next_service():
-    link = make_link(sched=((0.0, 2.0), (0.3, 4.0)), queue=3)
-    q = BottleneckQueue(link, random.Random(1))
-    q.enqueue(0.0)                 # in service across the change: 0.5 ms
-    q.enqueue(0.1)                 # starts at 0.5 at the new rate: 0.25 ms
-    assert q.enqueue(0.2)[1] == 0.75
+    # The first packet is in service across the change at 0.3 ms, so it
+    # takes 0.5 ms; the second starts at 0.5 at the new rate: 0.25 ms.
+    sim = fifo_run(tiny_link(capacity=3, sched=((0.0, 2.0), (0.3, 4.0))))
+    assert service_starts(sim, 3) == [0.0, 0.5, 0.75]
 
 
 def test_queue_change_at_a_start_applies_from_the_next_packet():
-    link = make_link(sched=((0.0, 2.0), (0.5, 4.0)), queue=3)
-    q = BottleneckQueue(link, random.Random(1))
-    q.enqueue(0.0)
-    q.enqueue(0.1)                 # starts exactly at the change: old rate
-    assert q.enqueue(0.2)[1] == 1.0
+    # The second packet starts exactly at the change: old rate.
+    sim = fifo_run(tiny_link(capacity=3, sched=((0.0, 2.0), (0.5, 4.0))))
+    assert service_starts(sim, 3) == [0.0, 0.5, 1.0]
 
 
 def test_queue_counts_a_packet_departing_now():
-    q = BottleneckQueue(tiny_link(capacity=1), random.Random(1))
-    q.enqueue(0.0)
-    assert q.occupancy(0.5) == 1
-    assert q.enqueue(0.5) == (EnqueueResult.DROPPED_OVERFLOW, None)
-    assert q.occupancy(0.6) == 0
+    # 0.375 ms epochs paced at 0.5 ms: packets at 0, 0.5 and 1.0, and
+    # no timer at 0.5.  The packet arriving as the first departs finds
+    # it still queued; by 1.0 the queue is empty.
+    fates = packet_fates(fifo_run(tiny_link(capacity=1), rate=2.0, epoch_len=0.375))
+    assert fates[:3] == [(0.0, 0.0), (1.0, None), (0.0, 0.0)]
 
 
 def test_queue_retire_through_forgets_a_departure_now():
-    q = BottleneckQueue(tiny_link(capacity=1), random.Random(1))
-    q.enqueue(0.0)
-    q.retire_through(0.5)
-    assert q.enqueue(0.5) == (EnqueueResult.QUEUED, 0.5)
+    # 0.5 ms epochs: the timer at 0.5 retires the departure at 0.5, so
+    # the packet it emits then is served at once.
+    fates = packet_fates(fifo_run(tiny_link(capacity=1), rate=2.0, epoch_len=0.5))
+    assert fates[:2] == [(0.0, 0.0), (0.0, 0.0)]
 
 
 # --- end-to-end accounting ---------------------------------------------------------

@@ -72,6 +72,20 @@ def test_read_rejects_missing_columns(tmp_path):
         read_trace_csv(path)
 
 
+def test_read_finds_columns_by_name(tmp_path):
+    # two_flow_traces' rows with the columns shuffled, an extra column
+    # and a blank line.
+    path = tmp_path / "moved.csv"
+    path.write_text(
+        "drops,note,rtt_ms,flow_id,queue_pkts,throughput,time_ms,send_rate\n"
+        "0,a,50.000000,0,3.250,1.200000,50.000,1.250000\n"
+        "\n"
+        "0,b,61.500000,1,3.250,0.400000,50.000,0.500000\n"
+        "2,c,50.000000,0,3.250,0.900000,100.000,1.000000\n")
+    traces = two_flow_traces()
+    assert read_trace_csv(path) == {0: traces[0].rows, 1: traces[1].rows}
+
+
 def test_read_sorts_rows_per_flow(tmp_path):
     path = tmp_path / "trace.csv"
     header = ",".join(CSV_COLUMNS)

@@ -1,0 +1,143 @@
+"""Mutation check: every listed source mutant must fail the test suite.
+
+    python3 tools/mutants.py
+
+Each entry of :data:`MUTANTS` names a file, a piece of its text that
+must occur exactly once, and what to put there instead.  For each one
+the checkout (its tracked files and untracked files that are not
+ignored, as they are in the working tree) is copied into a temporary
+directory, the mutant is applied there, and ``python -m pytest -x`` runs
+the tier-1 suite on the copy.  A failing suite kills the mutant.
+
+Every mutant is printed as ``killed`` or ``SURVIVED`` with the suite's
+last line and its first failing test.  The exit status is 1 if any
+mutant survived or if any entry's text no longer occurs exactly once in
+its file (``STALE``), else 0.  The unmutated copy runs the suite first
+and must pass it, else the exit status is 2.  The checkout itself is
+never modified.  Mutants run one after another, each in at most the
+suite's own running time.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+NETSIM = "src/iriscc/netsim.py"
+
+# (file, text, replacement): one mutant each.
+MUTANTS = [
+    # The FIFO's rules.
+    (NETSIM, "if occupancy >= capacity:", "if occupancy > capacity:"),
+    (NETSIM, "while departures and departures[0] < now:",
+     "while departures and departures[0] <= now:"),
+    (NETSIM, "while departures and departures[0] <= now:",
+     "while departures and departures[0] < now:"),
+    (NETSIM, "while next_change < start:", "while next_change <= start:"),
+    (NETSIM, """\
+            if random_loss > 0.0 and draw() < random_loss:
+                totals.dropped_random += 1
+                acc.dropped += 1
+                continue
+            if occupancy >= capacity:
+                totals.dropped_overflow += 1
+                acc.dropped += 1
+                continue
+""", """\
+            if occupancy >= capacity:
+                totals.dropped_overflow += 1
+                acc.dropped += 1
+                continue
+            if random_loss > 0.0 and draw() < random_loss:
+                totals.dropped_random += 1
+                acc.dropped += 1
+                continue
+"""),
+    (NETSIM, "depart(start + service_time)", "depart(start + service_time / 2)"),
+    # ACK accounting: delivered within the run, and an epoch resolved
+    # once its latest ACK is due.
+    (NETSIM, "if ack <= duration:", "if ack < duration:"),
+    (NETSIM, "acc.last_ack is not None and acc.last_ack > now",
+     "acc.last_ack is not None and acc.last_ack >= now"),
+    # Trace windows are left-open, right-closed at both edges.
+    ("src/iriscc/trace.py", "lo = bisect_right(rows, t0, key=_row_time)",
+     "lo = __import__('bisect').bisect_left(rows, t0, key=_row_time)"),
+    ("src/iriscc/trace.py", "rows[lo:bisect_right(rows, t1, lo, key=_row_time)]",
+     "rows[lo:__import__('bisect').bisect_left(rows, t1, lo, key=_row_time)]"),
+    # The re-fit screen may reject only what the exact gate rejects.
+    ("src/iriscc/controller.py", """\
+SCREEN_PLCC_MARGIN = 0.05
+# ... and, with the send-rate sum, the excitation estimate by under 0.3%.
+SCREEN_EXCITATION_MARGIN = 0.1   # relative
+""", """\
+SCREEN_PLCC_MARGIN = 0.0
+# ... and, with the send-rate sum, the excitation estimate by under 0.3%.
+SCREEN_EXCITATION_MARGIN = 0.0   # relative
+"""),
+    # The contraction factor reads the slope the step used.
+    ("src/iriscc/controller.py", "gap_contraction_factor(params, fb.mean_rtt, target, k_used)",
+     "gap_contraction_factor(params, fb.mean_rtt, target, state.k)"),
+    # The excitation gate reads the population deviation of the overshoot.
+    ("src/iriscc/regression.py", "x_std=math.sqrt(sxx / n)", "x_std=math.sqrt(sxx / (n - 1))"),
+]
+
+
+def checkout_files() -> list[str]:
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=ROOT, check=True, capture_output=True, text=True).stdout
+    return [name for name in listed.split("\0") if name and (ROOT / name).is_file()]
+
+
+def run_suite(files: list[str], mutant: tuple[str, str, str] | None) -> tuple[str, str]:
+    """(verdict, the suite's last line) for one mutant, or for the
+    unmutated copy when ``mutant`` is None."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp)
+        for name in files:
+            (copy / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, copy / name)
+        if mutant is not None:
+            path, text, replacement = mutant
+            target = copy / path
+            source = target.read_text()
+            if source.count(text) != 1:
+                return "STALE", f"the text occurs {source.count(text)} times"
+            target.write_text(source.replace(text, replacement))
+        suite = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
+            cwd=copy, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(copy / "src")})
+    lines = [line for line in suite.stdout.splitlines() if line.strip()]
+    failed = [line.split(" - ")[0] for line in lines if line.startswith(("FAILED ", "ERROR "))]
+    summary = (lines[-1] if lines else "") + (f" ({failed[0]})" if failed else "")
+    return ("passed" if suite.returncode == 0 else "killed"), summary
+
+
+def main() -> int:
+    files = checkout_files()
+    verdict, last = run_suite(files, None)
+    print(f"unmutated copy: {verdict} -- {last}", flush=True)
+    if verdict != "passed":
+        return 2
+    bad = 0
+    for index, mutant in enumerate(MUTANTS):
+        verdict, last = run_suite(files, mutant)
+        if verdict == "passed":
+            verdict = "SURVIVED"
+        bad += verdict != "killed"
+        path, _, replacement = mutant
+        print(f"{index:2d} {verdict:8s} {path}: {replacement.strip().splitlines()[0]!r} -- {last}",
+              flush=True)
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
