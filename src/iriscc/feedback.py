@@ -11,20 +11,11 @@ keep it as their record of the epoch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 
-@dataclass(frozen=True)
-class EpochFeedback:
-    """Measurement summary for one finished sender epoch.
-
-    An epoch is :attr:`measured` when an ACK came back; otherwise
-    (nothing was sent, or every packet was lost) it carries no receive
-    estimate or RTT: ``recv_rate``, ``mean_rtt`` and ``delta_rtt`` are
-    None.
-    """
-
+# A NamedTuple may not override __new__, so the checks live in a subclass.
+class _Fields(NamedTuple):
     index: int
     end: float              # epoch window end, ms
     send_rate: float        # actually emitted packets / epoch length
@@ -35,13 +26,32 @@ class EpochFeedback:
     mean_rtt: float | None  # mean RTT over this epoch's ACKed packets, ms
     delta_rtt: float | None # mean_rtt minus previous measured epoch's, ms
 
-    def __post_init__(self) -> None:
-        if self.measured != (self.recv_rate is not None):
-            raise ValueError(f"recv_rate must be None exactly when no ACK came back, got {self.recv_rate}")
-        if not 0 <= self.send_rate < math.inf or (self.measured and not 0 <= self.recv_rate < math.inf):
-            raise ValueError(f"rates must be non-negative and finite: {self.send_rate}, {self.recv_rate}")
-        if self.measured and not (math.isfinite(self.mean_rtt) and self.mean_rtt > 0):
-            raise ValueError(f"mean_rtt must be positive and finite, got {self.mean_rtt}")
+
+class EpochFeedback(_Fields):
+    """Measurement summary for one finished sender epoch.
+
+    An epoch is :attr:`measured` when an ACK came back; otherwise
+    (nothing was sent, or every packet was lost) it carries no receive
+    estimate or RTT: ``recv_rate``, ``mean_rtt`` and ``delta_rtt`` are
+    None.  Immutable; construction, :meth:`_make` and :meth:`_replace` check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, index, end, send_rate, sent, acked, dropped, recv_rate, mean_rtt, delta_rtt):
+        measured = mean_rtt is not None
+        if measured != (recv_rate is not None):
+            raise ValueError(f"recv_rate must be None exactly when no ACK came back, got {recv_rate}")
+        if not 0 <= send_rate < math.inf or (measured and not 0 <= recv_rate < math.inf):
+            raise ValueError(f"rates must be non-negative and finite: {send_rate}, {recv_rate}")
+        if measured and not (math.isfinite(mean_rtt) and mean_rtt > 0):
+            raise ValueError(f"mean_rtt must be positive and finite, got {mean_rtt}")
+        return tuple.__new__(cls, (index, end, send_rate, sent, acked, dropped,
+                                   recv_rate, mean_rtt, delta_rtt))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def measured(self) -> bool:

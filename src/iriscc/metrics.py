@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import math
 import statistics
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .trace import FlowTrace
@@ -53,6 +55,25 @@ def window_throughput(trace: FlowTrace, t: float, window: float) -> float:
     return delivered / window
 
 
+def _window_throughputs(trace: FlowTrace, times: Sequence[float], window: float) -> list[float]:
+    """:func:`window_throughput` at each of ``times``: exact integer prefix sums
+    over a common power-of-two denominator, rounded once by int/int division."""
+    spacing = _row_spacing(trace)
+    amounts = [row.throughput * spacing for row in trace.rows]
+    if not all(map(math.isfinite, amounts)):
+        return [window_throughput(trace, t, window) for t in times]
+    ratios = [amount.as_integer_ratio() for amount in amounts]
+    denom = max((d for _, d in ratios), default=1)
+    prefix = [0, *accumulate(n * (denom // d) for n, d in ratios)]
+    row_times = [row.time for row in trace.rows]
+    rates = []
+    for t in times:
+        lo = bisect_right(row_times, t - window)
+        hi = bisect_right(row_times, t, lo)
+        rates.append((prefix[hi] - prefix[lo]) / denom / window)
+    return rates
+
+
 def jain_series(
     traces: Sequence[FlowTrace],
     duration: float,
@@ -72,15 +93,12 @@ def jain_series(
             (trace.rows[0].time - _row_spacing(trace)) if trace.rows else math.inf
             for trace in traces
         ]
+    times = [i * grid for i in range(1, int(duration // grid) + 1)]
+    rates = [iter(_window_throughputs(trace, [t for t in times if start <= t], window))
+             for trace, start in zip(traces, starts)]
     series: list[tuple[float, float | None]] = []
-    steps = int(duration // grid)
-    for i in range(1, steps + 1):
-        t = i * grid
-        shares = [
-            window_throughput(trace, t, window)
-            for trace, start in zip(traces, starts)
-            if start <= t
-        ]
+    for t in times:
+        shares = [next(flow_rates) for flow_rates, start in zip(rates, starts) if start <= t]
         series.append((t, jain_index(shares) if len(shares) >= 2 else None))
     return series
 

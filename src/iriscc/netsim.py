@@ -33,14 +33,22 @@ schedule entry in force only moves forward.
 
 Pacing is lazy: an epoch timer pushes only the epoch's first arrival,
 and each arrival pushes its successor while that is inside the epoch,
-so the heap holds at most one arrival and one timer per flow.
+so the heap holds at most one arrival and one timer per flow.  The
+arrival that ends the chain notes its time, from which the next
+epoch's first packet keeps the pacing gap.
 
 ACKs need no events either.  Delivery and ACK happen at known offsets
 from the start of service (the reverse path is ideal), so an admitted
 packet's ACK time is fixed on arrival, and the packet is tallied into
-its epoch then: ACK count, RTT sum and latest ACK time.  It counts as
-delivered if that ACK falls within the run, else as in flight.  Only
-the flow's own timer reads the tally, and it treats an epoch as
+its epoch then: RTT sum and latest ACK time.  Per packet, only these,
+the epoch's planned, dropped and occupancy counts and the flow's drops
+and in-flight packets (ACKed after the run) are counted.  At release an
+epoch's ACK count is planned minus dropped, and its planned packets add
+to the flow's sent count, as at the end of the run do those of the
+unreleased epochs, the open one too; delivered is sent less drops and
+in-flight packets.
+
+Only the flow's own timer reads the tally, and it treats an epoch as
 resolved once its latest ACK is due: service starts never decrease and
 a flow's round-trip propagation delay is fixed, so each flow's ACK
 times never decrease in send order, and an ACK precedes a timer at the
@@ -101,7 +109,6 @@ class _EpochAccum:
     admitted packet's ACK is tallied when it is queued."""
 
     planned: int = 0
-    acked: int = 0
     dropped: int = 0
     rtt_sum: float = 0.0
     last_ack: float | None = None
@@ -118,8 +125,9 @@ class _FlowRuntime:
     rate: float
     interval: float = 0.0        # pacing gap of the open epoch
     window_end: float = 0.0      # end of the open epoch
-    last_emit: float | None = None
+    last_emit: float | None = None   # the last arrival of the latest epoch that sent one
     epochs: deque = field(default_factory=deque)  # unreleased _EpochAccum tallies, open one last
+    acc: _EpochAccum | None = None   # the open epoch's tally, also last in ``epochs``
     next_release: int = 0                 # index of the epoch at the front of ``epochs``
     last_meas_ack: float | None = None    # last ACK time of the last measured epoch
     prev_mean_rtt: float | None = None
@@ -218,7 +226,8 @@ class Simulation:
         flow = self.flows[flow_id]
         self._release(flow, now)
         flow.interval = interval = 1.0 / flow.rate
-        flow.epochs.append(_EpochAccum())
+        flow.acc = acc = _EpochAccum()
+        flow.epochs.append(acc)
         flow.window_end = window_end = now + flow.epoch_len
         first = now if flow.last_emit is None else max(now, flow.last_emit + interval)
         if first < window_end:
@@ -247,9 +256,11 @@ class Simulation:
             epochs.popleft()
             index = flow.next_release
             flow.next_release = index + 1
+            flow.trace.totals.sent += acc.planned
             send_rate = acc.planned / epoch_len
-            if acc.acked > 0:
-                mean_rtt = acc.rtt_sum / acc.acked
+            acked = acc.planned - acc.dropped
+            if acked > 0:
+                mean_rtt = acc.rtt_sum / acked
                 if flow.last_meas_ack is None or acc.last_ack <= flow.last_meas_ack:
                     recv = send_rate
                 else:
@@ -265,7 +276,7 @@ class Simulation:
                 end=(flow.spec.start_time + index * epoch_len) + epoch_len,
                 send_rate=send_rate,
                 sent=acc.planned,
-                acked=acc.acked,
+                acked=acked,
                 dropped=acc.dropped,
                 recv_rate=recv,
                 mean_rtt=mean_rtt,
@@ -278,7 +289,7 @@ class Simulation:
             flow.trace.rows.append(TraceRow(
                 time=fb.end,
                 send_rate=send_rate,
-                throughput=acc.acked / epoch_len,
+                throughput=acked / epoch_len,
                 rtt=flow.prev_mean_rtt if flow.prev_mean_rtt is not None else flow.rtprop,
                 queue=acc.occ_sum / acc.planned if acc.planned else 0.0,
                 drops=acc.dropped,
@@ -319,26 +330,25 @@ class Simulation:
                 continue
             # An arrival: it belongs to its flow's open epoch.
             flow = flows[flow_id]
-            acc = flow.epochs[-1]
+            acc = flow.acc
             if acc.planned >= max_emissions:
                 raise RuntimeError(f"flow {flow_id} emission rate exploded ({flow.rate}/ms)")
             acc.planned += 1
-            flow.last_emit = now
             next_emit = now + flow.interval  # the epoch's next packet, if any
             if next_emit < flow.window_end:
                 heappush(heap, (next_emit, _ARRIVAL, flow_id))
+            else:
+                flow.last_emit = now  # the epoch's pacing chain ends here
             while departures and departures[0] < now:
                 retire()
             occupancy = len(departures)
             acc.occ_sum += occupancy
-            totals = flow.trace.totals
-            totals.sent += 1
             if random_loss > 0.0 and draw() < random_loss:
-                totals.dropped_random += 1
+                flow.trace.totals.dropped_random += 1
                 acc.dropped += 1
                 continue
             if occupancy >= capacity:
-                totals.dropped_overflow += 1
+                flow.trace.totals.dropped_overflow += 1
                 acc.dropped += 1
                 continue
             start = departures[-1] if occupancy else now
@@ -348,17 +358,18 @@ class Simulation:
                 service_time = service_times[entry]
             depart(start + service_time)
             ack = start + flow.rtprop
-            acc.acked += 1
             acc.rtt_sum += ack - now
             acc.last_ack = ack
-            if ack <= duration:
-                totals.delivered += 1
-            else:
-                totals.in_flight += 1
+            if ack > duration:
+                flow.trace.totals.in_flight += 1
         for flow in flows:
+            totals = flow.trace.totals
             if flow.epochs:
-                flow.epochs.pop()  # the newest epoch is still open
+                totals.sent += flow.epochs.pop().planned  # the newest epoch is still open
             self._release(flow, duration, decide=False)
+            totals.sent += sum(acc.planned for acc in flow.epochs)
+            totals.delivered = (totals.sent - totals.dropped_random
+                                - totals.dropped_overflow - totals.in_flight)
         return [flow.trace for flow in flows]
 
 

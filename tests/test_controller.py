@@ -8,7 +8,6 @@ implementation under test.
 import math
 import random
 import statistics
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -42,6 +41,7 @@ from iriscc.controller import (
     on_epoch_end,
     update_target_delay,
 )
+from iriscc.feedback import EpochFeedback
 
 NOTHING_SENT = feedback(sent=0, measured=False)
 
@@ -702,9 +702,40 @@ def test_feedback_rejects_bad_values():
     unmeasured = feedback(sent=0, measured=False)
     assert unmeasured.mean_rtt is None and unmeasured.recv_rate is None
     with pytest.raises(ValueError, match="recv_rate"):
-        replace(unmeasured, recv_rate=1.0)
+        unmeasured._replace(recv_rate=1.0)
     with pytest.raises(ValueError, match="recv_rate"):
-        replace(unmeasured, recv_rate=0.0)
+        unmeasured._replace(recv_rate=0.0)
+
+
+@pytest.mark.parametrize("changes, match", [
+    ({"send_rate": -1.0}, "finite"),
+    ({"send_rate": math.nan}, "finite"),
+    ({"send_rate": math.inf}, "finite"),
+    ({"recv_rate": -1.0}, "finite"),
+    ({"recv_rate": math.inf}, "finite"),
+    ({"recv_rate": None}, "recv_rate"),
+    ({"mean_rtt": 0.0}, "mean_rtt"),
+    ({"mean_rtt": math.nan}, "mean_rtt"),
+    ({"mean_rtt": math.inf}, "mean_rtt"),
+])
+def test_feedback_make_and_replace_check_like_the_constructor(changes, match):
+    good = feedback()
+    fields = {**good._asdict(), **changes}
+    with pytest.raises(ValueError, match=match):
+        EpochFeedback(**fields)
+    with pytest.raises(ValueError, match=match):
+        EpochFeedback._make(fields.values())
+    with pytest.raises(ValueError, match=match):
+        good._replace(**changes)
+    assert EpochFeedback._make(good) == good
+
+
+def test_feedback_is_immutable():
+    fb = feedback()
+    with pytest.raises(AttributeError):
+        fb.recv_rate = 2.0
+    with pytest.raises(AttributeError):
+        fb.extra = 1
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -46,16 +46,20 @@ def test_simulator_invariants(seed):
 
 
 class _Clock:
-    """``heapq`` stand-in that notes the time of the event last popped."""
+    """``heapq`` stand-in that notes the time of the event last popped,
+    and the time of every arrival popped."""
 
     heappush = staticmethod(heapq.heappush)
 
     def __init__(self):
         self.now = None
+        self.arrivals = []
 
     def heappop(self, heap):
         event = heapq.heappop(heap)
         self.now = event[0]
+        if event[1] == netsim._ARRIVAL:
+            self.arrivals.append(self.now)
         return event
 
 
@@ -81,14 +85,22 @@ def test_service_starts_and_ack_times_never_decrease(seed, monkeypatch):
     # in send order, and an epoch's latest ACK is its last admitted one.
     clock = _Clock()
     monkeypatch.setattr(netsim, "heapq", clock)
-    sim = Simulation(scenario_from_dict(random_scenario(random.Random(seed))))
+    scenario = scenario_from_dict(random_scenario(random.Random(seed)))
+    sim = Simulation(scenario)
     sim._departures = recorder = _StartRecorder(clock)
     traces = sim.run()
     starts = recorder.starts
     assert starts
     assert all(a <= b for a, b in zip(starts, starts[1:]))
+    # Packet conservation, counted apart from the simulator's own
+    # totals: every arrival within the run is sent, and every admitted
+    # one is delivered or still in flight.
     assert len(starts) == sum(trace.totals.delivered + trace.totals.in_flight
                               for trace in traces)
+    sent = sum(1 for t in clock.arrivals if t <= scenario.duration)
+    assert sent == sum(trace.totals.sent for trace in traces)
+    assert sent - len(starts) == sum(trace.totals.dropped_random + trace.totals.dropped_overflow
+                                     for trace in traces)
 
 
 class _CheckedHeapq:

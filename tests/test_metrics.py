@@ -2,6 +2,7 @@
 whose windowed values are computable in closed form, and against the
 same metrics with every window found by a full scan of the rows."""
 
+import math
 from unittest.mock import patch
 
 import pytest
@@ -255,3 +256,52 @@ def test_jain_series_and_fairness_report_match_scan(traces, duration, after, win
         jain_series, traces, duration, window, grid)
     args = (traces, duration, after, threshold, sustain, window, grid)
     assert fairness_report(*args) == scanned(fairness_report, *args)
+
+
+# --- the one-pass Jain series against a point-by-point fsum -----------------------
+
+# Shares from tiny subnormals to near overflow, so the exact prefix sums
+# span a 2**-1074 denominator and ~1e300 numerators in one trace.
+extreme_throughputs = st.one_of(
+    st.floats(0.0, 10.0),
+    st.sampled_from([5e-324, 1e-323, 2.2250738585072014e-308, 1e300, 9.99e299]),
+    st.floats(0.0, 1e-320),
+    st.floats(1e299, 1e300),
+)
+extreme_traces = st.lists(st.tuples(st.integers(0, 48), extreme_throughputs),
+                          max_size=30).map(lattice_trace)
+
+
+def jain_by_points(traces, duration, window, grid, starts):
+    """The oracle: each point's shares summed afresh by :func:`window_throughput`."""
+    series = []
+    for i in range(1, int(duration // grid) + 1):
+        t = i * grid
+        shares = [window_throughput(trace, t, window)
+                  for trace, start in zip(traces, starts) if start <= t]
+        series.append((t, jain_index(shares) if len(shares) >= 2 else None))
+    return series
+
+
+def default_start(trace):
+    rows = trace.rows
+    if not rows:
+        return math.inf
+    spacing = rows[1].time - rows[0].time if len(rows) >= 2 else 50.0
+    return rows[0].time - spacing
+
+
+@given(st.lists(extreme_traces, min_size=1, max_size=4), st.integers(0, 1300), windows,
+       st.sampled_from([25.0, 50.0]), st.lists(lattice, min_size=4, max_size=4) | st.none())
+@example([lattice_trace([(1, 1.0), (1, 3.0), (2, 2.0)]), lattice_trace([(1, 5e-324)])],
+         200, 50.0, 25.0, None)
+@example([lattice_trace([]), lattice_trace([(2, 1e300)]), lattice_trace([(3, 1e300), (4, 5e-324)])],
+         300, 100.0, 25.0, None)
+# A trace read from a file may hold non-finite rates; they have no
+# integer ratio, and their windows still read as fsum reads them.
+@example([lattice_trace([(1, 1.0), (3, math.inf)]), lattice_trace([(2, math.nan), (9, 2.0)]),
+          lattice_trace([(4, 1.0)])], 400, 50.0, 25.0, None)
+def test_jain_series_equals_fsum_per_point(traces, duration, window, grid, starts):
+    expected_starts = [default_start(trace) for trace in traces] if starts is None else starts
+    assert jain_series(traces, duration, window, grid, starts) == jain_by_points(
+        traces, duration, window, grid, expected_starts)

@@ -1,9 +1,12 @@
 """Trace CSV writing and reading: determinism, ordering, and the
 row-window helper."""
 
+import csv
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from iriscc.trace import (
     CSV_COLUMNS,
@@ -125,3 +128,49 @@ def test_empty_traces_write_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     write_trace_csv([FlowTrace(flow_id=0, kind="iris", totals=FlowTotals())], path)
     assert path.read_text() == ",".join(CSV_COLUMNS) + "\n"
+
+
+# --- the one-pass writer against csv.writer ------------------------------------
+
+def csv_writer_reference(traces, path):
+    """The oracle: each row formatted field by field and written by
+    ``csv.writer`` in its default dialect."""
+    keyed = [(row.time, trace.flow_id, row) for trace in traces for row in trace.rows]
+    keyed.sort(key=lambda item: (item[0], item[1]))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        for _, flow_id, r in keyed:
+            writer.writerow([f"{r.time:.3f}", str(flow_id), f"{r.send_rate:.6f}",
+                             f"{r.throughput:.6f}", f"{r.rtt:.6f}", f"{r.queue:.3f}",
+                             str(r.drops)])
+
+
+# Values that round at the 6th or 3rd decimal, signed zeros, 1e16 and
+# whatever else a float can be.
+awkward_floats = st.one_of(
+    st.sampled_from([-0.0, 0.0, 0.0000005, 0.0000015, 2.5e-7, 0.0005, 1.0005, 2.0625,
+                     -1.2345675, 999.9995, 1e16, -1e16, 1e300]),
+    st.floats(),
+)
+awkward_rows = st.builds(TraceRow, time=st.sampled_from([0.0, -0.0, 25.0, 25.0005, 1e16]) | st.floats(),
+                         send_rate=awkward_floats, throughput=awkward_floats, rtt=awkward_floats,
+                         queue=awkward_floats, drops=st.integers(0, 10**30))
+
+
+@given(st.lists(st.lists(awkward_rows, max_size=8), max_size=3))
+@example([[row(-0.0, flow_rate=-0.0, tput=0.0000005, rtt=1e16, queue=0.0005, drops=10**20)],
+          [row(-0.0), row(0.0, drops=3)]])
+@example([[row(25.0 * i, drops=i) for i in range(1500)], [row(12.5 * i) for i in range(700)]])
+def test_writer_bytes_equal_csv_writer(tmp_path_factory, rows_per_flow):
+    traces = [FlowTrace(flow_id=flow, kind="iris", totals=FlowTotals(), rows=rows)
+              for flow, rows in enumerate(rows_per_flow)]
+    folder = tmp_path_factory.mktemp("writer")
+    write_trace_csv(traces, folder / "fast.csv")
+    csv_writer_reference(traces, folder / "reference.csv")
+    data = (folder / "fast.csv").read_bytes()
+    assert data == (folder / "reference.csv").read_bytes()
+    header, *lines = data.split(b"\r\n")
+    assert header == b"time_ms,flow_id,send_rate,throughput,rtt_ms,queue_pkts,drops"
+    assert lines[-1] == b"" and len(lines) == sum(map(len, rows_per_flow)) + 1
+    assert not any(b"\n" in line or b"\r" in line for line in lines)

@@ -42,27 +42,31 @@ MUTANTS = [
     (NETSIM, "while next_change < start:", "while next_change <= start:"),
     (NETSIM, """\
             if random_loss > 0.0 and draw() < random_loss:
-                totals.dropped_random += 1
+                flow.trace.totals.dropped_random += 1
                 acc.dropped += 1
                 continue
             if occupancy >= capacity:
-                totals.dropped_overflow += 1
+                flow.trace.totals.dropped_overflow += 1
                 acc.dropped += 1
                 continue
 """, """\
             if occupancy >= capacity:
-                totals.dropped_overflow += 1
+                flow.trace.totals.dropped_overflow += 1
                 acc.dropped += 1
                 continue
             if random_loss > 0.0 and draw() < random_loss:
-                totals.dropped_random += 1
+                flow.trace.totals.dropped_random += 1
                 acc.dropped += 1
                 continue
 """),
     (NETSIM, "depart(start + service_time)", "depart(start + service_time / 2)"),
-    # ACK accounting: delivered within the run, and an epoch resolved
-    # once its latest ACK is due.
-    (NETSIM, "if ack <= duration:", "if ack < duration:"),
+    # ACK accounting: delivered within the run, every admitted packet
+    # acked, and an epoch resolved once its latest ACK is due.  (Writing
+    # ``last_emit`` on every arrival instead of where the pacing chain
+    # ends is an equivalent mutant, so it is not listed: only a timer
+    # reads it, and every arrival of an epoch precedes the next timer.)
+    (NETSIM, "if ack > duration:", "if ack >= duration:"),
+    (NETSIM, "acked = acc.planned - acc.dropped", "acked = acc.planned"),
     (NETSIM, "acc.last_ack is not None and acc.last_ack > now",
      "acc.last_ack is not None and acc.last_ack >= now"),
     # Trace windows are left-open, right-closed at both edges.
@@ -70,6 +74,13 @@ MUTANTS = [
      "lo = __import__('bisect').bisect_left(rows, t0, key=_row_time)"),
     ("src/iriscc/trace.py", "rows[lo:bisect_right(rows, t1, lo, key=_row_time)]",
      "rows[lo:__import__('bisect').bisect_left(rows, t1, lo, key=_row_time)]"),
+    # The one-pass Jain windows are left-open, right-closed too.
+    ("src/iriscc/metrics.py", "lo = bisect_right(row_times, t - window)",
+     "lo = __import__('bisect').bisect_left(row_times, t - window)"),
+    ("src/iriscc/metrics.py", "hi = bisect_right(row_times, t, lo)",
+     "hi = __import__('bisect').bisect_left(row_times, t, lo)"),
+    # A replaced feedback record is checked like a new one.
+    ("src/iriscc/feedback.py", "return cls(*iterable)", "return tuple.__new__(cls, iterable)"),
     # The re-fit screen may reject only what the exact gate rejects.
     ("src/iriscc/controller.py", """\
 SCREEN_PLCC_MARGIN = 0.05
