@@ -11,7 +11,7 @@ measurement with an objective
 which is zero exactly when the flow keeps ``queue_load_target`` packets
 queued at the bottleneck.  The objective is squashed through ``tanh``
 into a bounded desired RTT change, which the learned slope converts
-into a rate adjustment on top of the latest receiving-rate estimate.
+into a rate adjustment on top of the receiving rate it estimates from ACKs.
 
 A new flow starts in a cold-start phase: it sends at a low initial rate
 and doubles every epoch until loss appears, then fits an initial slope
@@ -93,6 +93,16 @@ class IrisParams:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
+class Measurement(NamedTuple):
+    """The controller's record of one measured epoch, by :func:`_record_measurement`."""
+
+    end: float
+    send_rate: float
+    recv_rate: float   # estimated from ACK spacing, packets/ms
+    mean_rtt: float
+    delta_rtt: float | None  # mean_rtt minus the previous measured epoch's, if any
+
+
 class DecisionLogEntry(NamedTuple):
     """One epoch's rate decision, as the step that made it reports it.
 
@@ -140,14 +150,14 @@ class WindowSums:
     max_send: float = 0.0
     evictions: int = 0   # since the last re-sum
 
-    def add(self, fb: EpochFeedback) -> None:
-        send = fb.send_rate
+    def add(self, rec: Measurement) -> None:
+        send = rec.send_rate
         self.send += send
         if send > self.max_send:
             self.max_send = send
-        y = fb.delta_rtt
+        y = rec.delta_rtt
         if y is not None:
-            x = send - fb.recv_rate
+            x = send - rec.recv_rate
             self.n += 1
             self.sx += x
             self.sy += y
@@ -159,11 +169,11 @@ class WindowSums:
             if abs(y) > self.max_y:
                 self.max_y = abs(y)
 
-    def remove(self, fb: EpochFeedback) -> None:
-        self.send -= fb.send_rate
-        y = fb.delta_rtt
+    def remove(self, rec: Measurement) -> None:
+        self.send -= rec.send_rate
+        y = rec.delta_rtt
         if y is not None:
-            x = fb.send_rate - fb.recv_rate
+            x = rec.send_rate - rec.recv_rate
             self.n -= 1
             self.sx -= x
             self.sy -= y
@@ -176,8 +186,8 @@ class WindowSums:
     def of(cls, records) -> WindowSums:
         """Fresh sums over ``records``, free of the rounding of any that left."""
         sums = cls()
-        for fb in records:
-            sums.add(fb)
+        for rec in records:
+            sums.add(rec)
         return sums
 
 
@@ -200,8 +210,10 @@ class IrisState:
     target_delay: float | None = None
     target_stale_epochs: int = 0
     rtt_samples: deque = field(default_factory=deque)   # (time, rtt), rtt increasing
-    history: deque = field(default_factory=lambda: deque(maxlen=HISTORY_CAP))  # measured EpochFeedback
+    history: deque = field(default_factory=lambda: deque(maxlen=HISTORY_CAP))  # of Measurement
     sums: WindowSums = field(default_factory=WindowSums)
+    last_meas_ack: float | None = None  # latest ACK time of the last measured epoch
+    prev_rtt: float | None = None       # mean RTT of the last measured epoch
     prev_loss_rate: float = 0.0
     applied_fits: list = field(default_factory=list)    # (time, RegressionFit)
 
@@ -326,9 +338,9 @@ def _adopt_fit(state: IrisState, fit: RegressionFit | None, now: float) -> bool:
 
 def _plain_fit(records) -> RegressionFit | None:
     """Least-squares fit over the records that carry an RTT change."""
-    usable = [fb for fb in records if fb.delta_rtt is not None]
-    return fit_k_b([fb.send_rate - fb.recv_rate for fb in usable],
-                   [fb.delta_rtt for fb in usable])
+    usable = [rec for rec in records if rec.delta_rtt is not None]
+    return fit_k_b([rec.send_rate - rec.recv_rate for rec in usable],
+                   [rec.delta_rtt for rec in usable])
 
 
 def _gated_fit(records, min_samples: int) -> RegressionFit | None:
@@ -349,7 +361,7 @@ def _gated_fit(records, min_samples: int) -> RegressionFit | None:
     fit = _plain_fit(records)
     if fit is None or fit.n < min_samples or fit.plcc < MIN_FIT_PLCC:
         return None
-    mean_rate = math.fsum(fb.send_rate for fb in records) / len(records)
+    mean_rate = math.fsum(rec.send_rate for rec in records) / len(records)
     excitation = fit.x_std / mean_rate if mean_rate > 0.0 else 0.0
     if excitation < EXCITATION_FLOOR:
         return None
@@ -421,8 +433,25 @@ def _maybe_refit_k(state: IrisState, now: float) -> None:
     _adopt_fit(state, _screened_fit(state, MIN_FIT_SAMPLES), now)
 
 
-def _record_measurement(state: IrisState, fb: EpochFeedback) -> None:
-    """Append a measured epoch to the history, its sums and the RTT samples.
+def _record_measurement(state: IrisState, fb: EpochFeedback) -> Measurement:
+    """Record a measured epoch with :func:`_append_record`, estimating
+    its RTT change and its receiving rate: its ``send_rate * epoch_len``
+    packets over the span from the last measured epoch's latest ACK to
+    its own, or its send rate if there is none or its ACK is no later.
+    """
+    last = state.last_meas_ack
+    recv = (fb.send_rate if last is None or fb.last_ack <= last
+            else fb.send_rate * state.params.epoch_len / (fb.last_ack - last))
+    delta = None if state.prev_rtt is None else fb.mean_rtt - state.prev_rtt
+    state.last_meas_ack = fb.last_ack
+    state.prev_rtt = fb.mean_rtt
+    rec = Measurement(fb.end, fb.send_rate, recv, fb.mean_rtt, delta)
+    _append_record(state, rec)
+    return rec
+
+
+def _append_record(state: IrisState, rec: Measurement) -> None:
+    """Append a record to the history, its sums and the RTT samples.
 
     A full history evicts its oldest record first.  The RTT samples
     drop every sample at or above the new one, which outlives them in
@@ -430,17 +459,17 @@ def _record_measurement(state: IrisState, fb: EpochFeedback) -> None:
     """
     if len(state.history) == HISTORY_CAP:
         _evict_oldest(state)
-    state.history.append(fb)
-    state.sums.add(fb)
+    state.history.append(rec)
+    state.sums.add(rec)
     samples = state.rtt_samples
-    while samples and samples[-1][1] >= fb.mean_rtt:
+    while samples and samples[-1][1] >= rec.mean_rtt:
         samples.pop()
-    samples.append((fb.end, fb.mean_rtt))
+    samples.append((rec.end, rec.mean_rtt))
 
 
 def _log_entry(state: IrisState, fb: EpochFeedback, now: float, phase: Phase, k: float,
-               objective: float | None = None, rtt_step: float | None = None,
-               contraction: float | None = None) -> DecisionLogEntry:
+               recv_rate: float | None = None, objective: float | None = None,
+               rtt_step: float | None = None, contraction: float | None = None) -> DecisionLogEntry:
     """The record of the decision a step just made: its rate is the
     state's current rate, its target the state's target delay."""
     return DecisionLogEntry(
@@ -454,7 +483,7 @@ def _log_entry(state: IrisState, fb: EpochFeedback, now: float, phase: Phase, k:
         target_delay=state.target_delay,
         objective=objective,
         rtt_step=rtt_step,
-        recv_rate=fb.recv_rate,
+        recv_rate=recv_rate,
         contraction=contraction,
     )
 
@@ -473,31 +502,25 @@ def on_epoch_end(state: IrisState, fb: EpochFeedback, now: float) -> DecisionLog
     if not fb.measured:
         return _log_entry(state, fb, now, Phase.STEADY, state.k)
     params = state.params
-    _record_measurement(state, fb)
+    recv = _record_measurement(state, fb).recv_rate
     target = update_target_delay(state, now)
     if target is None:
         target = state.target_delay = fb.mean_rtt
     objective = compute_objective(fb.send_rate, fb.mean_rtt, target, params.queue_load_target)
     rtt_step = expected_rtt_variation(objective, params.rtt_step_bound, params.objective_scale)
     k_used = effective_slope(params, state.k, fb.mean_rtt, target)
-    state.current_rate = next_sending_rate(fb.recv_rate, rtt_step, k_used)
+    state.current_rate = next_sending_rate(recv, rtt_step, k_used)
     _maybe_refit_k(state, now)
-    return _log_entry(state, fb, now, Phase.STEADY, k_used, objective, rtt_step,
+    return _log_entry(state, fb, now, Phase.STEADY, k_used, recv, objective, rtt_step,
                       gap_contraction_factor(params, fb.mean_rtt, target, k_used))
 
 
-def _exit_cold(state: IrisState, fb: EpochFeedback,
-               fit: RegressionFit | None, now: float) -> None:
-    """Leave the ramp: install the fit and land on the receiving rate."""
+def _exit_cold(state: IrisState, fit: RegressionFit | None, now: float) -> None:
+    """Leave the ramp: install the fit and land on the latest receiving rate."""
     state.phase = Phase.STEADY
     if not _adopt_fit(state, fit, now):
         state.k = K_MIN  # ramp data was degenerate; learn on the fly
-    if fb.measured:
-        landing = fb.recv_rate
-    elif state.history:
-        landing = state.history[-1].recv_rate
-    else:
-        landing = state.current_rate
+    landing = state.history[-1].recv_rate if state.history else state.current_rate
     state.current_rate = max(RATE_FLOOR, landing)
 
 
@@ -526,8 +549,9 @@ def cold_start_step(state: IrisState, fb: EpochFeedback, now: float) -> Decision
     record logs the slope the flow had before the step.
     """
     k = state.k
+    recv = None
     if fb.measured:
-        _record_measurement(state, fb)
+        recv = _record_measurement(state, fb).recv_rate
         update_target_delay(state, now)
     loss_rate = fb.loss_rate
     prev_loss = state.prev_loss_rate
@@ -537,17 +561,17 @@ def cold_start_step(state: IrisState, fb: EpochFeedback, now: float) -> Decision
         and (loss_rate > prev_loss + COLD_LOSS_JUMP or loss_rate >= COLD_LOSS_SEVERE)
     )
     if state.current_rate >= RATE_CEILING:
-        _exit_cold(state, fb, _plain_fit(state.history), now)
+        _exit_cold(state, _plain_fit(state.history), now)
     elif loss_burst:
         fit = _screened_fit(state, COLD_FIT_SAMPLES)
         if fit is not None:
-            _exit_cold(state, fb, fit, now)
+            _exit_cold(state, fit, now)
         else:
             # Burst before the ramp became informative: back off, keep probing.
             state.current_rate = max(RATE_FLOOR, state.current_rate * COLD_BACKOFF)
     else:
         state.current_rate = min(state.current_rate * 2.0, RATE_CEILING)
-    return _log_entry(state, fb, now, Phase.COLD_START, k)
+    return _log_entry(state, fb, now, Phase.COLD_START, k, recv)
 
 
 # --- simulator-facing adapter ----------------------------------------------

@@ -2,10 +2,10 @@
 
 Controllers never see individual packets.  At each epoch timer the
 simulator summarizes every closed epoch whose packets have all been
-ACKed or dropped, in index order: sending rate, mean RTT, estimated
-receiving rate and RTT change.  That :class:`EpochFeedback` goes to the
-controller, which returns the rate to use next, and the controllers
-keep it as their record of the epoch.
+ACKed or dropped, in index order, into what its sender observed:
+sending rate, packet counts, mean RTT and latest ACK time.  That
+:class:`EpochFeedback` goes to the controller, which makes its own
+estimates from it and returns the rate to use next.
 """
 
 from __future__ import annotations
@@ -22,32 +22,31 @@ class _Fields(NamedTuple):
     sent: int
     acked: int
     dropped: int
-    recv_rate: float | None # estimated receiving rate, packets/ms
     mean_rtt: float | None  # mean RTT over this epoch's ACKed packets, ms
-    delta_rtt: float | None # mean_rtt minus previous measured epoch's, ms
+    last_ack: float | None  # time of this epoch's latest ACK, ms
 
 
 class EpochFeedback(_Fields):
     """Measurement summary for one finished sender epoch.
 
     An epoch is :attr:`measured` when an ACK came back; otherwise
-    (nothing was sent, or every packet was lost) it carries no receive
-    estimate or RTT: ``recv_rate``, ``mean_rtt`` and ``delta_rtt`` are
-    None.  Immutable; construction, :meth:`_make` and :meth:`_replace` check.
+    (nothing was sent, or every packet was lost) it carries no RTT or
+    ACK time: ``mean_rtt`` and ``last_ack`` are None.  Immutable;
+    construction, :meth:`_make` and :meth:`_replace` check.
     """
 
     __slots__ = ()
 
-    def __new__(cls, index, end, send_rate, sent, acked, dropped, recv_rate, mean_rtt, delta_rtt):
+    def __new__(cls, index, end, send_rate, sent, acked, dropped, mean_rtt, last_ack):
         measured = mean_rtt is not None
-        if measured != (recv_rate is not None):
-            raise ValueError(f"recv_rate must be None exactly when no ACK came back, got {recv_rate}")
-        if not 0 <= send_rate < math.inf or (measured and not 0 <= recv_rate < math.inf):
-            raise ValueError(f"rates must be non-negative and finite: {send_rate}, {recv_rate}")
-        if measured and not (math.isfinite(mean_rtt) and mean_rtt > 0):
-            raise ValueError(f"mean_rtt must be positive and finite, got {mean_rtt}")
-        return tuple.__new__(cls, (index, end, send_rate, sent, acked, dropped,
-                                   recv_rate, mean_rtt, delta_rtt))
+        if measured != (last_ack is not None):
+            raise ValueError(f"last_ack must be None exactly when no ACK came back, got {last_ack}")
+        if not 0 <= send_rate < math.inf:
+            raise ValueError(f"send_rate must be non-negative and finite, got {send_rate}")
+        if measured and not (math.isfinite(mean_rtt) and mean_rtt > 0 and math.isfinite(last_ack)):
+            raise ValueError(f"mean_rtt must be positive and finite and last_ack finite, "
+                             f"got {mean_rtt} and {last_ack}")
+        return tuple.__new__(cls, (index, end, send_rate, sent, acked, dropped, mean_rtt, last_ack))
 
     @classmethod
     def _make(cls, iterable):

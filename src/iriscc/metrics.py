@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import statistics
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -20,23 +21,35 @@ DEFAULT_WINDOW = 1000.0    # ms of throughput behind each fairness point
 DEFAULT_GRID = 50.0        # ms between evaluation points
 DEFAULT_SUSTAIN = 5000.0   # ms the index must stay above threshold
 DEFAULT_THRESHOLD = 0.9
+_TINY = sys.float_info.min  # smallest normal float: below it, squares lose precision
 
 
 def jain_index(values: Sequence[float]) -> float | None:
     """Jain's fairness index: (sum x)^2 / (n * sum x^2), in [1/n, 1].
 
     1 means perfectly equal shares, 1/n a single hog.  Undefined (None)
-    for an empty set or all-zero shares.
+    for an empty set or all-zero shares.  The index does not change when
+    every share is scaled alike, so shares whose squares or sums leave
+    the normal float range are first divided by the largest.
     """
     if any(v < 0 for v in values):
         raise ValueError("shares must be non-negative")
     if not values:
         return None
-    square_sum = math.fsum(v * v for v in values)
-    if square_sum == 0.0:
-        return None
-    total = math.fsum(values)
     n = len(values)
+    try:
+        square_sum = math.fsum(v * v for v in values)
+    except OverflowError:  # a partial sum left the float range
+        square_sum = math.inf
+    total = math.fsum(values)
+    if not (n * square_sum < math.inf and total * total < math.inf
+            and (square_sum >= n * _TINY or max(values) ** 2 >= _TINY)):
+        top = max(values)
+        if top == 0.0:
+            return None
+        values = [v / top for v in values]
+        square_sum = math.fsum(v * v for v in values)
+        total = math.fsum(values)
     # Rounding can put a lone hog a hair below 1/n; clamp to the exact range.
     return min(1.0, max(1.0 / n, total * total / (n * square_sum)))
 

@@ -57,8 +57,9 @@ same instant.
 Each flow tallies its packets per sender epoch, in a FIFO with the open
 epoch last.  At every epoch timer the closed epochs that are resolved
 are summarized from the front of the FIFO, each into one
-:class:`~iriscc.feedback.EpochFeedback` that goes to the controller and
-one trace row; the end of the run does the same without decisions.
+:class:`~iriscc.feedback.EpochFeedback` of what the sender observed
+(the controller makes its own estimates from it) and one trace row;
+the end of the run does the same without decisions.
 Measured epochs resolve in index order anyway; only an all-dropped
 epoch can resolve before its predecessor, and it then waits for it.
 
@@ -89,20 +90,6 @@ _ARRIVAL = 0
 _TIMER = 1
 
 
-def estimate_receiving_rate(send_rate: float, epoch_len: float,
-                            t_last_ack: float, t_prev_ack: float) -> float:
-    """Receiving rate from the spacing of two epochs' final ACKs.
-
-    The packets sent during an epoch (``send_rate * epoch_len`` of
-    them) finished arriving at ``t_last_ack``; the previous epoch's
-    finished at ``t_prev_ack``.  Their count over that span is the rate
-    at which the receiver is actually getting packets.
-    """
-    if not t_last_ack > t_prev_ack:
-        raise ValueError(f"ACK times must increase: {t_last_ack} after {t_prev_ack}")
-    return send_rate * epoch_len / (t_last_ack - t_prev_ack)
-
-
 @dataclass
 class _EpochAccum:
     """Running tallies for one sender epoch until it is released; an
@@ -129,8 +116,7 @@ class _FlowRuntime:
     epochs: deque = field(default_factory=deque)  # unreleased _EpochAccum tallies, open one last
     acc: _EpochAccum | None = None   # the open epoch's tally, also last in ``epochs``
     next_release: int = 0                 # index of the epoch at the front of ``epochs``
-    last_meas_ack: float | None = None    # last ACK time of the last measured epoch
-    prev_mean_rtt: float | None = None
+    prev_mean_rtt: float | None = None    # of the latest measured epoch, for the trace
     trace: FlowTrace = None  # type: ignore[assignment]
 
 
@@ -259,18 +245,9 @@ class Simulation:
             flow.trace.totals.sent += acc.planned
             send_rate = acc.planned / epoch_len
             acked = acc.planned - acc.dropped
+            mean_rtt = None
             if acked > 0:
-                mean_rtt = acc.rtt_sum / acked
-                if flow.last_meas_ack is None or acc.last_ack <= flow.last_meas_ack:
-                    recv = send_rate
-                else:
-                    recv = estimate_receiving_rate(send_rate, epoch_len,
-                                                   acc.last_ack, flow.last_meas_ack)
-                delta = None if flow.prev_mean_rtt is None else mean_rtt - flow.prev_mean_rtt
-                flow.last_meas_ack = acc.last_ack
-                flow.prev_mean_rtt = mean_rtt
-            else:
-                mean_rtt = delta = recv = None
+                mean_rtt = flow.prev_mean_rtt = acc.rtt_sum / acked
             fb = EpochFeedback(
                 index=index,
                 end=(flow.spec.start_time + index * epoch_len) + epoch_len,
@@ -278,9 +255,8 @@ class Simulation:
                 sent=acc.planned,
                 acked=acked,
                 dropped=acc.dropped,
-                recv_rate=recv,
                 mean_rtt=mean_rtt,
-                delta_rtt=delta,
+                last_ack=acc.last_ack,
             )
             if decide:
                 flow.rate = flow.controller.on_epoch(fb, now)

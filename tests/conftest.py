@@ -39,15 +39,16 @@ def scenario(link: LinkConfig, flows: tuple[FlowSpec, ...],
     return Scenario(link=link, flows=flows, duration=duration)
 
 
-def feedback(index: int = 0, send: float = 1.0, recv: float = 1.0, rtt: float = 50.0,
-             delta: float | None = None, end: float = 50.0, sent: int = 50,
-             acked: int | None = None, dropped: int = 0,
-             measured: bool = True) -> EpochFeedback:
+def feedback(index: int = 0, send: float = 1.0, rtt: float = 50.0, end: float = 50.0,
+             sent: int = 50, acked: int | None = None, dropped: int = 0,
+             measured: bool = True, last_ack: float | None = None) -> EpochFeedback:
     """One epoch's feedback; ``acked`` defaults to the packets not
-    dropped (none when unmeasured), and an unmeasured epoch has no
-    receive estimate or RTT."""
+    dropped (none when unmeasured), and a measured epoch's ``last_ack``
+    to ``end + rtt``, the ACK of a packet sent as the epoch closed.  An
+    unmeasured epoch has no RTT, and no ACK time unless one is given."""
     if acked is None:
         acked = sent - dropped if measured else 0
+    if measured and last_ack is None:
+        last_ack = end + rtt
     return EpochFeedback(index=index, end=end, send_rate=send, sent=sent, acked=acked,
-                         dropped=dropped, recv_rate=recv if measured else None,
-                         mean_rtt=rtt if measured else None, delta_rtt=delta)
+                         dropped=dropped, mean_rtt=rtt if measured else None, last_ack=last_ack)

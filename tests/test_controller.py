@@ -25,7 +25,9 @@ from iriscc.controller import (
     SUM_DRIFT,
     IrisController,
     IrisParams,
+    Measurement,
     Phase,
+    _append_record,
     _evict_oldest,
     _gated_fit,
     _maybe_refit_k,
@@ -215,6 +217,59 @@ def test_target_is_the_window_minimum_of_every_sample(rtt_window, steps):
         assert state.target_stale_epochs == stale
 
 
+# --- receive-rate and RTT-change estimates -------------------------------------
+
+def estimates(*feedbacks):
+    """A fresh state and iris's records of ``feedbacks``, in order."""
+    state = new_state()
+    return state, [_record_measurement(state, fb) for fb in feedbacks]
+
+
+def test_recv_rate_from_ack_spacing():
+    # 100 packets sent over the epoch, ACK span of 100 ms.
+    _, (_, rec) = estimates(feedback(last_ack=50.0),
+                            feedback(index=1, send=2.0, end=100.0, last_ack=150.0))
+    assert rec.recv_rate == 1.0
+
+
+def test_recv_rate_compressed_acks_read_high():
+    _, (_, rec) = estimates(feedback(last_ack=50.0),
+                            feedback(index=1, send=2.0, end=100.0, last_ack=90.0))
+    assert rec.recv_rate == 2.5
+
+
+@pytest.mark.parametrize("last_ack", [50.0, 40.0])
+def test_recv_rate_is_the_send_rate_without_a_later_ack(last_ack):
+    # The first measured epoch has no earlier ACK to span from, and an
+    # ACK at or before the previous one spans nothing; either reads its
+    # own send rate.  The estimate then spans from the newer ACK.
+    state, (first, rec) = estimates(feedback(send=3.0, last_ack=50.0),
+                                    feedback(index=1, send=2.0, end=100.0, last_ack=last_ack))
+    assert first.recv_rate == 3.0 and rec.recv_rate == 2.0
+    assert state.last_meas_ack == last_ack
+
+
+def test_delta_rtt_is_the_change_from_the_previous_measured_epoch():
+    _, (first, rec) = estimates(feedback(rtt=50.0), feedback(index=1, rtt=54.5, end=100.0))
+    assert first.delta_rtt is None
+    assert rec.delta_rtt == 4.5
+
+
+@pytest.mark.parametrize("phase", list(Phase))
+def test_unmeasured_epochs_advance_no_estimate(phase):
+    ctrl = IrisController()
+    ctrl.state.phase = phase
+    ctrl.state.k = 2.0
+    ctrl.on_epoch(feedback(rtt=50.0, last_ack=100.0), 50.0)
+    ctrl.on_epoch(feedback(index=1, end=100.0, dropped=50, measured=False), 100.0)
+    ctrl.on_epoch(NOTHING_SENT._replace(index=2, end=150.0), 150.0)
+    assert (ctrl.state.last_meas_ack, ctrl.state.prev_rtt) == (100.0, 50.0)
+    # 150 packets over the 150 ms since the last measured epoch's ACK.
+    ctrl.on_epoch(feedback(index=3, send=3.0, rtt=60.0, end=200.0, last_ack=250.0), 200.0)
+    assert ctrl.decisions[-1].recv_rate == 1.0
+    assert ctrl.state.history[-1].delta_rtt == 10.0
+
+
 # --- steady-state step ---------------------------------------------------------
 
 def steady_state(**kwargs):
@@ -227,7 +282,7 @@ def steady_state(**kwargs):
 def test_equilibrium_is_a_fixed_point():
     state = steady_state()
     state.rtt_samples.append((0.0, 50.0))  # establishes the 50 ms baseline
-    fb = feedback(send=2.0, recv=2.0, rtt=55.0, end=50.0)
+    fb = feedback(send=2.0, rtt=55.0, end=50.0)
     entry = on_epoch_end(state, fb, 50.0)
     assert entry.objective == 0.0
     assert entry.rtt_step == 0.0
@@ -241,7 +296,7 @@ def test_floored_slope_logs_the_loop_gain_it_realizes():
     state = steady_state()
     state.k = 1e-3
     state.rtt_samples.append((0.0, 50.0))
-    entry = on_epoch_end(state, feedback(send=2.0, recv=2.0, rtt=100.0, end=50.0), 50.0)
+    entry = on_epoch_end(state, feedback(send=2.0, rtt=100.0, end=50.0), 50.0)
     assert entry.k == pytest.approx(3.0 * 50.0 / (100.0 * CONTRACTION_CAP))
     assert entry.contraction == pytest.approx(CONTRACTION_CAP)
 
@@ -249,7 +304,7 @@ def test_floored_slope_logs_the_loop_gain_it_realizes():
 def test_queue_above_target_pushes_rate_down():
     state = steady_state()
     state.rtt_samples.append((0.0, 50.0))
-    fb = feedback(send=2.0, recv=2.0, rtt=60.0, end=50.0)  # 20 packets queued
+    fb = feedback(send=2.0, rtt=60.0, end=50.0)  # 20 packets queued
     entry = on_epoch_end(state, fb, 50.0)
     assert entry.objective == pytest.approx(10.0)
     assert entry.rate < 2.0
@@ -257,7 +312,7 @@ def test_queue_above_target_pushes_rate_down():
 
 def test_empty_queue_pushes_rate_up():
     state = steady_state()
-    fb = feedback(send=2.0, recv=2.0, rtt=50.0, end=50.0)  # rtt == target
+    fb = feedback(send=2.0, rtt=50.0, end=50.0)  # rtt == target
     entry = on_epoch_end(state, fb, 50.0)
     assert entry.objective == pytest.approx(-10.0)
     assert entry.rate > 2.0
@@ -276,19 +331,39 @@ def test_steady_target_when_the_window_is_empty(target, expected):
     assert entry.objective == pytest.approx(1.0 * (50.0 - expected) - 10.0)
 
 
+def ack_driven(samples, rtt=50.0):
+    """Measured 50 ms epochs, the first ending at 50 ms, whose ACK times
+    and RTTs make iris estimate each ``(send, recv, delta)`` sample: an
+    epoch's latest ACK follows the previous one by ``send * 50 / recv``
+    and its RTT moves by ``delta``.  The first sample only primes the
+    estimator, so its ``recv`` is its ``send`` and its ``delta`` None."""
+    fbs = []
+    ack = None
+    for i, (send, recv, delta) in enumerate(samples):
+        end = 50.0 * (i + 1)
+        if ack is None:
+            ack = end + rtt
+        else:
+            ack += send * 50.0 / recv
+            rtt += delta
+        fbs.append(feedback(index=i, send=send, rtt=rtt, end=end, last_ack=ack))
+    return fbs
+
+
+def push(state, end, send, recv, delta, rtt=50.0):
+    """Append iris's record of a measured epoch as if it had estimated it."""
+    _append_record(state, Measurement(end, send, recv, rtt, delta))
+
+
 def test_slope_refit_recovers_linear_response():
     state = steady_state()
     state.k = 0.01
-    rtt = 50.0
-    now = 0.0
+    samples = [(1.0, 1.0, None)]
     for i in range(12):
-        now += 50.0
         diff = 0.5 if i % 2 == 0 else -0.5
-        delta = 2.0 * diff  # network responds with slope 2
-        rtt += delta
-        fb = feedback(index=i, send=1.0 + diff, recv=1.0, rtt=rtt,
-                     delta=delta, end=now)
-        on_epoch_end(state, fb, now)
+        samples.append((1.0 + diff, 1.0, 2.0 * diff))  # network responds with slope 2
+    for fb in ack_driven(samples):
+        on_epoch_end(state, fb, fb.end)
     assert state.k == pytest.approx(2.0, rel=1e-9)
     assert state.last_fit is not None and state.last_fit.plcc == pytest.approx(1.0)
     assert len(state.applied_fits) == 1
@@ -300,16 +375,12 @@ def test_slope_refit_skips_quiet_windows():
     # is pure noise, so no fit may be adopted no matter how correlated.
     state = steady_state()
     state.k = 5.0
-    rtt = 50.0
-    now = 0.0
+    samples = [(1.0, 1.0, None)]
     for i in range(12):
-        now += 50.0
         diff = 1e-4 if i % 2 == 0 else -1e-4
-        delta = 2.0 * diff
-        rtt += delta
-        fb = feedback(index=i, send=1.0 + diff, recv=1.0, rtt=rtt,
-                     delta=delta, end=now)
-        on_epoch_end(state, fb, now)
+        samples.append((1.0 + diff, 1.0, 2.0 * diff))
+    for fb in ack_driven(samples):
+        on_epoch_end(state, fb, fb.end)
     assert state.k == 5.0
     assert state.applied_fits == []
 
@@ -321,16 +392,10 @@ def test_slope_refit_rejects_weak_correlation():
     # the RTT deltas follow +,+,-,-, so their sample covariance is zero.
     diff_cycle = [0.5, -0.5, -0.5, 0.5]
     delta_cycle = [1.0, 1.0, -1.0, -1.0]
-    rtt = 50.0
-    now = 0.0
-    for i in range(12):
-        now += 50.0
-        diff = diff_cycle[i % 4]
-        delta = delta_cycle[i % 4]
-        rtt += delta
-        fb = feedback(index=i, send=1.0 + diff, recv=1.0, rtt=rtt,
-                     delta=delta, end=now)
-        on_epoch_end(state, fb, now)
+    samples = [(1.0, 1.0, None)]
+    samples += [(1.0 + diff_cycle[i % 4], 1.0, delta_cycle[i % 4]) for i in range(12)]
+    for fb in ack_driven(samples):
+        on_epoch_end(state, fb, fb.end)
     assert state.k == 5.0
     assert state.applied_fits == []
 
@@ -345,16 +410,7 @@ def _excitation_window(spread):
     base = [0.3, -0.1, 0.25, -0.4, 0.05, 0.35, -0.2, 0.15, -0.3, 0.1]
     # spread = c * pstdev(base) / ((3 + 10 + c * sum(base)) / 11), solved for c
     scale = 13.0 * spread / (11.0 * statistics.pstdev(base) - spread * math.fsum(base))
-    records = [feedback(index=0, send=3.0, recv=3.0, rtt=50.0, end=50.0)]
-    rtt = 50.0
-    for i, diff in enumerate((scale * d for d in base), start=1):
-        rtt += 2.0 * diff
-        records.append(feedback(index=i, send=1.0 + diff, recv=1.0, rtt=rtt,
-                                delta=2.0 * diff, end=50.0 * (i + 1)))
-    overshoots = [fb.send_rate - fb.recv_rate for fb in records[1:]]
-    assert (statistics.pstdev(overshoots) / statistics.fmean(fb.send_rate for fb in records)
-            == pytest.approx(spread, rel=1e-12))
-    return records
+    return ack_driven([(3.0, 3.0, None)] + [(1.0 + scale * d, 1.0, 2.0 * scale * d) for d in base])
 
 
 @pytest.mark.parametrize("floor_scale, adopted", [(1.0 - 1e-9, True), (1.0 + 1e-9, False)])
@@ -364,11 +420,15 @@ def test_slope_refit_excitation_gate_at_its_floor(floor_scale, adopted):
     # (about 5% larger with 10 samples) or a mean over the fitted
     # records only (lower, because the first record sends the most)
     # would adopt both.  Ten fitted records meet MIN_FIT_SAMPLES exactly.
-    records = _excitation_window(EXCITATION_FLOOR / floor_scale)
+    spread = EXCITATION_FLOOR / floor_scale
     state = steady_state()
     state.rtt_samples.append((0.0, 50.0))
-    for fb in records:
+    for fb in _excitation_window(spread):
         on_epoch_end(state, fb, fb.end)
+    overshoots = [rec.send_rate - rec.recv_rate
+                  for rec in state.history if rec.delta_rtt is not None]
+    assert (statistics.pstdev(overshoots) / statistics.fmean(rec.send_rate for rec in state.history)
+            == pytest.approx(spread, rel=1e-12))
     assert len(state.applied_fits) == (1 if adopted else 0)
     if adopted:
         assert state.k == pytest.approx(2.0, rel=1e-9)
@@ -376,19 +436,19 @@ def test_slope_refit_excitation_gate_at_its_floor(floor_scale, adopted):
 
 def test_history_is_bounded_by_its_cap_when_no_record_ages_out():
     # With an infinite re-fit period the window never evicts by time;
-    # quiet epochs keep every attempt rejected, so the history would grow
+    # quiet records keep every attempt rejected, so the history would grow
     # without the cap, which evicts the oldest record and its sums.
     state = steady_state(k_update_period=math.inf)
     for i in range(HISTORY_CAP + 50):
         diff = 1e-4 if i % 2 else -1e-4
         end = 50.0 * (i + 1)
-        on_epoch_end(state, feedback(index=i, send=1.0 + diff, recv=1.0,
-                                     delta=2.0 * diff if i % 3 else None, end=end), end)
+        push(state, end, 1.0 + diff, 1.0, 2.0 * diff if i % 3 else None)
+        _maybe_refit_k(state, end)
     assert state.applied_fits == []
     assert len(state.history) == HISTORY_CAP
-    assert state.history[0].index == 50
-    assert state.sums.n == sum(fb.delta_rtt is not None for fb in state.history)
-    assert state.sums.send == pytest.approx(math.fsum(fb.send_rate for fb in state.history),
+    assert state.history[0].end == 50.0 * 51  # the 51st record
+    assert state.sums.n == sum(rec.delta_rtt is not None for rec in state.history)
+    assert state.sums.send == pytest.approx(math.fsum(rec.send_rate for rec in state.history),
                                             rel=1e-12)
 
 
@@ -461,8 +521,7 @@ def screened_windows(draw):
     state = new_state()
     records = [*transients, *[(offset_x, None)] * plain, *zip(xs, ys)]
     for i, (x, y) in enumerate(records):
-        _record_measurement(state, feedback(index=i, send=rate + x, recv=rate, delta=y,
-                                            end=50.0 * (i + 1)))
+        push(state, 50.0 * (i + 1), rate + x, rate, y)
     for _ in transients:
         _evict_oldest(state)
     return state
@@ -490,8 +549,7 @@ def test_screen_stays_one_sided_after_an_overshoot_leaves():
             x = rng.gauss(0.0, 1.0)
             records.append((x, 0.5 * x + rng.gauss(0.0, 1.0)))
         for i, (x, y) in enumerate(records):
-            _record_measurement(state, feedback(index=i, send=10.0 + x, recv=10.0, delta=y,
-                                                end=50.0 * (i + 1)))
+            push(state, 50.0 * (i + 1), 10.0 + x, 10.0, y)
         _evict_oldest(state)
         if _gated_fit(state.history, MIN_FIT_SAMPLES) is not None:
             adopted += 1
@@ -511,8 +569,7 @@ def test_running_sums_stay_within_their_drift_bound():
         end = 50.0 * (i + 1)
         diff = 1e200 if i == 50_000 else rng.uniform(-0.5, 0.5)
         delta = rng.uniform(-1.0, 1.0) if i % 7 else None
-        _record_measurement(state, feedback(index=i, send=1.0 + diff, recv=1.0, delta=delta,
-                                            end=end))
+        push(state, end, 1.0 + diff, 1.0, delta)
         _maybe_refit_k(state, end)
         sums = state.sums
         if not all(map(math.isfinite, (sums.sx, sums.sy, sums.sxx, sums.syy, sums.sxy))):
@@ -520,10 +577,10 @@ def test_running_sums_stay_within_their_drift_bound():
             assert sums.n >= MIN_FIT_SAMPLES
             assert not _screen_rejects(sums, len(state.history), MIN_FIT_SAMPLES)
     assert 0 < non_finite <= 2 * HISTORY_CAP
-    usable = [fb for fb in state.history if fb.delta_rtt is not None]
-    xs = [fb.send_rate - fb.recv_rate for fb in usable]
-    ys = [fb.delta_rtt for fb in usable]
-    sends = [fb.send_rate for fb in state.history]
+    usable = [rec for rec in state.history if rec.delta_rtt is not None]
+    xs = [rec.send_rate - rec.recv_rate for rec in usable]
+    ys = [rec.delta_rtt for rec in usable]
+    sends = [rec.send_rate for rec in state.history]
     assert sums.n == len(usable)
     for value, terms, largest in (
             (sums.sx, xs, sums.max_x),
@@ -577,8 +634,7 @@ def test_cold_ceiling_exit_installs_plain_fit_of_quiet_ramp():
         delta = 2.0 * diff + 1e-5 * (i % 4)
         xs.append(diff)
         ys.append(delta)
-        _record_measurement(state, feedback(index=i, send=1.0 + diff, recv=1.0, rtt=50.0,
-                                            delta=delta, end=now))
+        push(state, now, 1.0 + diff, 1.0, delta)
     state.current_rate = RATE_CEILING / 2.0
     now += 50.0
     cold_start_step(state, feedback(index=10, end=now, dropped=30, measured=False), now)
@@ -600,18 +656,17 @@ def test_cold_ceiling_exit_installs_plain_fit_of_quiet_ramp():
 
 def test_cold_backoff_on_early_loss_burst():
     state = cold_state(1.0)
-    entry = cold_start_step(state, feedback(send=1.0, recv=0.5, rtt=60.0, dropped=25), 50.0)
+    entry = cold_start_step(state, feedback(send=1.0, rtt=60.0, dropped=25), 50.0)
     assert entry.rate == pytest.approx(0.5)
     assert state.phase is Phase.COLD_START
 
 
 def test_cold_ignores_steady_background_loss():
     state = cold_state(1.0)
-    entry = cold_start_step(state, feedback(send=1.0, recv=0.98, rtt=50.0, dropped=1), 50.0)
+    entry = cold_start_step(state, feedback(send=1.0, rtt=50.0, dropped=1), 50.0)
     assert entry.rate == pytest.approx(2.0)  # 2% loss
     entry = cold_start_step(
-        state, feedback(index=1, send=2.0, recv=1.96, rtt=50.0, delta=0.0, end=100.0,
-                        sent=250, dropped=7),
+        state, feedback(index=1, send=2.0, rtt=50.0, end=100.0, sent=250, dropped=7),
         100.0)  # 2.8%: above threshold but no jump over the last epoch
     assert entry.rate == pytest.approx(4.0)
     assert state.phase is Phase.COLD_START
@@ -619,12 +674,11 @@ def test_cold_ignores_steady_background_loss():
 
 def test_cold_saturated_loss_keeps_backing_off():
     state = cold_state(8.0)
-    cold_start_step(state, feedback(send=8.0, recv=0.5, rtt=90.0, dropped=45), 50.0)
+    cold_start_step(state, feedback(send=8.0, rtt=90.0, dropped=45), 50.0)
     assert state.current_rate == pytest.approx(4.0)
     # No epoch-over-epoch jump, but the rate is pinned at severe loss:
     # the burst must re-fire rather than let doubling resume.
-    cold_start_step(state, feedback(index=1, send=4.0, recv=0.5, rtt=90.0,
-                                    delta=0.0, end=100.0, dropped=44), 100.0)
+    cold_start_step(state, feedback(index=1, send=4.0, rtt=90.0, end=100.0, dropped=44), 100.0)
     assert state.current_rate == pytest.approx(2.0)
     assert state.phase is Phase.COLD_START
 
@@ -636,8 +690,7 @@ def test_cold_exit_requires_informative_history():
     for i in range(10):
         now += 50.0
         diff = 1e-4 if i % 2 == 0 else -1e-4
-        _record_measurement(state, feedback(index=i, send=1.0 + diff, recv=1.0, rtt=50.0,
-                                            delta=2.0 * diff, end=now))
+        push(state, now, 1.0 + diff, 1.0, 2.0 * diff)
     state.current_rate = 1.0
     cold_start_step(state, feedback(index=10, end=now + 50.0, dropped=30, measured=False),
                     now + 50.0)  # 60% loss, nothing ACKed
@@ -646,26 +699,19 @@ def test_cold_exit_requires_informative_history():
 
 
 def test_cold_exit_fits_slope_from_ramp():
-    state = cold_state(0.1)
-    now = 0.0
-    rtt = 50.0
-    last = None
-    for i in range(9):
-        now += 50.0
-        send = state.current_rate
-        recv = min(send, 2.0)  # a 2 pkt/ms bottleneck
-        delta = 24.0 * (send - recv)
-        rtt += delta
-        last = feedback(index=i, send=send, recv=recv, rtt=rtt,
-                      delta=delta, end=now)
-        cold_start_step(state, last, now)
+    # A first epoch at 0.05 pkt/ms primes the estimator, then the ramp
+    # doubles from 0.1 to 25.6 pkt/ms into a 2 pkt/ms bottleneck whose
+    # RTT grows 24 ms per pkt/ms of overshoot, and the next epoch, at
+    # 51.2 pkt/ms, loses half its packets.
+    state = cold_state(0.05)
+    sends = [0.05 * 2.0 ** i for i in range(11)]
+    *ramp, burst = ack_driven([(send, min(send, 2.0), 24.0 * (send - min(send, 2.0)))
+                               for send in sends])
+    for fb in ramp:
+        assert fb.send_rate == state.current_rate
+        cold_start_step(state, fb, fb.end)
     assert state.phase is Phase.COLD_START
-    now += 50.0
-    # The loss epoch itself has no usable RTT delta; the fit must come
-    # from the ramp history alone.
-    burst = feedback(index=9, send=state.current_rate, recv=2.0, rtt=rtt,
-                     delta=None, end=now, dropped=25)
-    entry = cold_start_step(state, burst, now)
+    entry = cold_start_step(state, burst._replace(acked=25, dropped=25), burst.end)
     assert state.phase is Phase.STEADY
     assert state.k == pytest.approx(24.0, rel=0.2)
     # The exit step is logged as cold start, with the slope it started from.
@@ -684,36 +730,36 @@ def test_feedback_rejects_bad_values():
     with pytest.raises(ValueError):
         feedback(rtt=math.nan)
     with pytest.raises(ValueError):
-        feedback(recv=-1.0)
+        feedback(last_ack=-math.inf)
     with pytest.raises(ValueError):
         feedback(rtt=math.inf)
     with pytest.raises(ValueError):
-        feedback(recv=math.nan)
+        feedback(last_ack=math.nan)
     for send in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             feedback(send=send)
         with pytest.raises(ValueError, match="finite"):
             feedback(send=send, sent=0, measured=False)
     with pytest.raises(ValueError, match="finite"):
-        feedback(recv=math.inf)
-    # A receive estimate exists exactly when an ACK came back.
-    with pytest.raises(ValueError, match="recv_rate"):
-        feedback(recv=None)
+        feedback(last_ack=math.inf)
+    # An ACK time exists exactly when an ACK came back.
+    with pytest.raises(ValueError, match="last_ack"):
+        feedback()._replace(last_ack=None)
     unmeasured = feedback(sent=0, measured=False)
-    assert unmeasured.mean_rtt is None and unmeasured.recv_rate is None
-    with pytest.raises(ValueError, match="recv_rate"):
-        unmeasured._replace(recv_rate=1.0)
-    with pytest.raises(ValueError, match="recv_rate"):
-        unmeasured._replace(recv_rate=0.0)
+    assert unmeasured.mean_rtt is None and unmeasured.last_ack is None
+    with pytest.raises(ValueError, match="last_ack"):
+        unmeasured._replace(last_ack=1.0)
+    with pytest.raises(ValueError, match="last_ack"):
+        unmeasured._replace(last_ack=0.0)
 
 
 @pytest.mark.parametrize("changes, match", [
     ({"send_rate": -1.0}, "finite"),
     ({"send_rate": math.nan}, "finite"),
     ({"send_rate": math.inf}, "finite"),
-    ({"recv_rate": -1.0}, "finite"),
-    ({"recv_rate": math.inf}, "finite"),
-    ({"recv_rate": None}, "recv_rate"),
+    ({"last_ack": -math.inf}, "finite"),
+    ({"last_ack": math.inf}, "finite"),
+    ({"last_ack": None}, "last_ack"),
     ({"mean_rtt": 0.0}, "mean_rtt"),
     ({"mean_rtt": math.nan}, "mean_rtt"),
     ({"mean_rtt": math.inf}, "mean_rtt"),
@@ -733,7 +779,7 @@ def test_feedback_make_and_replace_check_like_the_constructor(changes, match):
 def test_feedback_is_immutable():
     fb = feedback()
     with pytest.raises(AttributeError):
-        fb.recv_rate = 2.0
+        fb.last_ack = 2.0
     with pytest.raises(AttributeError):
         fb.extra = 1
 

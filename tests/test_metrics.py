@@ -52,6 +52,23 @@ def test_jain_undefined_cases():
     assert jain_index([0.0, 0.0]) is None
 
 
+def test_jain_extreme_magnitudes():
+    # Squares or sums that leave the float range do not change the index:
+    # 1e300 squared overflows, 1e-200 squared underflows to zero, and 100
+    # shares of 1e153 overflow n * sum x^2.
+    assert jain_index([1e300, 1e300]) == 1.0
+    assert jain_index([1e-200, 1e-200]) == 1.0
+    assert jain_index([1e153] * 100) == 1.0
+    assert jain_index([1e300, 0.0]) == jain_index([1e-200, 0.0]) == 0.5
+    for power in range(-300, 301):
+        share = 10.0 ** power
+        for n in (2, 64):  # power-of-two counts round alike on both sides
+            assert jain_index([share] * n) == 1.0
+        for n in (3, 100):
+            assert jain_index([share] * n) == pytest.approx(1.0, abs=1e-15)
+        assert jain_index([2.0 * share, share, share]) == pytest.approx(16.0 / 18.0, rel=1e-12)
+
+
 def test_jain_rejects_negative_shares():
     with pytest.raises(ValueError):
         jain_index([1.0, -0.1])

@@ -1,5 +1,5 @@
-"""Event-driven bottleneck simulation: queue mechanics, rate
-estimation, accounting identities, and determinism."""
+"""Event-driven bottleneck simulation: queue mechanics, epoch release,
+accounting identities, and determinism."""
 
 import itertools
 import json
@@ -10,26 +10,8 @@ import pytest
 from conftest import flow, make_link, scenario
 from iriscc import controller, netsim
 from iriscc.metrics import mean_throughput
-from iriscc.netsim import Simulation, estimate_receiving_rate, run_scenario
+from iriscc.netsim import Simulation, run_scenario
 from iriscc.scenario import ScenarioError, scenario_from_dict
-
-
-# --- receiving-rate estimate ---------------------------------------------------
-
-def test_recv_rate_from_ack_spacing():
-    # 100 packets sent over the epoch, ACK span of 100 ms.
-    assert estimate_receiving_rate(2.0, 50.0, 150.0, 50.0) == 1.0
-
-
-def test_recv_rate_compressed_acks_read_high():
-    assert estimate_receiving_rate(2.0, 50.0, 90.0, 50.0) == 2.5
-
-
-def test_recv_rate_requires_increasing_ack_times():
-    with pytest.raises(ValueError):
-        estimate_receiving_rate(2.0, 50.0, 50.0, 50.0)
-    with pytest.raises(ValueError):
-        estimate_receiving_rate(2.0, 50.0, 40.0, 50.0)
 
 
 # --- drop-tail queue -------------------------------------------------------------
@@ -393,7 +375,7 @@ def test_dropped_epochs_released_after_their_predecessor_carry_no_receive_estima
     # drain for two seconds while epochs 21-25 are dropped whole, so
     # those resolve first.  They are released in index order, at the
     # same instant as epoch 20, and with nothing ACKed they carry no
-    # receive estimate.
+    # RTT or ACK time, so iris makes no receive estimate of them.
     sc = scenario(make_link(sched=((0.0, 2.0), (1000.0, 0.001)), queue=3),
                   [flow("constant", rate=0.1)], 4000.0)
     sim = Simulation(sc)
@@ -404,12 +386,16 @@ def test_dropped_epochs_released_after_their_predecessor_carry_no_receive_estima
     assert [fb.index for fb, _ in recorder.received] == sorted(by_index)
     epoch20, released = by_index[20]
     assert epoch20.measured and epoch20.acked == 4
-    assert epoch20.recv_rate == pytest.approx(0.002475, abs=1e-6)
+    state = controller.new_state()  # iris's estimator, on epochs as long
+    assert state.params.epoch_len == sim.flows[0].epoch_len
+    estimates = {fb.index: controller._record_measurement(state, fb)
+                 for fb, _ in recorder.received if fb.measured}
+    assert estimates[20].recv_rate == pytest.approx(0.002475, abs=1e-6)
     for index in range(21, 26):
         fb, now = by_index[index]
         assert not fb.measured and fb.dropped == fb.sent > 0
         assert now == released
-        assert fb.recv_rate is None
+        assert fb.last_ack is None and index not in estimates
 
 
 def test_ack_at_a_timer_instant_counts_at_that_timer():

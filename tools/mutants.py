@@ -91,6 +91,18 @@ SCREEN_PLCC_MARGIN = 0.0
 # ... and, with the send-rate sum, the excitation estimate by under 0.3%.
 SCREEN_EXCITATION_MARGIN = 0.0   # relative
 """),
+    # Iris's own estimates: an ACK no later than the previous one spans
+    # nothing, and the RTT change is taken before the previous RTT moves.
+    ("src/iriscc/controller.py", "fb.last_ack <= last", "fb.last_ack < last"),
+    ("src/iriscc/controller.py", """\
+    delta = None if state.prev_rtt is None else fb.mean_rtt - state.prev_rtt
+    state.last_meas_ack = fb.last_ack
+    state.prev_rtt = fb.mean_rtt
+""", """\
+    state.prev_rtt = fb.mean_rtt
+    delta = None if state.prev_rtt is None else fb.mean_rtt - state.prev_rtt
+    state.last_meas_ack = fb.last_ack
+"""),
     # The contraction factor reads the slope the step used.
     ("src/iriscc/controller.py", "gap_contraction_factor(params, fb.mean_rtt, target, k_used)",
      "gap_contraction_factor(params, fb.mean_rtt, target, state.k)"),
