@@ -6,11 +6,15 @@ ideal reverse path (no queueing, no loss).  Serialization occupies the
 server but is not added to a packet's own latency, so an unqueued
 packet measures exactly its two-way propagation delay.
 
-Two event kinds go through one heap as ``(time, kind, flow id)``:
-queue arrivals come before epoch timers at equal timestamps, then lower
-flow ids first, and the only randomness is a seeded Bernoulli draw per
-arrival for random loss — so a scenario is a pure function of its
-description and seed, and equal seeds give byte-identical traces.
+Arrivals are known ahead: an epoch timer fixes its flow's pacing chain
+up to the epoch's end and merges it into the *stream*, one sorted list
+of pending ``(time, flow id)`` arrivals, so only timers go through the
+heap, as ``(time, kind, flow id)``.  The loop admits the stream up to
+the next heap event, its instant included, then handles that event:
+arrivals come before timers at equal timestamps, then lower flow ids
+first, and the only randomness is a seeded Bernoulli draw per arrival
+for random loss — so a scenario is a pure function of its description
+and seed, and equal seeds give byte-identical traces.
 Departures need no events: the capacity schedule is known in advance,
 so the FIFO fixes each admitted packet's service start and departure
 when it arrives.  Its one server runs at the scheduled link capacity,
@@ -31,11 +35,13 @@ and :meth:`Simulation.run` applies its rules inline:
 Packets arrive in time order, so service starts never decrease and the
 schedule entry in force only moves forward.
 
-Pacing is lazy: an epoch timer pushes only the epoch's first arrival,
-and each arrival pushes its successor while that is inside the epoch,
-so the heap holds at most one arrival and one timer per flow.  The
-arrival that ends the chain notes its time, from which the next
-epoch's first packet keeps the pacing gap.
+A flow keeps at most ``_SEGMENT`` arrivals in the stream, all in its
+open epoch, and the rest of its chain in a lazy iterator, refilled at
+the last one.  A chain's times strictly increase unless a gap rounds
+away, and then it stalls until the emission guard ends the run, so a
+refill after the arrivals at its instant keeps the order.  The chain's
+last arrival, noted when it is materialized, keeps the pacing gap into
+the next epoch.
 
 ACKs need no events either.  Delivery and ACK happen at known offsets
 from the start of service (the reverse path is ideal), so an admitted
@@ -71,8 +77,12 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from bisect import bisect_right
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import itemgetter
 
 from .baselines import AimdController, ConstantRateController, VegasController
 from .controller import IrisController, IrisParams
@@ -82,15 +92,19 @@ from .trace import FlowTotals, FlowTrace, TraceRow
 from .units import mbps_to_pkts_per_ms
 
 _MAX_EMISSIONS_PER_EPOCH = 1_000_000  # guard against runaway controllers
+_SEGMENT = 2048  # arrivals a flow keeps in the stream at a time
+_TIMER, _REFILL = 0, 1  # heap event kinds, the middle field of every heap event
 
 
-# Event kinds, the middle field of every heap event: at equal
-# timestamps queue arrivals come before epoch timers.
-_ARRIVAL = 0
-_TIMER = 1
+def _pacing(flow_id: int, t: float, interval: float, window_end: float) -> Iterator:
+    """One epoch's ``(time, flow id)`` arrivals, one gap added at a time as a
+    packet would; a chain that never ends trips the emission guard."""
+    while t < window_end:
+        yield t, flow_id
+        t += interval
 
 
-@dataclass
+@dataclass(slots=True)
 class _EpochAccum:
     """Running tallies for one sender epoch until it is released; an
     admitted packet's ACK is tallied when it is queued."""
@@ -110,8 +124,7 @@ class _FlowRuntime:
     rtprop: float                # round-trip propagation delay
     epoch_len: float
     rate: float
-    interval: float = 0.0        # pacing gap of the open epoch
-    window_end: float = 0.0      # end of the open epoch
+    chain: Iterator | None = None    # the open epoch's arrivals not yet in the stream
     last_emit: float | None = None   # the last arrival of the latest epoch that sent one
     epochs: deque = field(default_factory=deque)  # unreleased _EpochAccum tallies, open one last
     acc: _EpochAccum | None = None   # the open epoch's tally, also last in ``epochs``
@@ -174,6 +187,7 @@ class Simulation:
         self._rng = random.Random(scenario.link.seed)
         self._departures: deque[float] = deque()  # pending departures, FIFO order
         self._heap: list = []
+        self._stream: list = []  # pending (time, flow id) arrivals, sorted
         self.flows: list[_FlowRuntime] = []
         for i, spec in enumerate(scenario.flows):
             controller = build_controller(spec, i, scenario.link.packet_bytes)
@@ -199,9 +213,8 @@ class Simulation:
     # -- event handlers -----------------------------------------------------
     #
     # A heap event is (time, kind, flow id).  A flow has at most one
-    # pending arrival and one pending timer, so no two events tie, and
-    # an arrival always belongs to its flow's open epoch.  Arrivals are
-    # handled in :meth:`run` itself.
+    # pending timer and one pending refill, so no two events tie.
+    # Arrivals are handled in :meth:`run` itself.
 
     def _on_timer(self, now: float, flow_id: int) -> None:
         # This instant's departures precede the timer and the arrivals
@@ -211,15 +224,27 @@ class Simulation:
             departures.popleft()
         flow = self.flows[flow_id]
         self._release(flow, now)
-        flow.interval = interval = 1.0 / flow.rate
+        interval = 1.0 / flow.rate
         flow.acc = acc = _EpochAccum()
         flow.epochs.append(acc)
-        flow.window_end = window_end = now + flow.epoch_len
+        window_end = now + flow.epoch_len
         first = now if flow.last_emit is None else max(now, flow.last_emit + interval)
-        if first < window_end:
-            heapq.heappush(self._heap, (first, _ARRIVAL, flow_id))
+        flow.chain = _pacing(flow_id, first, interval, window_end)
+        self._refill(flow)
         if window_end <= self.scenario.duration:
             heapq.heappush(self._heap, (window_end, _TIMER, flow_id))
+
+    def _refill(self, flow: _FlowRuntime) -> None:
+        """Merge the next segment of the flow's chain into the stream, and
+        schedule the next refill at its last arrival if it is full."""
+        segment = list(islice(flow.chain, _SEGMENT))
+        if segment:
+            flow.last_emit = last = segment[-1][0]
+            stream = self._stream
+            stream += segment
+            stream.sort()  # merges the two sorted runs
+            if len(segment) == _SEGMENT and last <= self.scenario.duration:
+                heapq.heappush(self._heap, (last, _REFILL, flow.flow_id))
 
     # -- epoch accounting ---------------------------------------------------
 
@@ -248,28 +273,19 @@ class Simulation:
             mean_rtt = None
             if acked > 0:
                 mean_rtt = flow.prev_mean_rtt = acc.rtt_sum / acked
-            fb = EpochFeedback(
-                index=index,
-                end=(flow.spec.start_time + index * epoch_len) + epoch_len,
-                send_rate=send_rate,
-                sent=acc.planned,
-                acked=acked,
-                dropped=acc.dropped,
-                mean_rtt=mean_rtt,
-                last_ack=acc.last_ack,
-            )
+            end = (flow.spec.start_time + index * epoch_len) + epoch_len
+            # Positional: keywords cost about twice as much per epoch.
+            fb = EpochFeedback(index, end, send_rate, acc.planned, acked, acc.dropped,
+                               mean_rtt, acc.last_ack)
             if decide:
                 flow.rate = flow.controller.on_epoch(fb, now)
-                if not flow.rate > 0:
-                    raise RuntimeError(f"controller returned a non-positive rate: {flow.rate}")
+                if not 0 < flow.rate < math.inf:
+                    raise RuntimeError(
+                        f"controller returned a non-positive or non-finite rate: {flow.rate}")
             flow.trace.rows.append(TraceRow(
-                time=fb.end,
-                send_rate=send_rate,
-                throughput=acked / epoch_len,
-                rtt=flow.prev_mean_rtt if flow.prev_mean_rtt is not None else flow.rtprop,
-                queue=acc.occ_sum / acc.planned if acc.planned else 0.0,
-                drops=acc.dropped,
-            ))
+                end, send_rate, acked / epoch_len,
+                flow.prev_mean_rtt if flow.prev_mean_rtt is not None else flow.rtprop,
+                acc.occ_sum / acc.planned if acc.planned else 0.0, acc.dropped))
 
     # -- main loop ----------------------------------------------------------
 
@@ -282,9 +298,11 @@ class Simulation:
         link = self.scenario.link
         flows = self.flows
         heap = self._heap
-        heappush = heapq.heappush
+        stream = self._stream
+        arrival_time = itemgetter(0)
         heappop = heapq.heappop
         on_timer = self._on_timer
+        refill = self._refill
         max_emissions = _MAX_EMISSIONS_PER_EPOCH
         departures = self._departures
         retire = departures.popleft
@@ -297,47 +315,49 @@ class Simulation:
         entry = 0  # schedule entry of the latest service start
         next_change = change_times[0]
         service_time = service_times[0]
-        while heap:
-            now, kind, flow_id = heappop(heap)
-            if now > duration:
+        while True:
+            # Every heap event is due within the run.  The arrivals up to
+            # the next one, at its instant too, or else up to the end.
+            hi = bisect_right(stream, heap[0][0] if heap else duration, key=arrival_time)
+            chunk = stream[:hi]
+            del stream[:hi]
+            for now, flow_id in chunk:
+                # An arrival: it belongs to its flow's open epoch.
+                flow = flows[flow_id]
+                acc = flow.acc
+                if acc.planned >= max_emissions:
+                    raise RuntimeError(f"flow {flow_id} emission rate exploded ({flow.rate}/ms)")
+                acc.planned += 1
+                while departures and departures[0] < now:
+                    retire()
+                occupancy = len(departures)
+                acc.occ_sum += occupancy
+                if random_loss > 0.0 and draw() < random_loss:
+                    flow.trace.totals.dropped_random += 1
+                    acc.dropped += 1
+                    continue
+                if occupancy >= capacity:
+                    flow.trace.totals.dropped_overflow += 1
+                    acc.dropped += 1
+                    continue
+                start = departures[-1] if occupancy else now
+                while next_change < start:
+                    entry += 1
+                    next_change = change_times[entry]
+                    service_time = service_times[entry]
+                depart(start + service_time)
+                ack = start + flow.rtprop
+                acc.rtt_sum += ack - now
+                acc.last_ack = ack
+                if ack > duration:
+                    flow.trace.totals.in_flight += 1
+            if not heap:
                 break
+            now, kind, flow_id = heappop(heap)
             if kind == _TIMER:
                 on_timer(now, flow_id)
-                continue
-            # An arrival: it belongs to its flow's open epoch.
-            flow = flows[flow_id]
-            acc = flow.acc
-            if acc.planned >= max_emissions:
-                raise RuntimeError(f"flow {flow_id} emission rate exploded ({flow.rate}/ms)")
-            acc.planned += 1
-            next_emit = now + flow.interval  # the epoch's next packet, if any
-            if next_emit < flow.window_end:
-                heappush(heap, (next_emit, _ARRIVAL, flow_id))
             else:
-                flow.last_emit = now  # the epoch's pacing chain ends here
-            while departures and departures[0] < now:
-                retire()
-            occupancy = len(departures)
-            acc.occ_sum += occupancy
-            if random_loss > 0.0 and draw() < random_loss:
-                flow.trace.totals.dropped_random += 1
-                acc.dropped += 1
-                continue
-            if occupancy >= capacity:
-                flow.trace.totals.dropped_overflow += 1
-                acc.dropped += 1
-                continue
-            start = departures[-1] if occupancy else now
-            while next_change < start:
-                entry += 1
-                next_change = change_times[entry]
-                service_time = service_times[entry]
-            depart(start + service_time)
-            ack = start + flow.rtprop
-            acc.rtt_sum += ack - now
-            acc.last_ack = ack
-            if ack > duration:
-                flow.trace.totals.in_flight += 1
+                refill(flows[flow_id])
         for flow in flows:
             totals = flow.trace.totals
             if flow.epochs:

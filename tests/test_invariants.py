@@ -45,49 +45,51 @@ def test_simulator_invariants(seed):
     assert delivered <= bound + len(link.bandwidth_schedule)
 
 
-class _Clock:
-    """``heapq`` stand-in that notes the time of the event last popped,
-    and the time of every arrival popped."""
-
-    heappush = staticmethod(heapq.heappush)
+class _Stream(list):
+    """Stream stand-in that notes each arrival as the loop consumes it:
+    the loop reads each run of due arrivals as one slice, and iterates
+    over it."""
 
     def __init__(self):
+        super().__init__()
         self.now = None
         self.arrivals = []
 
-    def heappop(self, heap):
-        event = heapq.heappop(heap)
-        self.now = event[0]
-        if event[1] == netsim._ARRIVAL:
+    def __getitem__(self, index):
+        items = super().__getitem__(index)
+        return self._consume(items) if isinstance(index, slice) else items
+
+    def _consume(self, items):
+        for item in items:
+            self.now = item[0]
             self.arrivals.append(self.now)
-        return event
+            yield item
 
 
 class _StartRecorder(deque):
     """Departure FIFO that notes each admitted packet's service start:
     the last pending departure, or the arrival time if none is pending."""
 
-    def __init__(self, clock):
+    def __init__(self, stream):
         super().__init__()
-        self.clock = clock
+        self.stream = stream
         self.starts = []
 
     def append(self, departure):
-        self.starts.append(self[-1] if self else self.clock.now)
+        self.starts.append(self[-1] if self else self.stream.now)
         super().append(departure)
 
 
 @pytest.mark.parametrize("seed", range(30))
-def test_service_starts_and_ack_times_never_decrease(seed, monkeypatch):
+def test_service_starts_and_ack_times_never_decrease(seed):
     # The premise of tallying each ACK when its packet is queued: a
     # flow's ACK is its service start plus a fixed round-trip
     # propagation delay, so non-decreasing starts give each flow's ACKs
     # in send order, and an epoch's latest ACK is its last admitted one.
-    clock = _Clock()
-    monkeypatch.setattr(netsim, "heapq", clock)
     scenario = scenario_from_dict(random_scenario(random.Random(seed)))
     sim = Simulation(scenario)
-    sim._departures = recorder = _StartRecorder(clock)
+    sim._stream = stream = _Stream()
+    sim._departures = recorder = _StartRecorder(stream)
     traces = sim.run()
     starts = recorder.starts
     assert starts
@@ -97,30 +99,63 @@ def test_service_starts_and_ack_times_never_decrease(seed, monkeypatch):
     # one is delivered or still in flight.
     assert len(starts) == sum(trace.totals.delivered + trace.totals.in_flight
                               for trace in traces)
-    sent = sum(1 for t in clock.arrivals if t <= scenario.duration)
+    sent = sum(1 for t in stream.arrivals if t <= scenario.duration)
     assert sent == sum(trace.totals.sent for trace in traces)
     assert sent - len(starts) == sum(trace.totals.dropped_random + trace.totals.dropped_overflow
                                      for trace in traces)
 
 
 class _CheckedHeapq:
-    """``heapq`` stand-in that checks the event heap after every push."""
-
-    heappop = staticmethod(heapq.heappop)
+    """``heapq`` stand-in that checks the event heap after every push,
+    and notes when each flow's open epoch began."""
 
     def __init__(self):
-        self.pushes = 0
+        self.opened = {}
 
     def heappush(self, heap, event):
         heapq.heappush(heap, event)
-        self.pushes += 1
-        per_flow = Counter((kind, flow_id) for _, kind, flow_id, *_ in heap)
+        per_flow = Counter((kind, flow_id) for _, kind, flow_id in heap)
         assert max(per_flow.values()) == 1
+
+    def heappop(self, heap):
+        now, kind, flow_id = heapq.heappop(heap)
+        if kind == netsim._TIMER:
+            self.opened[flow_id] = now
+        return now, kind, flow_id
+
+
+class _CheckedStream(list):
+    """Stream stand-in that checks, after every merge, that each flow
+    holds at most ``_SEGMENT`` arrivals, all inside its open epoch."""
+
+    def __init__(self, flows, opened):
+        super().__init__()
+        self.flows = flows
+        self.opened = opened
+        self.merged = 0
+
+    def __iadd__(self, segment):
+        self.merged += len(segment)
+        return super().__iadd__(segment)
+
+    def sort(self):
+        super().sort()
+        per_flow = Counter(flow_id for _, flow_id in self)
+        assert max(per_flow.values()) <= netsim._SEGMENT
+        for t, flow_id in self:
+            start = self.opened[flow_id]
+            assert start <= t < start + self.flows[flow_id].epoch_len
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_heap_holds_one_arrival_and_one_timer_per_flow(seed, monkeypatch):
+    # The heap holds no arrival and at most one timer and one refill per
+    # flow; the stream, refilled every five arrivals here, holds at most
+    # a segment of each flow's open epoch.
     checked = _CheckedHeapq()
     monkeypatch.setattr(netsim, "heapq", checked)
-    traces = Simulation(scenario_from_dict(random_scenario(random.Random(seed)))).run()
-    assert checked.pushes >= sum(trace.totals.sent for trace in traces)
+    monkeypatch.setattr(netsim, "_SEGMENT", 5)
+    sim = Simulation(scenario_from_dict(random_scenario(random.Random(seed))))
+    sim._stream = stream = _CheckedStream(sim.flows, checked.opened)
+    traces = sim.run()
+    assert stream.merged >= sum(trace.totals.sent for trace in traces)

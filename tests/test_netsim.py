@@ -4,6 +4,7 @@ accounting identities, and determinism."""
 import itertools
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -12,6 +13,8 @@ from iriscc import controller, netsim
 from iriscc.metrics import mean_throughput
 from iriscc.netsim import Simulation, run_scenario
 from iriscc.scenario import ScenarioError, scenario_from_dict
+from iriscc.trace import write_trace_csv
+from test_golden import SCENARIOS as GOLDEN
 
 
 # --- drop-tail queue -------------------------------------------------------------
@@ -208,6 +211,37 @@ def test_nonpositive_controller_rate_is_fatal():
     sim.flows[0].controller = BrokenController()
     with pytest.raises(RuntimeError, match="non-positive"):
         sim.run()
+
+
+class InfiniteController(BrokenController):
+    def on_epoch(self, feedback, now):
+        return math.inf
+
+
+def test_infinite_controller_rate_is_fatal_before_the_next_epoch_sends():
+    # An infinite rate paces with no gap, so the next epoch would send a
+    # million packets at one instant before the emission guard tripped.
+    # Epoch 0's last ACK is due at 99 ms: it is released at the 100 ms
+    # timer, which stops before epoch 2 sends anything.
+    sc = scenario(make_link(), [flow("constant", rate=1.0)], 1_000.0)
+    sim = Simulation(sc)
+    sim.flows[0].controller = InfiniteController()
+    with pytest.raises(RuntimeError, match="non-positive or non-finite rate: inf"):
+        sim.run()
+    assert [acc.planned for acc in sim.flows[0].epochs] == [50]
+
+
+@pytest.mark.parametrize("limit", [50, 49])
+def test_emission_guard_allows_exactly_its_limit(limit, monkeypatch):
+    # A 1 pkt/ms flow sends 50 packets in every 50 ms epoch.
+    monkeypatch.setattr(netsim, "_MAX_EMISSIONS_PER_EPOCH", limit)
+    sc = scenario(make_link(), [flow("constant", rate=1.0)], 1_000.0)
+    if limit == 50:
+        assert run_scenario(sc)[0].totals.sent == 1001
+        return
+    with pytest.raises(RuntimeError) as excinfo:
+        run_scenario(sc)
+    assert str(excinfo.value) == "flow 0 emission rate exploded (1.0/ms)"
 
 
 def test_emission_budget_guard(monkeypatch):
@@ -438,6 +472,35 @@ BACKLOG_SCENARIO = """
             "prop_delay_ms": 19.741901458288567},
            {"controller": "iris", "start_ms": 3.6663045715878764, "params": {"epoch_len": 50.0}}]}
 """
+
+
+class SegmentWatch(list):
+    """Stream stand-in that notes the most arrivals one flow held."""
+
+    most = 0
+
+    def sort(self):
+        super().sort()
+        self.most = max(self.most, *Counter(flow_id for _, flow_id in self).values())
+
+
+def watched_run(sc, path):
+    sim = Simulation(sc)
+    sim._stream = stream = SegmentWatch()
+    traces = sim.run()
+    write_trace_csv(traces, path)
+    return path.read_bytes(), [trace.totals for trace in traces], stream.most
+
+
+@pytest.mark.parametrize("name", [*sorted(GOLDEN), "backlog"])
+def test_segment_refills_keep_the_bytes(name, monkeypatch, tmp_path):
+    # Three arrivals per segment make every flow refill all the time,
+    # the backlog's flooding iris flow too: the trace and totals are
+    # those of the default segment, and no flow holds more than three.
+    sc = GOLDEN[name] if name in GOLDEN else scenario_from_dict(json.loads(BACKLOG_SCENARIO))
+    trace, totals, _ = watched_run(sc, tmp_path / "default.csv")
+    monkeypatch.setattr(netsim, "_SEGMENT", 3)
+    assert watched_run(sc, tmp_path / "refilled.csv") == (trace, totals, 3)
 
 
 @pytest.mark.xfail(strict=True, reason="cold start doubles once per released epoch, "

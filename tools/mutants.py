@@ -41,30 +41,40 @@ MUTANTS = [
      "while departures and departures[0] < now:"),
     (NETSIM, "while next_change < start:", "while next_change <= start:"),
     (NETSIM, """\
-            if random_loss > 0.0 and draw() < random_loss:
-                flow.trace.totals.dropped_random += 1
-                acc.dropped += 1
-                continue
-            if occupancy >= capacity:
-                flow.trace.totals.dropped_overflow += 1
-                acc.dropped += 1
-                continue
+                if random_loss > 0.0 and draw() < random_loss:
+                    flow.trace.totals.dropped_random += 1
+                    acc.dropped += 1
+                    continue
+                if occupancy >= capacity:
+                    flow.trace.totals.dropped_overflow += 1
+                    acc.dropped += 1
+                    continue
 """, """\
-            if occupancy >= capacity:
-                flow.trace.totals.dropped_overflow += 1
-                acc.dropped += 1
-                continue
-            if random_loss > 0.0 and draw() < random_loss:
-                flow.trace.totals.dropped_random += 1
-                acc.dropped += 1
-                continue
+                if occupancy >= capacity:
+                    flow.trace.totals.dropped_overflow += 1
+                    acc.dropped += 1
+                    continue
+                if random_loss > 0.0 and draw() < random_loss:
+                    flow.trace.totals.dropped_random += 1
+                    acc.dropped += 1
+                    continue
 """),
     (NETSIM, "depart(start + service_time)", "depart(start + service_time / 2)"),
+    # The arrival stream's order: arrivals at an event's instant come
+    # before it, an epoch's chain stops short of its end, and equal
+    # times go in flow-id order.
+    (NETSIM, "hi = bisect_right(stream,", "hi = __import__('bisect').bisect_left(stream,"),
+    (NETSIM, "while t < window_end:", "while t <= window_end:"),
+    (NETSIM, "stream.sort()", "stream.sort(key=lambda arrival: arrival[0])"),
+    # The emission guard allows exactly its limit per epoch, and each
+    # refill resumes where the last segment ended.
+    (NETSIM, "if acc.planned >= max_emissions:", "if acc.planned > max_emissions:"),
+    (NETSIM, "list(islice(flow.chain, _SEGMENT))", "list(islice(flow.chain, 1, _SEGMENT + 1))"),
+    (NETSIM, "len(segment) == _SEGMENT", "len(segment) > _SEGMENT"),
+    # A rate the chain can pace: positive and finite.
+    (NETSIM, "0 < flow.rate < math.inf", "0 < flow.rate <= math.inf"),
     # ACK accounting: delivered within the run, every admitted packet
-    # acked, and an epoch resolved once its latest ACK is due.  (Writing
-    # ``last_emit`` on every arrival instead of where the pacing chain
-    # ends is an equivalent mutant, so it is not listed: only a timer
-    # reads it, and every arrival of an epoch precedes the next timer.)
+    # acked, and an epoch resolved once its latest ACK is due.
     (NETSIM, "if ack > duration:", "if ack >= duration:"),
     (NETSIM, "acked = acc.planned - acc.dropped", "acked = acc.planned"),
     (NETSIM, "acc.last_ack is not None and acc.last_ack > now",
