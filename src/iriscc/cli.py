@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import metrics
@@ -61,7 +60,7 @@ def _summarize(scenario: Scenario, traces: list[FlowTrace]) -> str:
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.config)
     if args.seed is not None:
-        scenario = replace(scenario, link=replace(scenario.link, seed=args.seed))
+        scenario = scenario._replace(link=scenario.link._replace(seed=args.seed))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     traces = run_scenario(scenario)
@@ -93,12 +92,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _apply_sweep(scenario: Scenario, param: str, value: float) -> Scenario:
     link = scenario.link
     if param == "random_loss":
-        return replace(scenario, link=replace(link, random_loss=value))
+        return scenario._replace(link=link._replace(random_loss=value))
     if param == "prop_delay":
-        return replace(scenario, link=replace(link, prop_delay=value))
+        return scenario._replace(link=link._replace(prop_delay=value))
     if param == "bandwidth":
         schedule = ((0.0, mbps_to_pkts_per_ms(value, link.packet_bytes)),)
-        return replace(scenario, link=replace(link, bandwidth_schedule=schedule))
+        return scenario._replace(link=link._replace(bandwidth_schedule=schedule))
     if param == "flow_count":
         count = int(value)
         if count < 1 or count != value:
@@ -109,10 +108,10 @@ def _apply_sweep(scenario: Scenario, param: str, value: float) -> Scenario:
         else:
             stagger = _DEFAULT_STAGGER
         flows = tuple(
-            replace(template, start_time=template.start_time + i * stagger)
+            template._replace(start_time=template.start_time + i * stagger)
             for i in range(count)
         )
-        return replace(scenario, flows=flows)
+        return scenario._replace(flows=flows)
     raise ScenarioError("sweep.param", f"unknown parameter {param!r}")
 
 

@@ -28,20 +28,22 @@ def jain_index(values: Sequence[float]) -> float | None:
     """Jain's fairness index: (sum x)^2 / (n * sum x^2), in [1/n, 1].
 
     1 means perfectly equal shares, 1/n a single hog.  Undefined (None)
-    for an empty set or all-zero shares.  The index does not change when
-    every share is scaled alike, so shares whose squares or sums leave
-    the normal float range are first divided by the largest.
+    for an empty set or all-zero shares; a negative, infinite or NaN
+    share is a ValueError.  The index does not change when every share
+    is scaled alike, so shares whose squares or sums leave the normal
+    float range are first divided by the largest.
     """
-    if any(v < 0 for v in values):
-        raise ValueError("shares must be non-negative")
     if not values:
         return None
+    # The sum of non-negative shares is finite only if each one is.
+    total = math.fsum(values)
+    if not (min(values) >= 0 and total < math.inf):
+        raise ValueError("shares must be non-negative and finite")
     n = len(values)
     try:
         square_sum = math.fsum(v * v for v in values)
     except OverflowError:  # a partial sum left the float range
         square_sum = math.inf
-    total = math.fsum(values)
     if not (n * square_sum < math.inf and total * total < math.inf
             and (square_sum >= n * _TINY or max(values) ** 2 >= _TINY)):
         top = max(values)

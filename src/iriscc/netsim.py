@@ -192,13 +192,16 @@ class Simulation:
         for i, spec in enumerate(scenario.flows):
             controller = build_controller(spec, i, scenario.link.packet_bytes)
             prop_delay = spec.prop_delay if spec.prop_delay is not None else scenario.link.prop_delay
+            rate = controller.start_rate()
+            if not 0 < rate < math.inf:
+                raise RuntimeError(f"controller returned a non-positive or non-finite rate: {rate}")
             flow = _FlowRuntime(
                 flow_id=i,
                 spec=spec,
                 controller=controller,
                 rtprop=2.0 * prop_delay,
                 epoch_len=controller.epoch_len,
-                rate=controller.start_rate(),
+                rate=rate,
             )
             flow.trace = FlowTrace(flow_id=i, kind=spec.controller, totals=FlowTotals())
             self.flows.append(flow)

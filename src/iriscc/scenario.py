@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from .units import DEFAULT_PACKET_BYTES, mbps_to_pkts_per_ms
 
@@ -47,8 +46,7 @@ class ScenarioError(ValueError):
         self.field = field_name
 
 
-@dataclass(frozen=True)
-class LinkConfig:
+class LinkConfig(NamedTuple):
     """The shared bottleneck.
 
     ``bandwidth_schedule`` is a sequence of ``(time_ms, capacity)``
@@ -105,15 +103,14 @@ class LinkConfig:
         return total / (t1 - t0)
 
 
-@dataclass(frozen=True)
-class FlowSpec:
+class FlowSpec(NamedTuple):
     """One sender: which controller drives it, when it starts, and an
     optional per-flow one-way delay overriding the link's."""
 
     controller: str
     start_time: float = 0.0
     prop_delay: float | None = None
-    params: dict = field(default_factory=dict)
+    params: dict = {}  # shared default: never mutated, only read or copied
 
     def validate(self, prefix: str) -> None:
         if self.controller not in CONTROLLER_KINDS:
@@ -129,8 +126,7 @@ class FlowSpec:
             raise ScenarioError(f"{prefix}.params", "must be an object")
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     link: LinkConfig
     flows: tuple[FlowSpec, ...]
     duration: float  # ms

@@ -314,3 +314,22 @@ def test_runtime_imports_only_the_standard_library():
                           env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_loading_a_scenario_imports_no_dataclasses(tmp_path):
+    # Every process that runs a scenario first imports the package and
+    # loads one; `dataclasses`, with the `inspect` and `ast` it pulls in,
+    # took most of that start-up time.  An isolated interpreter ignores
+    # PYTHONPATH, so the child puts the package path on sys.path itself.
+    config = write_config(tmp_path)
+    code = (
+        "import os, sys\n"
+        "sys.path[:0] = os.environ['PYTHONPATH'].split(os.pathsep)\n"
+        "import iriscc, iriscc.scenario\n"
+        "iriscc.scenario.load_scenario(sys.argv[1])\n"
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast') if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-c", code, str(config)],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

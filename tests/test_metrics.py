@@ -74,6 +74,12 @@ def test_jain_rejects_negative_shares():
         jain_index([1.0, -0.1])
 
 
+@pytest.mark.parametrize("values", [[math.nan, 1.0], [math.inf, 1.0], [math.nan, math.nan]])
+def test_jain_rejects_non_finite_shares(values):
+    with pytest.raises(ValueError, match="non-negative and finite"):
+        jain_index(values)
+
+
 # Shares are throughputs in packets/ms; at least one must be large
 # enough that its square cannot underflow to zero.
 shares = (st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=10)
@@ -300,6 +306,14 @@ def jain_by_points(traces, duration, window, grid, starts):
     return series
 
 
+def outcome(series, *args):
+    """What ``series`` returns, or the message of the ValueError it raises."""
+    try:
+        return series(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
 def default_start(trace):
     rows = trace.rows
     if not rows:
@@ -315,10 +329,15 @@ def default_start(trace):
 @example([lattice_trace([]), lattice_trace([(2, 1e300)]), lattice_trace([(3, 1e300), (4, 5e-324)])],
          300, 100.0, 25.0, None)
 # A trace read from a file may hold non-finite rates; they have no
-# integer ratio, and their windows still read as fsum reads them.
+# integer ratio, and their windows still read as fsum reads them.  A
+# window that holds one is a share Jain's index rejects; one that starts
+# after it reads the finite rows alone.
 @example([lattice_trace([(1, 1.0), (3, math.inf)]), lattice_trace([(2, math.nan), (9, 2.0)]),
           lattice_trace([(4, 1.0)])], 400, 50.0, 25.0, None)
+@example([lattice_trace([(1, 1.0), (3, math.inf), (8, 2.0)]),
+          lattice_trace([(2, math.nan), (9, 2.0)]), lattice_trace([(4, 1.0)])],
+         400, 50.0, 25.0, [150.0, 150.0, 0.0, 0.0])
 def test_jain_series_equals_fsum_per_point(traces, duration, window, grid, starts):
     expected_starts = [default_start(trace) for trace in traces] if starts is None else starts
-    assert jain_series(traces, duration, window, grid, starts) == jain_by_points(
-        traces, duration, window, grid, expected_starts)
+    assert outcome(jain_series, traces, duration, window, grid, starts) == outcome(
+        jain_by_points, traces, duration, window, grid, expected_starts)

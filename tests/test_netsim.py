@@ -231,6 +231,14 @@ def test_infinite_controller_rate_is_fatal_before_the_next_epoch_sends():
     assert [acc.planned for acc in sim.flows[0].epochs] == [50]
 
 
+def test_infinite_start_rate_is_fatal_at_construction():
+    # 1e10 packets over 1e-300 ms overflows to an infinite start rate,
+    # which the first epoch's chain could not pace.
+    sc = scenario(make_link(), [flow("aimd", initial_cwnd=1e10, initial_rtt=1e-300)], 1_000.0)
+    with pytest.raises(RuntimeError, match="non-positive or non-finite rate: inf"):
+        Simulation(sc)
+
+
 @pytest.mark.parametrize("limit", [50, 49])
 def test_emission_guard_allows_exactly_its_limit(limit, monkeypatch):
     # A 1 pkt/ms flow sends 50 packets in every 50 ms epoch.

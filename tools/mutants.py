@@ -71,8 +71,9 @@ MUTANTS = [
     (NETSIM, "if acc.planned >= max_emissions:", "if acc.planned > max_emissions:"),
     (NETSIM, "list(islice(flow.chain, _SEGMENT))", "list(islice(flow.chain, 1, _SEGMENT + 1))"),
     (NETSIM, "len(segment) == _SEGMENT", "len(segment) > _SEGMENT"),
-    # A rate the chain can pace: positive and finite.
+    # A rate the chain can pace, from the start on: positive and finite.
     (NETSIM, "0 < flow.rate < math.inf", "0 < flow.rate <= math.inf"),
+    (NETSIM, "if not 0 < rate < math.inf:", "if not 0 < rate <= math.inf:"),
     # ACK accounting: delivered within the run, every admitted packet
     # acked, and an epoch resolved once its latest ACK is due.
     (NETSIM, "if ack > duration:", "if ack >= duration:"),
@@ -84,6 +85,9 @@ MUTANTS = [
      "lo = __import__('bisect').bisect_left(rows, t0, key=_row_time)"),
     ("src/iriscc/trace.py", "rows[lo:bisect_right(rows, t1, lo, key=_row_time)]",
      "rows[lo:__import__('bisect').bisect_left(rows, t1, lo, key=_row_time)]"),
+    # Jain's index takes only non-negative, finite shares.
+    ("src/iriscc/metrics.py", "min(values) >= 0 and total < math.inf",
+     "min(values) >= 0"),
     # The one-pass Jain windows are left-open, right-closed too.
     ("src/iriscc/metrics.py", "lo = bisect_right(row_times, t - window)",
      "lo = __import__('bisect').bisect_left(row_times, t - window)"),
