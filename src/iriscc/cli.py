@@ -99,9 +99,9 @@ def _apply_sweep(scenario: Scenario, param: str, value: float) -> Scenario:
         schedule = ((0.0, mbps_to_pkts_per_ms(value, link.packet_bytes)),)
         return scenario._replace(link=link._replace(bandwidth_schedule=schedule))
     if param == "flow_count":
-        count = int(value)
-        if count < 1 or count != value:
+        if not (value >= 1 and value.is_integer()):
             raise ScenarioError("sweep.values", f"flow_count needs positive integers, got {value}")
+        count = int(value)
         template = scenario.flows[0]
         if len(scenario.flows) >= 2:
             stagger = scenario.flows[1].start_time - scenario.flows[0].start_time

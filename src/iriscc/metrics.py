@@ -35,9 +35,15 @@ def jain_index(values: Sequence[float]) -> float | None:
     """
     if not values:
         return None
-    # The sum of non-negative shares is finite only if each one is.
-    total = math.fsum(values)
-    if not (min(values) >= 0 and total < math.inf):
+    try:
+        total = math.fsum(values)
+        # The sum of non-negative shares is finite only if each one is.
+        finite = total < math.inf
+    except OverflowError:  # finite shares whose sum leaves the float range
+        total = math.inf   # rescaled below
+        # fsum stops at the overflow, before a later NaN or infinite share.
+        finite = all(v < math.inf for v in values)
+    if not (min(values) >= 0 and finite):
         raise ValueError("shares must be non-negative and finite")
     n = len(values)
     try:

@@ -169,10 +169,10 @@ def build_controller(spec: FlowSpec, flow_index: int, packet_bytes: int) -> Rate
         return _iris_controller(spec.params, prefix)
     if spec.controller == "aimd":
         return _construct(AimdController, _checked_params(
-            spec.params, {"epoch_len", "initial_cwnd", "initial_ssthresh", "initial_rtt"}, prefix), prefix)
+            spec.params, {"epoch_len", "initial_cwnd"}, prefix), prefix)
     if spec.controller == "vegas":
         return _construct(VegasController, _checked_params(
-            spec.params, {"epoch_len", "alpha", "beta", "initial_cwnd", "initial_rtt"}, prefix), prefix)
+            spec.params, {"epoch_len", "alpha", "beta", "initial_cwnd"}, prefix), prefix)
     if spec.controller == "constant":
         return _constant_controller(spec.params, prefix, packet_bytes)
     raise ScenarioError(f"flows[{flow_index}].controller", f"unknown controller {spec.controller!r}")

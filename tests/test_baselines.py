@@ -8,77 +8,95 @@ import pytest
 
 from conftest import feedback, flow, make_link, scenario
 from iriscc.baselines import (
+    INITIAL_RTT,
     AimdController,
-    AimdState,
     ConstantRateController,
     VegasController,
-    VegasState,
-    aimd_on_ack,
-    aimd_on_loss,
-    vegas_update,
 )
 from iriscc.metrics import mean_rtt, mean_throughput
 from iriscc.netsim import run_scenario
 
 
+# Epochs measured at the initial RTT leave AIMD's smoothed RTT alone.
+
+def loss():
+    """An epoch that lost one of its two packets."""
+    return feedback(rtt=INITIAL_RTT, sent=2, dropped=1)
+
+
+def acks(count):
+    """An epoch that ACKed ``count`` packets and lost none."""
+    return feedback(rtt=INITIAL_RTT, sent=count)
+
+
+def measured(rtt):
+    return feedback(rtt=rtt)
+
+
+def unmeasured():
+    return feedback(measured=False, sent=0)
+
+
 # --- AIMD window arithmetic ---------------------------------------------------
 
 def test_aimd_loss_halves_window():
-    state = AimdState(cwnd=10.0, ssthresh=1e9, rtt_est=100.0)
-    aimd_on_loss(state)
-    assert state.cwnd == 5.0
-    assert state.ssthresh == 5.0
-    aimd_on_ack(state)  # cwnd == ssthresh: avoidance, one packet per window
-    assert state.cwnd == pytest.approx(5.2)
+    ctrl = AimdController(initial_cwnd=10.0)
+    ctrl.on_epoch(loss(), 50.0)
+    assert ctrl.cwnd == 5.0
+    assert ctrl.ssthresh == 5.0
+    ctrl.on_epoch(acks(1), 100.0)  # cwnd == ssthresh: avoidance, one packet per window
+    assert ctrl.cwnd == pytest.approx(5.2)
 
 
 def test_aimd_loss_never_drops_below_one_packet():
-    state = AimdState(cwnd=1.5, ssthresh=1.5, rtt_est=100.0)
-    aimd_on_loss(state)
-    assert state.cwnd == 1.0
-    aimd_on_loss(state)
-    assert state.cwnd == 1.0
+    ctrl = AimdController(initial_cwnd=1.5)
+    ctrl.on_epoch(loss(), 50.0)
+    assert ctrl.cwnd == ctrl.ssthresh == 1.0
+    ctrl.on_epoch(loss(), 100.0)
+    assert ctrl.cwnd == ctrl.ssthresh == 1.0
 
 
 def test_aimd_ack_exponential_below_ssthresh():
-    state = AimdState(cwnd=3.0, ssthresh=1e9, rtt_est=100.0)
-    aimd_on_ack(state)
-    assert state.cwnd == 4.0
-    assert state.ssthresh == 1e9
-    aimd_on_ack(state)  # still below ssthresh: another whole packet
-    assert state.cwnd == 5.0
+    ctrl = AimdController(initial_cwnd=3.0)
+    ctrl.on_epoch(acks(1), 50.0)
+    assert ctrl.cwnd == 4.0
+    assert ctrl.ssthresh == 1e9
+    ctrl.on_epoch(acks(1), 100.0)  # still below ssthresh: another whole packet
+    assert ctrl.cwnd == 5.0
 
 
 def test_aimd_ack_linear_above_ssthresh():
-    state = AimdState(cwnd=10.0, ssthresh=5.0, rtt_est=100.0)
-    aimd_on_ack(state)
-    assert state.cwnd == pytest.approx(10.1)
+    ctrl = AimdController(initial_cwnd=10.0)
+    ctrl.ssthresh = 5.0
+    ctrl.on_epoch(acks(1), 50.0)
+    assert ctrl.cwnd == pytest.approx(10.1)
 
 
 def test_aimd_ack_crosses_into_avoidance():
-    state = AimdState(cwnd=9.5, ssthresh=10.0, rtt_est=100.0)
-    aimd_on_ack(state)
-    assert state.cwnd == 10.5
-    aimd_on_ack(state)  # now above ssthresh: 1/cwnd per ACK
-    assert state.cwnd == pytest.approx(10.5 + 1.0 / 10.5)
-    assert state.ssthresh == 10.0
+    ctrl = AimdController(initial_cwnd=9.5)
+    ctrl.ssthresh = 10.0
+    ctrl.on_epoch(acks(2), 50.0)  # one whole packet, then 1/cwnd above ssthresh
+    assert ctrl.cwnd == 10.5 + 1.0 / 10.5
+    assert ctrl.ssthresh == 10.0
 
 
 def test_aimd_controller_one_halving_per_epoch():
     ctrl = AimdController(initial_cwnd=16.0)
     ctrl.on_epoch(feedback(dropped=5, rtt=100.0), 50.0)
-    assert ctrl.state.cwnd == 8.0  # five drops, one multiplicative decrease
+    assert ctrl.cwnd == 8.0  # five drops, one multiplicative decrease
 
 
 def test_aimd_controller_smooths_rtt():
-    ctrl = AimdController(initial_cwnd=16.0, initial_rtt=100.0)
+    ctrl = AimdController(initial_cwnd=16.0)
     ctrl.on_epoch(feedback(rtt=60.0, acked=0, sent=0), 50.0)
-    assert ctrl.state.rtt_est == pytest.approx(95.0)  # 100 + 0.125*(60-100)
+    assert ctrl.rtt_est == pytest.approx(95.0)  # 100 + 0.125*(60-100)
+    ctrl.on_epoch(unmeasured(), 100.0)
+    assert ctrl.rtt_est == pytest.approx(95.0)
 
 
 def test_aimd_controller_rate_is_window_over_rtt():
-    ctrl = AimdController(initial_cwnd=10.0, initial_rtt=100.0)
-    assert ctrl.start_rate() == pytest.approx(0.1)
+    ctrl = AimdController(initial_cwnd=10.0)
+    assert ctrl.start_rate() == pytest.approx(0.1)  # INITIAL_RTT is 100 ms
     rate = ctrl.on_epoch(feedback(rtt=100.0, acked=3), 50.0)
     assert rate == pytest.approx(13.0 / 100.0)  # three slow-start increments
 
@@ -90,38 +108,53 @@ def test_aimd_controller_rejects_tiny_window():
 
 # --- Vegas band walking -------------------------------------------------------
 
+def vegas(cwnd=10.0, base_rtt=50.0, alpha=2.0, beta=4.0):
+    ctrl = VegasController(alpha=alpha, beta=beta, initial_cwnd=cwnd)
+    ctrl.base_rtt = base_rtt
+    return ctrl
+
+
 def test_vegas_tracks_minimum_rtt():
-    state = VegasState(cwnd=10.0, base_rtt=math.inf, alpha=2.0, beta=4.0)
-    vegas_update(state, 50.0)
-    assert state.base_rtt == 50.0
-    vegas_update(state, 80.0)
-    assert state.base_rtt == 50.0
-    vegas_update(state, 45.0)
-    assert state.base_rtt == 45.0
+    ctrl = vegas(base_rtt=math.inf)
+    ctrl.on_epoch(measured(50.0), 50.0)
+    assert ctrl.base_rtt == 50.0
+    ctrl.on_epoch(measured(80.0), 100.0)
+    assert ctrl.base_rtt == 50.0
+    ctrl.on_epoch(measured(45.0), 150.0)
+    assert ctrl.base_rtt == 45.0
 
 
 def test_vegas_grows_when_queue_share_below_band():
-    state = VegasState(cwnd=10.0, base_rtt=50.0, alpha=2.0, beta=4.0)
-    vegas_update(state, 50.0)  # no queueing observed
-    assert state.cwnd == 11.0
+    ctrl = vegas()
+    ctrl.on_epoch(measured(50.0), 50.0)  # no queueing observed
+    assert ctrl.cwnd == 11.0
 
 
 def test_vegas_shrinks_when_queue_share_above_band():
-    state = VegasState(cwnd=10.0, base_rtt=50.0, alpha=2.0, beta=4.0)
-    vegas_update(state, 100.0)  # ~5 of its packets queued
-    assert state.cwnd == 9.0
+    ctrl = vegas()
+    ctrl.on_epoch(measured(100.0), 50.0)  # ~5 of its packets queued
+    assert ctrl.cwnd == 9.0
 
 
 def test_vegas_holds_inside_band():
-    state = VegasState(cwnd=18.0, base_rtt=50.0, alpha=2.0, beta=4.0)
-    vegas_update(state, 60.0)  # 18 * (1 - 50/60) = 3 queued
-    assert state.cwnd == 18.0
+    ctrl = vegas(cwnd=18.0)
+    ctrl.on_epoch(measured(60.0), 50.0)  # 18 * (1 - 50/60) = 3 queued
+    assert ctrl.cwnd == 18.0
+
+
+@pytest.mark.parametrize("cwnd", [8.0, 16.0])
+def test_vegas_holds_on_the_edges_of_the_band(cwnd):
+    # 1 - 48/64 is exactly 0.25, so 8 and 16 packets put exactly alpha
+    # and beta in the queue: the band is closed.
+    ctrl = vegas(cwnd=cwnd, base_rtt=48.0)
+    ctrl.on_epoch(measured(64.0), 50.0)
+    assert ctrl.cwnd == cwnd
 
 
 def test_vegas_window_floor():
-    state = VegasState(cwnd=1.0, base_rtt=10.0, alpha=0.1, beta=0.2)
-    vegas_update(state, 100.0)
-    assert state.cwnd == 1.0
+    ctrl = vegas(cwnd=1.0, base_rtt=10.0, alpha=0.1, beta=0.2)
+    ctrl.on_epoch(measured(100.0), 50.0)
+    assert ctrl.cwnd == 1.0
 
 
 def test_vegas_controller_validation():
@@ -132,10 +165,18 @@ def test_vegas_controller_validation():
 
 
 def test_vegas_controller_holds_on_unmeasured_epoch():
-    ctrl = VegasController(initial_cwnd=10.0, initial_rtt=100.0)
-    rate = ctrl.on_epoch(feedback(measured=False, acked=0, sent=0), 50.0)
+    ctrl = VegasController(initial_cwnd=10.0)
+    assert ctrl.start_rate() == 0.1
+    rate = ctrl.on_epoch(unmeasured(), 50.0)
     assert rate == pytest.approx(0.1)
-    assert ctrl.state.cwnd == 10.0
+    assert ctrl.cwnd == 10.0
+
+
+def test_vegas_rate_is_window_over_the_latest_rtt():
+    ctrl = vegas()
+    assert ctrl.on_epoch(measured(50.0), 50.0) == 11.0 / 50.0
+    assert ctrl.on_epoch(measured(80.0), 100.0) == 10.0 / 80.0  # 4.125 queued
+    assert ctrl.on_epoch(unmeasured(), 150.0) == 10.0 / 80.0
 
 
 # --- constant-rate sender -------------------------------------------------------

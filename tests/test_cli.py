@@ -251,6 +251,13 @@ def test_sweep_flow_count_rejects_fractions(tmp_path, capsys):
     assert main(["sweep", "--config", str(config), "--param", "flow_count",
                  "--values", "1.5"]) == 1
     assert "sweep.values" in capsys.readouterr().err
+    # Neither reaches int(), which raises OverflowError for one and
+    # a message without the field for the other.
+    for value in ("inf", "nan"):
+        assert main(["sweep", "--config", str(config), "--param", "flow_count",
+                     "--values", value]) == 1
+        assert capsys.readouterr().err == (
+            f"error: sweep.values: flow_count needs positive integers, got {value}\n")
 
 
 def test_sweep_rejects_unknown_param(tmp_path, capsys):

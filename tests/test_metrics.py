@@ -80,6 +80,15 @@ def test_jain_rejects_non_finite_shares(values):
         jain_index(values)
 
 
+def test_jain_rescales_shares_whose_sum_overflows():
+    # fsum raises OverflowError on the finite shares' sum, before it
+    # reaches a later NaN or infinite share; those are still rejected.
+    assert jain_index([1e308, 1e308]) == 1.0
+    for last in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^shares must be non-negative and finite$"):
+            jain_index([1e308, 1e308, last])
+
+
 # Shares are throughputs in packets/ms; at least one must be large
 # enough that its square cannot underflow to zero.
 shares = (st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=10)

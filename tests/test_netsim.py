@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from conftest import flow, make_link, scenario
-from iriscc import controller, netsim
+from iriscc import baselines, controller, netsim
 from iriscc.metrics import mean_throughput
 from iriscc.netsim import Simulation, run_scenario
 from iriscc.scenario import ScenarioError, scenario_from_dict
@@ -231,10 +231,16 @@ def test_infinite_controller_rate_is_fatal_before_the_next_epoch_sends():
     assert [acc.planned for acc in sim.flows[0].epochs] == [50]
 
 
-def test_infinite_start_rate_is_fatal_at_construction():
-    # 1e10 packets over 1e-300 ms overflows to an infinite start rate,
-    # which the first epoch's chain could not pace.
-    sc = scenario(make_link(), [flow("aimd", initial_cwnd=1e10, initial_rtt=1e-300)], 1_000.0)
+class InfiniteStartController(BrokenController):
+    def start_rate(self):
+        return math.inf
+
+
+def test_infinite_start_rate_is_fatal_at_construction(monkeypatch):
+    # The first epoch's chain could not pace an infinite start rate.
+    monkeypatch.setattr(netsim, "build_controller",
+                        lambda spec, flow_index, packet_bytes: InfiniteStartController())
+    sc = scenario(make_link(), [flow("constant", rate=1.0)], 1_000.0)
     with pytest.raises(RuntimeError, match="non-positive or non-finite rate: inf"):
         Simulation(sc)
 
@@ -335,14 +341,27 @@ def test_build_rejects_iris_constants_as_params(name):
     assert excinfo.value.field == f"flows[0].params.{name}"
 
 
+@pytest.mark.parametrize("controller, name", [
+    ("aimd", "initial_ssthresh"),
+    ("aimd", "initial_rtt"),
+    ("vegas", "initial_rtt"),
+])
+def test_build_rejects_baseline_start_values_as_params(controller, name):
+    # The baselines' start values are module constants, not knobs, as
+    # iris's are.
+    with pytest.raises(ScenarioError, match="unknown parameter") as excinfo:
+        build(flow(controller, **{name: getattr(baselines, name.upper())}))
+    assert excinfo.value.field == f"flows[0].params.{name}"
+
+
 @pytest.mark.parametrize("controller, params", [
     ("constant", {"rate": 1.0, "epoch_len": -5.0}),
     ("constant", {"rate": 1.0, "epoch_len": math.inf}),
     ("constant", {"rate": math.nan}),
     ("aimd", {"epoch_len": 0.0}),
-    ("aimd", {"initial_rtt": -1.0}),
-    ("aimd", {"initial_rtt": math.inf}),
-    ("vegas", {"initial_rtt": 0.0}),
+    ("aimd", {"epoch_len": -1.0}),
+    ("aimd", {"epoch_len": math.inf}),
+    ("vegas", {"epoch_len": 0.0}),
     ("vegas", {"epoch_len": math.nan}),
     ("iris", {"epoch_len": math.inf}),
 ])
@@ -364,8 +383,8 @@ def test_build_rejects_epoch_and_rtt_that_are_not_positive_and_finite(controller
     ("iris", {"epoch_len": math.nan}, "epoch_len"),
     ("aimd", {"initial_cwnd": math.nan}, "initial_cwnd"),
     ("aimd", {"initial_cwnd": math.inf}, "initial_cwnd"),
-    ("aimd", {"initial_ssthresh": math.nan}, "initial_ssthresh"),
-    ("aimd", {"initial_ssthresh": 0.5}, "initial_ssthresh"),
+    ("aimd", {"epoch_len": math.nan}, "epoch_len"),
+    ("vegas", {"alpha": math.nan}, "alpha"),
     ("vegas", {"initial_cwnd": math.nan}, "initial_cwnd"),
     ("vegas", {"initial_cwnd": math.inf}, "initial_cwnd"),
     ("vegas", {"beta": math.inf}, "beta"),
@@ -380,10 +399,9 @@ def test_build_rejects_non_finite_knobs(controller, params, name):
 @pytest.mark.parametrize("controller, params", [
     ("iris", {"k_update_period": math.inf}),
     ("iris", {"rtt_window": math.inf}),
-    ("aimd", {"initial_ssthresh": math.inf}),
 ])
 def test_build_accepts_infinity_that_reads_as_never(controller, params):
-    # No periodic re-fit, no RTT sample eviction, no slow-start threshold.
+    # No periodic re-fit, no RTT sample eviction.
     build(flow(controller, **params))
 
 

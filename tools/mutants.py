@@ -30,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 NETSIM = "src/iriscc/netsim.py"
+BASELINES = "src/iriscc/baselines.py"
 
 # (file, text, replacement): one mutant each.
 MUTANTS = [
@@ -85,9 +86,10 @@ MUTANTS = [
      "lo = __import__('bisect').bisect_left(rows, t0, key=_row_time)"),
     ("src/iriscc/trace.py", "rows[lo:bisect_right(rows, t1, lo, key=_row_time)]",
      "rows[lo:__import__('bisect').bisect_left(rows, t1, lo, key=_row_time)]"),
-    # Jain's index takes only non-negative, finite shares.
-    ("src/iriscc/metrics.py", "min(values) >= 0 and total < math.inf",
-     "min(values) >= 0"),
+    # Jain's index takes only non-negative, finite shares, also when
+    # their sum overflows.
+    ("src/iriscc/metrics.py", "finite = total < math.inf", "finite = True"),
+    ("src/iriscc/metrics.py", "finite = all(v < math.inf for v in values)", "finite = True"),
     # The one-pass Jain windows are left-open, right-closed too.
     ("src/iriscc/metrics.py", "lo = bisect_right(row_times, t - window)",
      "lo = __import__('bisect').bisect_left(row_times, t - window)"),
@@ -120,6 +122,14 @@ SCREEN_EXCITATION_MARGIN = 0.0   # relative
     # The contraction factor reads the slope the step used.
     ("src/iriscc/controller.py", "gap_contraction_factor(params, fb.mean_rtt, target, k_used)",
      "gap_contraction_factor(params, fb.mean_rtt, target, state.k)"),
+    # AIMD: slow start ends at ssthresh, and a loss keeps one packet.
+    (BASELINES, "1.0 if cwnd < ssthresh else", "1.0 if cwnd <= ssthresh else"),
+    (BASELINES, "max(1.0, self.cwnd / 2.0)", "max(0.5, self.cwnd / 2.0)"),
+    # Vegas: the base RTT is the smallest seen, and the band is closed.
+    (BASELINES, "self.base_rtt = min(", "self.base_rtt = max("),
+    (BASELINES, "if diff < self.alpha:", "if diff <= self.alpha:"),
+    (BASELINES, "elif diff > self.beta:", "elif diff >= self.beta:"),
+    (BASELINES, "max(1.0, self.cwnd - 1.0)", "max(0.5, self.cwnd - 1.0)"),
     # The excitation gate reads the population deviation of the overshoot.
     ("src/iriscc/regression.py", "x_std=math.sqrt(sxx / n)", "x_std=math.sqrt(sxx / (n - 1))"),
 ]
