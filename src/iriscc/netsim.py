@@ -7,14 +7,18 @@ server but is not added to a packet's own latency, so an unqueued
 packet measures exactly its two-way propagation delay.
 
 Arrivals are known ahead: an epoch timer fixes its flow's pacing chain
-up to the epoch's end and merges it into the *stream*, one sorted list
-of pending ``(time, flow id)`` arrivals, so only timers go through the
-heap, as ``(time, kind, flow id)``.  The loop admits the stream up to
-the next heap event, its instant included, then handles that event:
+up to the epoch's end and materializes it as the flow's *run*, a sorted
+list of pending ``(time, flow id)`` arrivals read from a head index, so
+only timers go through the heap, as ``(time, kind, flow id)``.  Before
+each heap event the loop takes from every run its arrivals up to that
+event's instant, that instant included, sorts them together only when
+more than one flow contributed, admits them and then handles the event:
 arrivals come before timers at equal timestamps, then lower flow ids
 first, and the only randomness is a seeded Bernoulli draw per arrival
 for random loss — so a scenario is a pure function of its description
-and seed, and equal seeds give byte-identical traces.
+and seed, and equal seeds give byte-identical traces.  Each arrival is
+sorted at most once, with the arrivals of the other flows due by the
+same event.
 Departures need no events: the capacity schedule is known in advance,
 so the FIFO fixes each admitted packet's service start and departure
 when it arrives.  Its one server runs at the scheduled link capacity,
@@ -35,24 +39,27 @@ and :meth:`Simulation.run` applies its rules inline:
 Packets arrive in time order, so service starts never decrease and the
 schedule entry in force only moves forward.
 
-A flow keeps at most ``_SEGMENT`` arrivals in the stream, all in its
-open epoch, and the rest of its chain in a lazy iterator, refilled at
-the last one.  A chain's times strictly increase unless a gap rounds
-away, and then it stalls until the emission guard ends the run, so a
-refill after the arrivals at its instant keeps the order.  The chain's
-last arrival, noted when it is materialized, keeps the pacing gap into
-the next epoch.
+A flow materializes at most ``_SEGMENT`` arrivals of its open epoch at
+a time, and keeps the rest of its chain as plain state, the next time,
+the gap and the epoch's end, refilled at the last one.  Each arrival is
+one gap added to the one before it.  A chain's times strictly increase
+unless a gap rounds away, and then it stalls until the emission guard
+ends the run, so a refill after the arrivals at its instant keeps the
+order.  The chain's last arrival, noted when it is materialized, keeps
+the pacing gap into the next epoch.
 
 ACKs need no events either.  Delivery and ACK happen at known offsets
 from the start of service (the reverse path is ideal), so an admitted
 packet's ACK time is fixed on arrival, and the packet is tallied into
 its epoch then: RTT sum and latest ACK time.  Per packet, only these,
-the epoch's planned, dropped and occupancy counts and the flow's drops
-and in-flight packets (ACKed after the run) are counted.  At release an
-epoch's ACK count is planned minus dropped, and its planned packets add
-to the flow's sent count, as at the end of the run do those of the
-unreleased epochs, the open one too; delivered is sent less drops and
-in-flight packets.
+the epoch's occupancy sum and overflow or random drop, and the flow's
+in-flight packets (ACKed after the run) are counted.  An epoch's
+planned count grows per materialized segment, by its arrivals within
+the run, as the loop admits no later ones, and the emission guard
+checks it there.  At release an epoch's ACK count is planned less its
+drops, and its planned packets and drops add to the flow's totals, as
+at the end of the run do those of the unreleased epochs, the open one
+too; delivered is sent less drops and in-flight packets.
 
 Only the flow's own timer reads the tally, and it treats an epoch as
 resolved once its latest ACK is due: service starts never decrease and
@@ -79,9 +86,7 @@ import math
 import random
 from bisect import bisect_right
 from collections import deque
-from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import islice
 from operator import itemgetter
 
 from .baselines import AimdController, ConstantRateController, VegasController
@@ -92,16 +97,9 @@ from .trace import FlowTotals, FlowTrace, TraceRow
 from .units import mbps_to_pkts_per_ms
 
 _MAX_EMISSIONS_PER_EPOCH = 1_000_000  # guard against runaway controllers
-_SEGMENT = 2048  # arrivals a flow keeps in the stream at a time
+_SEGMENT = 2048  # arrivals a flow materializes at a time
 _TIMER, _REFILL = 0, 1  # heap event kinds, the middle field of every heap event
-
-
-def _pacing(flow_id: int, t: float, interval: float, window_end: float) -> Iterator:
-    """One epoch's ``(time, flow id)`` arrivals, one gap added at a time as a
-    packet would; a chain that never ends trips the emission guard."""
-    while t < window_end:
-        yield t, flow_id
-        t += interval
+_arrival_time = itemgetter(0)
 
 
 @dataclass(slots=True)
@@ -109,14 +107,15 @@ class _EpochAccum:
     """Running tallies for one sender epoch until it is released; an
     admitted packet's ACK is tallied when it is queued."""
 
-    planned: int = 0
-    dropped: int = 0
+    planned: int = 0     # arrivals within the run, counted per segment
+    overflow: int = 0    # drop-tail drops
+    lost: int = 0        # random drops
     rtt_sum: float = 0.0
     last_ack: float | None = None
     occ_sum: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class _FlowRuntime:
     flow_id: int
     spec: FlowSpec
@@ -124,10 +123,14 @@ class _FlowRuntime:
     rtprop: float                # round-trip propagation delay
     epoch_len: float
     rate: float
-    chain: Iterator | None = None    # the open epoch's arrivals not yet in the stream
+    # While a refill is pending, the rest of the open epoch's chain:
+    # (next time, gap, the epoch's end, which it stops short of).
+    pacing: tuple = ()
+    run: list = field(default_factory=list)  # materialized (time, flow id) arrivals, sorted
+    head: int = 0                    # index of the first one in ``run`` not yet admitted
+    due: float = math.inf            # its time, or inf once all are admitted
     last_emit: float | None = None   # the last arrival of the latest epoch that sent one
     epochs: deque = field(default_factory=deque)  # unreleased _EpochAccum tallies, open one last
-    acc: _EpochAccum | None = None   # the open epoch's tally, also last in ``epochs``
     next_release: int = 0                 # index of the epoch at the front of ``epochs``
     prev_mean_rtt: float | None = None    # of the latest measured epoch, for the trace
     trace: FlowTrace = None  # type: ignore[assignment]
@@ -187,7 +190,6 @@ class Simulation:
         self._rng = random.Random(scenario.link.seed)
         self._departures: deque[float] = deque()  # pending departures, FIFO order
         self._heap: list = []
-        self._stream: list = []  # pending (time, flow id) arrivals, sorted
         self.flows: list[_FlowRuntime] = []
         for i, spec in enumerate(scenario.flows):
             controller = build_controller(spec, i, scenario.link.packet_bytes)
@@ -207,6 +209,8 @@ class Simulation:
             self.flows.append(flow)
             if spec.start_time <= scenario.duration:
                 heapq.heappush(self._heap, (spec.start_time, _TIMER, i))
+        self._open: list[_EpochAccum | None] = [None] * len(self.flows)  # open tallies by flow id
+        self._segment = range(_SEGMENT)  # one slot per arrival of a segment, built once
         self._ran = False
 
     @property
@@ -228,26 +232,46 @@ class Simulation:
         flow = self.flows[flow_id]
         self._release(flow, now)
         interval = 1.0 / flow.rate
-        flow.acc = acc = _EpochAccum()
+        self._open[flow_id] = acc = _EpochAccum()
         flow.epochs.append(acc)
         window_end = now + flow.epoch_len
         first = now if flow.last_emit is None else max(now, flow.last_emit + interval)
-        flow.chain = _pacing(flow_id, first, interval, window_end)
-        self._refill(flow)
+        self._refill(flow, first, interval, window_end)
         if window_end <= self.scenario.duration:
             heapq.heappush(self._heap, (window_end, _TIMER, flow_id))
 
-    def _refill(self, flow: _FlowRuntime) -> None:
-        """Merge the next segment of the flow's chain into the stream, and
-        schedule the next refill at its last arrival if it is full."""
-        segment = list(islice(flow.chain, _SEGMENT))
-        if segment:
-            flow.last_emit = last = segment[-1][0]
-            stream = self._stream
-            stream += segment
-            stream.sort()  # merges the two sorted runs
-            if len(segment) == _SEGMENT and last <= self.scenario.duration:
-                heapq.heappush(self._heap, (last, _REFILL, flow.flow_id))
+    def _refill(self, flow: _FlowRuntime, t: float, interval: float, window_end: float) -> None:
+        """Materialize the next segment of the flow's chain, from ``t`` on
+        and short of ``window_end``, as its run; count its arrivals within
+        the run into the open epoch, and schedule the next refill at its
+        last arrival if it is full.
+
+        The flow's previous run is all admitted by now: a timer follows
+        its epoch's arrivals, and a refill its segment's last one.
+        """
+        flow_id = flow.flow_id
+        segment = []
+        append = segment.append
+        for _ in self._segment:
+            if t >= window_end:
+                break
+            append((t, flow_id))
+            t += interval
+        if not segment:
+            return
+        flow.run = segment
+        flow.head = 0
+        flow.due = segment[0][0]
+        flow.last_emit = last = segment[-1][0]
+        duration = self.scenario.duration
+        acc = self._open[flow_id]
+        acc.planned += (len(segment) if last <= duration
+                        else bisect_right(segment, duration, key=_arrival_time))
+        if acc.planned > _MAX_EMISSIONS_PER_EPOCH:
+            raise RuntimeError(f"flow {flow_id} emission rate exploded ({flow.rate}/ms)")
+        if len(segment) == _SEGMENT and last <= duration:
+            flow.pacing = (t, interval, window_end)
+            heapq.heappush(self._heap, (last, _REFILL, flow_id))
 
     # -- epoch accounting ---------------------------------------------------
 
@@ -270,15 +294,19 @@ class Simulation:
             epochs.popleft()
             index = flow.next_release
             flow.next_release = index + 1
-            flow.trace.totals.sent += acc.planned
+            totals = flow.trace.totals
+            totals.sent += acc.planned
+            totals.dropped_overflow += acc.overflow
+            totals.dropped_random += acc.lost
             send_rate = acc.planned / epoch_len
-            acked = acc.planned - acc.dropped
+            dropped = acc.overflow + acc.lost
+            acked = acc.planned - dropped
             mean_rtt = None
             if acked > 0:
                 mean_rtt = flow.prev_mean_rtt = acc.rtt_sum / acked
             end = (flow.spec.start_time + index * epoch_len) + epoch_len
             # Positional: keywords cost about twice as much per epoch.
-            fb = EpochFeedback(index, end, send_rate, acc.planned, acked, acc.dropped,
+            fb = EpochFeedback(index, end, send_rate, acc.planned, acked, dropped,
                                mean_rtt, acc.last_ack)
             if decide:
                 flow.rate = flow.controller.on_epoch(fb, now)
@@ -288,7 +316,7 @@ class Simulation:
             flow.trace.rows.append(TraceRow(
                 end, send_rate, acked / epoch_len,
                 flow.prev_mean_rtt if flow.prev_mean_rtt is not None else flow.rtprop,
-                acc.occ_sum / acc.planned if acc.planned else 0.0, acc.dropped))
+                acc.occ_sum / acc.planned if acc.planned else 0.0, dropped))
 
     # -- main loop ----------------------------------------------------------
 
@@ -300,13 +328,12 @@ class Simulation:
         duration = self.scenario.duration
         link = self.scenario.link
         flows = self.flows
+        open_tally = self._open
+        rtprops = [flow.rtprop for flow in flows]
         heap = self._heap
-        stream = self._stream
-        arrival_time = itemgetter(0)
         heappop = heapq.heappop
         on_timer = self._on_timer
         refill = self._refill
-        max_emissions = _MAX_EMISSIONS_PER_EPOCH
         departures = self._departures
         retire = departures.popleft
         depart = departures.append
@@ -321,27 +348,34 @@ class Simulation:
         while True:
             # Every heap event is due within the run.  The arrivals up to
             # the next one, at its instant too, or else up to the end.
-            hi = bisect_right(stream, heap[0][0] if heap else duration, key=arrival_time)
-            chunk = stream[:hi]
-            del stream[:hi]
+            bound = heap[0][0] if heap else duration
+            chunk = ()
+            taken = 0  # runs that contributed to the chunk
+            for flow in flows:
+                if flow.due <= bound:
+                    run = flow.run
+                    head = flow.head
+                    flow.head = hi = bisect_right(run, bound, head, key=_arrival_time)
+                    flow.due = run[hi][0] if hi < len(run) else math.inf
+                    if taken:
+                        chunk += run[head:hi]
+                    else:
+                        chunk = run[head:hi]
+                    taken += 1
+            if taken > 1:
+                chunk.sort()  # merges the sorted runs
             for now, flow_id in chunk:
                 # An arrival: it belongs to its flow's open epoch.
-                flow = flows[flow_id]
-                acc = flow.acc
-                if acc.planned >= max_emissions:
-                    raise RuntimeError(f"flow {flow_id} emission rate exploded ({flow.rate}/ms)")
-                acc.planned += 1
+                acc = open_tally[flow_id]
                 while departures and departures[0] < now:
                     retire()
                 occupancy = len(departures)
                 acc.occ_sum += occupancy
                 if random_loss > 0.0 and draw() < random_loss:
-                    flow.trace.totals.dropped_random += 1
-                    acc.dropped += 1
+                    acc.lost += 1
                     continue
                 if occupancy >= capacity:
-                    flow.trace.totals.dropped_overflow += 1
-                    acc.dropped += 1
+                    acc.overflow += 1
                     continue
                 start = departures[-1] if occupancy else now
                 while next_change < start:
@@ -349,24 +383,30 @@ class Simulation:
                     next_change = change_times[entry]
                     service_time = service_times[entry]
                 depart(start + service_time)
-                ack = start + flow.rtprop
+                ack = start + rtprops[flow_id]
                 acc.rtt_sum += ack - now
                 acc.last_ack = ack
                 if ack > duration:
-                    flow.trace.totals.in_flight += 1
+                    flows[flow_id].trace.totals.in_flight += 1
             if not heap:
                 break
             now, kind, flow_id = heappop(heap)
             if kind == _TIMER:
                 on_timer(now, flow_id)
             else:
-                refill(flows[flow_id])
+                flow = flows[flow_id]
+                refill(flow, *flow.pacing)
         for flow in flows:
             totals = flow.trace.totals
-            if flow.epochs:
-                totals.sent += flow.epochs.pop().planned  # the newest epoch is still open
+            # The newest epoch is still open: it goes into the totals
+            # unreleased, with the epochs it leaves unresolved.
+            unreleased = [flow.epochs.pop()] if flow.epochs else []
             self._release(flow, duration, decide=False)
-            totals.sent += sum(acc.planned for acc in flow.epochs)
+            unreleased += flow.epochs
+            for acc in unreleased:
+                totals.sent += acc.planned
+                totals.dropped_overflow += acc.overflow
+                totals.dropped_random += acc.lost
             totals.delivered = (totals.sent - totals.dropped_random
                                 - totals.dropped_overflow - totals.in_flight)
         return [flow.trace for flow in flows]

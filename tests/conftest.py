@@ -39,6 +39,20 @@ def scenario(link: LinkConfig, flows: tuple[FlowSpec, ...],
     return Scenario(link=link, flows=flows, duration=duration)
 
 
+def watch_refills(sim, note) -> None:
+    """Call ``note(flow)`` each time ``sim`` materializes a segment of a
+    flow's pacing chain as the flow's run of pending arrivals."""
+    refill = sim._refill
+
+    def watched(flow, *chain):
+        run = flow.run
+        refill(flow, *chain)
+        if flow.run is not run:
+            note(flow)
+
+    sim._refill = watched
+
+
 def feedback(index: int = 0, send: float = 1.0, rtt: float = 50.0, end: float = 50.0,
              sent: int = 50, acked: int | None = None, dropped: int = 0,
              measured: bool = True, last_ack: float | None = None) -> EpochFeedback:

@@ -10,7 +10,7 @@ import random
 import statistics
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import feedback
@@ -527,8 +527,29 @@ def screened_windows(draw):
     return state
 
 
+def window_of(recv, records):
+    """A state whose window holds ``(send, delta)`` records, 50 ms apart."""
+    state = new_state()
+    for i, (send, delta) in enumerate(records):
+        push(state, 50.0 * (i + 1), send, recv, delta)
+    return state
+
+
+# A window whose PLCC sits exactly at the gate: the exact fit adopts it,
+# and only a screen with no PLCC margin would reject it.
+AT_THE_PLCC_GATE = window_of(1.3849306072454481, [
+    (1.9175962254167742, -0.09026952547956833), (0.0, -0.7544404356724392),
+    (2.0596403902624614, -0.04107168028009642), (0.14204416484568694, -0.7052425904729673),
+    (2.201684555108148, 0.008126164919375484), (0.2840883296913739, -0.6560447452734954),
+    (2.3437287199538352, 0.05732401011884744), (0.4261324945370609, -0.6068469000740235),
+    (2.4857728847995224, 0.10652185531831942), (0.568176659382748, -0.5576490548745515),
+    (2.627817049645209, 0.15571970051779133), (0.7102208242284349, -0.5084512096750796),
+    (2.7698612144908963, 0.20491754571726323), (0.852264989074122, 3.387406865210625)])
+
+
 @settings(max_examples=400)
 @given(screened_windows())
+@example(AT_THE_PLCC_GATE)
 def test_screen_rejects_only_windows_the_exact_gate_rejects(state):
     if _screen_rejects(state.sums, len(state.history), MIN_FIT_SAMPLES):
         assert _gated_fit(state.history, MIN_FIT_SAMPLES) is None

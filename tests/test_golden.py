@@ -2,10 +2,13 @@
 fixed set of seeded scenarios.
 
 A refactor that keeps the simulated behaviour keeps every digest.  The
-last three scenarios put bandwidth changes, epoch timers, arrivals and
-departures on the same instants, so they also pin the tie-breaking
-order at equal timestamps.  A deliberate behaviour change regenerates
-the table and says why.
+three ``tie-`` scenarios put bandwidth changes, epoch timers, arrivals
+and departures on the same instants, so they also pin the tie-breaking
+order at equal timestamps, and ``eight-flow-ties`` pins it across many
+flows: eight of them start together on equal epochs, so their arrivals
+tie at up to eight at once, while a small lossy queue drops by overflow
+and at random.  A deliberate behaviour change regenerates the table and
+says why.
 """
 
 import hashlib
@@ -45,10 +48,16 @@ SCENARIOS = {
     "tie-half-ms-dip": scenario(
         make_link(sched=((0.0, 2.0), (2500.0, 0.5), (2500.5, 2.0), (3000.0, 8.0)), queue=50),
         [flow("constant", rate=2.0), flow("constant", rate=1.0, start=0.25)], 5000.0),
+    "eight-flow-ties": scenario(
+        make_link(queue=16, loss=0.01, seed=3),
+        [flow("aimd"), flow("vegas"), flow("constant", rate=0.25), flow("aimd"),
+         flow("vegas"), flow("constant", rate=0.25), flow("aimd"), flow("constant", rate=0.5)],
+        4000.0),
 }
 
 DIGESTS = {
     "capacity-steps": "24ed515efcd41ff428f6b996bead41546e7f7f2b27a047e3ca21e3659eceb67d",
+    "eight-flow-ties": "89e6a3e5d87084b9577359783281fce1216a99eb2717e8f859c4159f314c045b",
     "iris-pair-100mbps": "90404df3e2c17da6e5a0c866bbaf17dbafaa7c4bac5d33f036b17e5aef951a65",
     "iris-staggered-rtts": "e20315909ccf566d8b34398b9e59881b41edffa56fd8073deda4037f42da183d",
     "lossy-three-controllers": "b2c5c30902a8643e085c5f3ababa56fdbdc347c822396cd6f522be716cc598ca",

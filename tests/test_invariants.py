@@ -7,6 +7,7 @@ from collections import Counter, deque
 
 import pytest
 
+from conftest import watch_refills
 from diffcheck import random_scenario
 from iriscc import netsim
 from iriscc.netsim import Simulation
@@ -45,38 +46,39 @@ def test_simulator_invariants(seed):
     assert delivered <= bound + len(link.bandwidth_schedule)
 
 
-class _Stream(list):
-    """Stream stand-in that notes each arrival as the loop consumes it:
-    the loop reads each run of due arrivals as one slice, and iterates
-    over it."""
+class _Clock:
+    """Notes each arrival as the loop handles it: every materialized
+    arrival is rewritten as a tuple that notes its time when unpacked,
+    and the loop unpacks each arrival it handles once, in order."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, sim):
         self.now = None
         self.arrivals = []
+        clock = self
 
-    def __getitem__(self, index):
-        items = super().__getitem__(index)
-        return self._consume(items) if isinstance(index, slice) else items
+        class Arrival(tuple):
+            def __iter__(self):
+                clock.now = self[0]
+                clock.arrivals.append(clock.now)
+                return super().__iter__()
 
-    def _consume(self, items):
-        for item in items:
-            self.now = item[0]
-            self.arrivals.append(self.now)
-            yield item
+        def note(flow):
+            flow.run = [Arrival(arrival) for arrival in flow.run]
+
+        watch_refills(sim, note)
 
 
 class _StartRecorder(deque):
     """Departure FIFO that notes each admitted packet's service start:
     the last pending departure, or the arrival time if none is pending."""
 
-    def __init__(self, stream):
+    def __init__(self, clock):
         super().__init__()
-        self.stream = stream
+        self.clock = clock
         self.starts = []
 
     def append(self, departure):
-        self.starts.append(self[-1] if self else self.stream.now)
+        self.starts.append(self[-1] if self else self.clock.now)
         super().append(departure)
 
 
@@ -88,8 +90,8 @@ def test_service_starts_and_ack_times_never_decrease(seed):
     # in send order, and an epoch's latest ACK is its last admitted one.
     scenario = scenario_from_dict(random_scenario(random.Random(seed)))
     sim = Simulation(scenario)
-    sim._stream = stream = _Stream()
-    sim._departures = recorder = _StartRecorder(stream)
+    clock = _Clock(sim)
+    sim._departures = recorder = _StartRecorder(clock)
     traces = sim.run()
     starts = recorder.starts
     assert starts
@@ -99,7 +101,7 @@ def test_service_starts_and_ack_times_never_decrease(seed):
     # one is delivered or still in flight.
     assert len(starts) == sum(trace.totals.delivered + trace.totals.in_flight
                               for trace in traces)
-    sent = sum(1 for t in stream.arrivals if t <= scenario.duration)
+    sent = sum(1 for t in clock.arrivals if t <= scenario.duration)
     assert sent == sum(trace.totals.sent for trace in traces)
     assert sent - len(starts) == sum(trace.totals.dropped_random + trace.totals.dropped_overflow
                                      for trace in traces)
@@ -124,38 +126,37 @@ class _CheckedHeapq:
         return now, kind, flow_id
 
 
-class _CheckedStream(list):
-    """Stream stand-in that checks, after every merge, that each flow
-    holds at most ``_SEGMENT`` arrivals, all inside its open epoch."""
+class _CheckedRuns:
+    """Checks, after every segment materialized, that each flow holds at
+    most ``_SEGMENT`` pending arrivals, all inside its open epoch, and
+    counts the arrivals materialized."""
 
-    def __init__(self, flows, opened):
-        super().__init__()
-        self.flows = flows
+    def __init__(self, sim, opened):
+        self.flows = sim.flows
         self.opened = opened
-        self.merged = 0
+        self.materialized = 0
+        watch_refills(sim, self.check)
 
-    def __iadd__(self, segment):
-        self.merged += len(segment)
-        return super().__iadd__(segment)
-
-    def sort(self):
-        super().sort()
-        per_flow = Counter(flow_id for _, flow_id in self)
-        assert max(per_flow.values()) <= netsim._SEGMENT
-        for t, flow_id in self:
-            start = self.opened[flow_id]
-            assert start <= t < start + self.flows[flow_id].epoch_len
+    def check(self, refilled):
+        self.materialized += len(refilled.run)
+        for flow in self.flows:
+            pending = flow.run[flow.head:]
+            assert len(pending) <= netsim._SEGMENT
+            for t, flow_id in pending:
+                assert flow_id == flow.flow_id
+                start = self.opened[flow_id]
+                assert start <= t < start + flow.epoch_len
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_heap_holds_one_arrival_and_one_timer_per_flow(seed, monkeypatch):
     # The heap holds no arrival and at most one timer and one refill per
-    # flow; the stream, refilled every five arrivals here, holds at most
-    # a segment of each flow's open epoch.
+    # flow; each flow's run, refilled every five arrivals here, holds at
+    # most a segment of its open epoch.
     checked = _CheckedHeapq()
     monkeypatch.setattr(netsim, "heapq", checked)
     monkeypatch.setattr(netsim, "_SEGMENT", 5)
     sim = Simulation(scenario_from_dict(random_scenario(random.Random(seed))))
-    sim._stream = stream = _CheckedStream(sim.flows, checked.opened)
+    runs = _CheckedRuns(sim, checked.opened)
     traces = sim.run()
-    assert stream.merged >= sum(trace.totals.sent for trace in traces)
+    assert runs.materialized >= sum(trace.totals.sent for trace in traces)

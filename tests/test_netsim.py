@@ -4,11 +4,10 @@ accounting identities, and determinism."""
 import itertools
 import json
 import math
-from collections import Counter
 
 import pytest
 
-from conftest import flow, make_link, scenario
+from conftest import flow, make_link, scenario, watch_refills
 from iriscc import baselines, controller, netsim
 from iriscc.metrics import mean_throughput
 from iriscc.netsim import Simulation, run_scenario
@@ -258,6 +257,16 @@ def test_emission_guard_allows_exactly_its_limit(limit, monkeypatch):
     assert str(excinfo.value) == "flow 0 emission rate exploded (1.0/ms)"
 
 
+def test_emission_guard_counts_only_arrivals_within_the_run(monkeypatch):
+    # The run ends 30 ms into its one 50 ms epoch: the chain paces 50
+    # packets, but only the 31 at 0, 1, ..., 30 ms are within the run.
+    monkeypatch.setattr(netsim, "_MAX_EMISSIONS_PER_EPOCH", 31)
+    sc = scenario(make_link(), [flow("constant", rate=1.0)], 30.0)
+    sim = Simulation(sc)
+    assert sim.flows[0].epoch_len * sim.flows[0].rate == 50 > netsim._MAX_EMISSIONS_PER_EPOCH
+    assert sim.run()[0].totals.sent == 31
+
+
 def test_emission_budget_guard(monkeypatch):
     monkeypatch.setattr(netsim, "_MAX_EMISSIONS_PER_EPOCH", 10)
     sc = scenario(make_link(), [flow("constant", rate=1.0)], 1_000.0)
@@ -500,22 +509,19 @@ BACKLOG_SCENARIO = """
 """
 
 
-class SegmentWatch(list):
-    """Stream stand-in that notes the most arrivals one flow held."""
-
-    most = 0
-
-    def sort(self):
-        super().sort()
-        self.most = max(self.most, *Counter(flow_id for _, flow_id in self).values())
-
-
 def watched_run(sc, path):
+    """The trace bytes and totals of a run, and the most pending arrivals
+    one flow held."""
     sim = Simulation(sc)
-    sim._stream = stream = SegmentWatch()
+    most = [0]
+
+    def note(flow):
+        most[0] = max(most[0], len(flow.run) - flow.head)
+
+    watch_refills(sim, note)
     traces = sim.run()
     write_trace_csv(traces, path)
-    return path.read_bytes(), [trace.totals for trace in traces], stream.most
+    return path.read_bytes(), [trace.totals for trace in traces], most[0]
 
 
 @pytest.mark.parametrize("name", [*sorted(GOLDEN), "backlog"])

@@ -43,42 +43,51 @@ MUTANTS = [
     (NETSIM, "while next_change < start:", "while next_change <= start:"),
     (NETSIM, """\
                 if random_loss > 0.0 and draw() < random_loss:
-                    flow.trace.totals.dropped_random += 1
-                    acc.dropped += 1
+                    acc.lost += 1
                     continue
                 if occupancy >= capacity:
-                    flow.trace.totals.dropped_overflow += 1
-                    acc.dropped += 1
+                    acc.overflow += 1
                     continue
 """, """\
                 if occupancy >= capacity:
-                    flow.trace.totals.dropped_overflow += 1
-                    acc.dropped += 1
+                    acc.overflow += 1
                     continue
                 if random_loss > 0.0 and draw() < random_loss:
-                    flow.trace.totals.dropped_random += 1
-                    acc.dropped += 1
+                    acc.lost += 1
                     continue
 """),
     (NETSIM, "depart(start + service_time)", "depart(start + service_time / 2)"),
-    # The arrival stream's order: arrivals at an event's instant come
-    # before it, an epoch's chain stops short of its end, and equal
-    # times go in flow-id order.
-    (NETSIM, "hi = bisect_right(stream,", "hi = __import__('bisect').bisect_left(stream,"),
-    (NETSIM, "while t < window_end:", "while t <= window_end:"),
-    (NETSIM, "stream.sort()", "stream.sort(key=lambda arrival: arrival[0])"),
-    # The emission guard allows exactly its limit per epoch, and each
-    # refill resumes where the last segment ended.
-    (NETSIM, "if acc.planned >= max_emissions:", "if acc.planned > max_emissions:"),
-    (NETSIM, "list(islice(flow.chain, _SEGMENT))", "list(islice(flow.chain, 1, _SEGMENT + 1))"),
+    # The arrivals' order: arrivals at an event's instant come before
+    # it, an epoch's chain stops short of its end, and the runs of two
+    # or more flows are merged.  (A sort on time alone would be an
+    # equivalent mutant: the runs are joined in flow-id order and the
+    # sort is stable.)
+    (NETSIM, "hi = bisect_right(run, bound,", "hi = __import__('bisect').bisect_left(run, bound,"),
+    (NETSIM, "if t >= window_end:", "if t > window_end:"),
+    (NETSIM, "if taken > 1:", "if taken > 2:"),
+    # The emission guard allows exactly its limit per epoch, counting
+    # only arrivals within the run, and each refill resumes where the
+    # last segment ended.
+    (NETSIM, "if acc.planned > _MAX_EMISSIONS_PER_EPOCH:",
+     "if acc.planned >= _MAX_EMISSIONS_PER_EPOCH:"),
+    (NETSIM, "acc.planned += (len(segment) if last <= duration",
+     "acc.planned += (len(segment) if True"),
+    (NETSIM, "flow.pacing = (t, interval, window_end)",
+     "flow.pacing = (t + interval, interval, window_end)"),
     (NETSIM, "len(segment) == _SEGMENT", "len(segment) > _SEGMENT"),
+    # Drops are counted by kind, the open epoch's too at the end.
+    (NETSIM, "acc.lost += 1", "acc.overflow += 1"),
+    (NETSIM, "unreleased = [flow.epochs.pop()] if flow.epochs else []", """\
+unreleased = []
+            if flow.epochs:
+                totals.sent += flow.epochs.pop().planned"""),
     # A rate the chain can pace, from the start on: positive and finite.
     (NETSIM, "0 < flow.rate < math.inf", "0 < flow.rate <= math.inf"),
     (NETSIM, "if not 0 < rate < math.inf:", "if not 0 < rate <= math.inf:"),
     # ACK accounting: delivered within the run, every admitted packet
     # acked, and an epoch resolved once its latest ACK is due.
     (NETSIM, "if ack > duration:", "if ack >= duration:"),
-    (NETSIM, "acked = acc.planned - acc.dropped", "acked = acc.planned"),
+    (NETSIM, "acked = acc.planned - dropped", "acked = acc.planned"),
     (NETSIM, "acc.last_ack is not None and acc.last_ack > now",
      "acc.last_ack is not None and acc.last_ack >= now"),
     # Trace windows are left-open, right-closed at both edges.
