@@ -16,13 +16,18 @@ into a rate adjustment on top of the receiving rate it estimates from ACKs.
 A new flow starts in a cold-start phase: it sends at a low initial rate
 and doubles every epoch until loss appears, then fits an initial slope
 from the data it gathered and switches to steady-state control.
+
+:class:`IrisController` is the whole controller: a flow's rate, slope,
+target delay and records are its attributes, and each phase's step is
+one of its methods.  The decision math and the slope-fit gate read no
+state and stay module functions.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -94,7 +99,8 @@ class IrisParams:
 
 
 class Measurement(NamedTuple):
-    """The controller's record of one measured epoch, by :func:`_record_measurement`."""
+    """The controller's record of one measured epoch, by
+    :meth:`IrisController._record_measurement`."""
 
     end: float
     send_rate: float
@@ -128,7 +134,7 @@ class DecisionLogEntry(NamedTuple):
 
 @dataclass
 class WindowSums:
-    """Running sums over the records of ``IrisState.history``.
+    """Running sums over the records of ``IrisController.history``.
 
     Over the records with an RTT change, where x is ``send_rate -
     recv_rate`` and y is ``delta_rtt``: their count ``n`` and the sums
@@ -189,46 +195,6 @@ class WindowSums:
         for rec in records:
             sums.add(rec)
         return sums
-
-
-@dataclass
-class IrisState:
-    """Mutable controller state; create via :func:`new_state`.
-
-    ``history`` holds measured epochs in order of their ends, at most
-    ``HISTORY_CAP`` of them.  Each steady re-fit attempt first trims it
-    to the re-fit window, the records of the last ``k_update_period``;
-    cold start trims nothing.  ``sums`` follows it.  ``rtt_samples``
-    keeps only the samples that can still be a window minimum, each
-    below every later one.
-    """
-
-    params: IrisParams
-    phase: Phase
-    current_rate: float
-    k: float
-    target_delay: float | None = None
-    target_stale_epochs: int = 0
-    rtt_samples: deque = field(default_factory=deque)   # (time, rtt), rtt increasing
-    history: deque = field(default_factory=lambda: deque(maxlen=HISTORY_CAP))  # of Measurement
-    sums: WindowSums = field(default_factory=WindowSums)
-    last_meas_ack: float | None = None  # latest ACK time of the last measured epoch
-    prev_rtt: float | None = None       # mean RTT of the last measured epoch
-    prev_loss_rate: float = 0.0
-    applied_fits: list = field(default_factory=list)    # (time, RegressionFit)
-
-    @property
-    def last_fit(self) -> RegressionFit | None:
-        return self.applied_fits[-1][1] if self.applied_fits else None
-
-    @property
-    def last_k_update(self) -> float:
-        return self.applied_fits[-1][0] if self.applied_fits else -math.inf
-
-
-def new_state(params: IrisParams | None = None) -> IrisState:
-    return IrisState(params=params or IrisParams(), phase=Phase.COLD_START,
-                     current_rate=INITIAL_RATE, k=K_MIN)
 
 
 # --- pure decision math ----------------------------------------------------
@@ -301,40 +267,7 @@ def effective_slope(params: IrisParams, k: float, rtt: float,
     return max(k, floor)
 
 
-# --- stateful steps --------------------------------------------------------
-
-def update_target_delay(state: IrisState, now: float) -> float | None:
-    """Refresh the target delay: the minimum RTT inside the sliding window.
-
-    The minimum estimates the base RTT, so ``send_rate * (rtt -
-    target_delay)`` counts this flow's queued packets.  Samples older
-    than ``rtt_window`` are evicted.  If the window goes empty (a long
-    stall), the previous target survives and a staleness counter is
-    bumped so callers can notice.  The samples rise from oldest to
-    newest (see :func:`_record_measurement`), so the oldest is the
-    minimum.
-    """
-    window_start = now - state.params.rtt_window
-    samples = state.rtt_samples
-    while samples and samples[0][0] < window_start:
-        samples.popleft()
-    if not samples:
-        state.target_stale_epochs += 1
-        return state.target_delay
-    target = samples[0][1]
-    state.target_delay = target
-    state.target_stale_epochs = 0
-    return target
-
-
-def _adopt_fit(state: IrisState, fit: RegressionFit | None, now: float) -> bool:
-    """Clamp and install a fitted slope; report whether one was applied."""
-    if fit is None or not math.isfinite(fit.k):
-        return False
-    state.k = max(K_MIN, fit.k)
-    state.applied_fits.append((now, fit))
-    return True
-
+# --- the slope-fit gate ----------------------------------------------------
 
 def _plain_fit(records) -> RegressionFit | None:
     """Least-squares fit over the records that carry an RTT change."""
@@ -400,201 +333,246 @@ def _screen_rejects(sums: WindowSums, records: int, min_samples: int) -> bool:
             or excitation < EXCITATION_FLOOR * (1.0 - SCREEN_EXCITATION_MARGIN))
 
 
-def _screened_fit(state: IrisState, min_samples: int) -> RegressionFit | None:
-    """:func:`_gated_fit` of the history, unless the screen rejects it."""
-    if _screen_rejects(state.sums, len(state.history), min_samples):
-        return None
-    return _gated_fit(state.history, min_samples)
-
-
-def _evict_oldest(state: IrisState) -> None:
-    state.sums.remove(state.history.popleft())
-    if state.sums.evictions >= HISTORY_CAP:
-        state.sums = WindowSums.of(state.history)
-
-
-def _maybe_refit_k(state: IrisState, now: float) -> None:
-    """Periodic slope re-fit over the most recent window of records.
-
-    The history drops the records that ended before the last
-    ``k_update_period`` and is fitted whole.  Attempts the gate rejects
-    do not advance the update clock, so the fit retries every epoch and
-    adopts as soon as an informative window (a capacity change, a
-    competing flow, a loss burst) shows up, instead of waiting out
-    another full period.
-    """
-    params = state.params
-    if now - state.last_k_update < params.k_update_period:
-        return
-    cutoff = now - params.k_update_period
-    history = state.history
-    while history and history[0].end < cutoff:
-        _evict_oldest(state)
-    _adopt_fit(state, _screened_fit(state, MIN_FIT_SAMPLES), now)
-
-
-def _record_measurement(state: IrisState, fb: EpochFeedback) -> Measurement:
-    """Record a measured epoch with :func:`_append_record`, estimating
-    its RTT change and its receiving rate: its ``send_rate * epoch_len``
-    packets over the span from the last measured epoch's latest ACK to
-    its own, or its send rate if there is none or its ACK is no later.
-    """
-    last = state.last_meas_ack
-    recv = (fb.send_rate if last is None or fb.last_ack <= last
-            else fb.send_rate * state.params.epoch_len / (fb.last_ack - last))
-    delta = None if state.prev_rtt is None else fb.mean_rtt - state.prev_rtt
-    state.last_meas_ack = fb.last_ack
-    state.prev_rtt = fb.mean_rtt
-    rec = Measurement(fb.end, fb.send_rate, recv, fb.mean_rtt, delta)
-    _append_record(state, rec)
-    return rec
-
-
-def _append_record(state: IrisState, rec: Measurement) -> None:
-    """Append a record to the history, its sums and the RTT samples.
-
-    A full history evicts its oldest record first.  The RTT samples
-    drop every sample at or above the new one, which outlives them in
-    any window, so the rest stay the candidates for its minimum.
-    """
-    if len(state.history) == HISTORY_CAP:
-        _evict_oldest(state)
-    state.history.append(rec)
-    state.sums.add(rec)
-    samples = state.rtt_samples
-    while samples and samples[-1][1] >= rec.mean_rtt:
-        samples.pop()
-    samples.append((rec.end, rec.mean_rtt))
-
-
-def _log_entry(state: IrisState, fb: EpochFeedback, now: float, phase: Phase, k: float,
-               recv_rate: float | None = None, objective: float | None = None,
-               rtt_step: float | None = None, contraction: float | None = None) -> DecisionLogEntry:
-    """The record of the decision a step just made: its rate is the
-    state's current rate, its target the state's target delay."""
-    return DecisionLogEntry(
-        time=now,
-        epoch_index=fb.index,
-        phase=phase,
-        rate=state.current_rate,
-        k=k,
-        measured=fb.measured,
-        rtt=fb.mean_rtt,
-        target_delay=state.target_delay,
-        objective=objective,
-        rtt_step=rtt_step,
-        recv_rate=recv_rate,
-        contraction=contraction,
-    )
-
-
-def on_epoch_end(state: IrisState, fb: EpochFeedback, now: float) -> DecisionLogEntry:
-    """One steady-state control step.
-
-    An unmeasured epoch holds the rate.  A measured one is recorded,
-    refreshes the target delay, derives the next pacing rate, and
-    periodically re-fits the slope.  If the target window holds no
-    sample and no target was ever set, the epoch's own RTT becomes the
-    target.  Loss does not enter the decision directly: random loss must
-    not read as congestion, and genuine congestion already shows up in
-    the RTT.
-    """
-    if not fb.measured:
-        return _log_entry(state, fb, now, Phase.STEADY, state.k)
-    params = state.params
-    recv = _record_measurement(state, fb).recv_rate
-    target = update_target_delay(state, now)
-    if target is None:
-        target = state.target_delay = fb.mean_rtt
-    objective = compute_objective(fb.send_rate, fb.mean_rtt, target, params.queue_load_target)
-    rtt_step = expected_rtt_variation(objective, params.rtt_step_bound, params.objective_scale)
-    k_used = effective_slope(params, state.k, fb.mean_rtt, target)
-    state.current_rate = next_sending_rate(recv, rtt_step, k_used)
-    _maybe_refit_k(state, now)
-    return _log_entry(state, fb, now, Phase.STEADY, k_used, recv, objective, rtt_step,
-                      gap_contraction_factor(params, fb.mean_rtt, target, k_used))
-
-
-def _exit_cold(state: IrisState, fit: RegressionFit | None, now: float) -> None:
-    """Leave the ramp: install the fit and land on the latest receiving rate."""
-    state.phase = Phase.STEADY
-    if not _adopt_fit(state, fit, now):
-        state.k = K_MIN  # ramp data was degenerate; learn on the fly
-    landing = state.history[-1].recv_rate if state.history else state.current_rate
-    state.current_rate = max(RATE_FLOOR, landing)
-
-
-def cold_start_step(state: IrisState, fb: EpochFeedback, now: float) -> DecisionLogEntry:
-    """One cold-start step: double the rate until loss reveals capacity.
-
-    A loss burst — a per-epoch loss rate that jumps ``COLD_LOSS_JUMP``
-    above the previous epoch's and clears ``COLD_LOSS_THRESHOLD`` —
-    marks the probe as having overfilled the bottleneck.  (Requiring a
-    jump keeps a noisy but steady background loss rate from reading as
-    an overshoot; on thin epochs of one or two packets a single stray
-    drop swings the measured rate violently.)  Loss pinned at
-    saturation never jumps epoch over epoch, so a rate at or above
-    ``COLD_LOSS_SEVERE`` counts as a burst on its own; without that a
-    rejected burst would resume doubling into a saturated queue
-    unchecked.  The ramp ends there only
-    if the gathered records already support a usable slope fit — enough
-    samples, real rate excursions, adequate correlation — because the
-    exit fit seeds every early steady-state decision, and a fit taken
-    from two or three quiet epochs is noise that can start the flow
-    with a wildly wrong slope.  When the data is not yet informative
-    the rate is halved instead and probing continues, so the next
-    overshoot adds more learnable records.  The safety rate ceiling
-    forces an exit with the ungated fit of the whole history.  On exit
-    the pacing rate falls back to the last observed receiving rate.  The
-    record logs the slope the flow had before the step.
-    """
-    k = state.k
-    recv = None
-    if fb.measured:
-        recv = _record_measurement(state, fb).recv_rate
-        update_target_delay(state, now)
-    loss_rate = fb.loss_rate
-    prev_loss = state.prev_loss_rate
-    state.prev_loss_rate = loss_rate
-    loss_burst = (
-        loss_rate > COLD_LOSS_THRESHOLD
-        and (loss_rate > prev_loss + COLD_LOSS_JUMP or loss_rate >= COLD_LOSS_SEVERE)
-    )
-    if state.current_rate >= RATE_CEILING:
-        _exit_cold(state, _plain_fit(state.history), now)
-    elif loss_burst:
-        fit = _screened_fit(state, COLD_FIT_SAMPLES)
-        if fit is not None:
-            _exit_cold(state, fit, now)
-        else:
-            # Burst before the ramp became informative: back off, keep probing.
-            state.current_rate = max(RATE_FLOOR, state.current_rate * COLD_BACKOFF)
-    else:
-        state.current_rate = min(state.current_rate * 2.0, RATE_CEILING)
-    return _log_entry(state, fb, now, Phase.COLD_START, k, recv)
-
-
-# --- simulator-facing adapter ----------------------------------------------
+# --- the controller --------------------------------------------------------
 
 class IrisController:
-    """Adapter that drives the controller from simulator epoch feedback."""
+    """The iris controller, driven by the simulator's epoch feedback.
+
+    ``on_epoch`` runs the step of the current phase and logs its
+    decision in ``decisions``.  ``history`` holds measured epochs in
+    order of their ends, at most ``HISTORY_CAP`` of them.  Each steady
+    re-fit attempt first trims it to the re-fit window, the records of
+    the last ``k_update_period``; cold start trims nothing.  ``sums``
+    follows it.  ``rtt_samples`` keeps only the samples that can still
+    be a window minimum, each below every later one.
+    """
 
     kind = "iris"
 
     def __init__(self, params: IrisParams | None = None):
-        self.params = params or IrisParams()
-        self.state = new_state(self.params)
+        self.params = params = params or IrisParams()
+        self.epoch_len = params.epoch_len
+        self.phase = Phase.COLD_START
+        self.current_rate = INITIAL_RATE
+        self.k = K_MIN
+        self.target_delay: float | None = None
+        self.target_stale_epochs = 0
+        self.rtt_samples: deque = deque()   # (time, rtt), rtt increasing
+        self.history: deque = deque(maxlen=HISTORY_CAP)  # of Measurement
+        self.sums = WindowSums()
+        self.last_meas_ack: float | None = None  # latest ACK time of the last measured epoch
+        self.prev_rtt: float | None = None       # mean RTT of the last measured epoch
+        self.prev_loss_rate = 0.0
+        self.applied_fits: list = []    # (time, RegressionFit)
         self.decisions: list[DecisionLogEntry] = []
 
     @property
-    def epoch_len(self) -> float:
-        return self.params.epoch_len
+    def state(self) -> IrisController:
+        return self  # perfbench/layers.py and tools/diffcheck.py read `c.state.applied_fits`
 
     def start_rate(self) -> float:
-        return self.state.current_rate
+        return self.current_rate
 
     def on_epoch(self, feedback: EpochFeedback, now: float) -> float:
-        step = cold_start_step if self.state.phase is Phase.COLD_START else on_epoch_end
-        entry = step(self.state, feedback, now)
+        step = self._cold_step if self.phase is Phase.COLD_START else self._steady_step
+        entry = step(feedback, now)
         self.decisions.append(entry)
         return entry.rate
+
+    def update_target_delay(self, now: float) -> float | None:
+        """Refresh the target delay: the minimum RTT inside the sliding window.
+
+        The minimum estimates the base RTT, so ``send_rate * (rtt -
+        target_delay)`` counts this flow's queued packets.  Samples older
+        than ``rtt_window`` are evicted.  If the window goes empty (a long
+        stall), the previous target survives and a staleness counter is
+        bumped so callers can notice.  The samples rise from oldest to
+        newest (see :meth:`_record_measurement`), so the oldest is the
+        minimum.
+        """
+        window_start = now - self.params.rtt_window
+        samples = self.rtt_samples
+        while samples and samples[0][0] < window_start:
+            samples.popleft()
+        if not samples:
+            self.target_stale_epochs += 1
+            return self.target_delay
+        target = samples[0][1]
+        self.target_delay = target
+        self.target_stale_epochs = 0
+        return target
+
+    def _adopt_fit(self, fit: RegressionFit | None, now: float) -> bool:
+        """Clamp and install a fitted slope; report whether one was applied."""
+        if fit is None or not math.isfinite(fit.k):
+            return False
+        self.k = max(K_MIN, fit.k)
+        self.applied_fits.append((now, fit))
+        return True
+
+    def _screened_fit(self, min_samples: int) -> RegressionFit | None:
+        """:func:`_gated_fit` of the history, unless the screen rejects it."""
+        if _screen_rejects(self.sums, len(self.history), min_samples):
+            return None
+        return _gated_fit(self.history, min_samples)
+
+    def _evict_oldest(self) -> None:
+        self.sums.remove(self.history.popleft())
+        if self.sums.evictions >= HISTORY_CAP:
+            self.sums = WindowSums.of(self.history)
+
+    def _maybe_refit_k(self, now: float) -> None:
+        """Periodic slope re-fit over the most recent window of records.
+
+        The history drops the records that ended before the last
+        ``k_update_period`` and is fitted whole.  Attempts the gate rejects
+        do not advance the update clock, so the fit retries every epoch and
+        adopts as soon as an informative window (a capacity change, a
+        competing flow, a loss burst) shows up, instead of waiting out
+        another full period.
+        """
+        params = self.params
+        fits = self.applied_fits
+        if fits and now - fits[-1][0] < params.k_update_period:
+            return
+        cutoff = now - params.k_update_period
+        history = self.history
+        while history and history[0].end < cutoff:
+            self._evict_oldest()
+        self._adopt_fit(self._screened_fit(MIN_FIT_SAMPLES), now)
+
+    def _record_measurement(self, fb: EpochFeedback) -> Measurement:
+        """Record a measured epoch with :meth:`_append_record`, estimating
+        its RTT change and its receiving rate: its ``send_rate * epoch_len``
+        packets over the span from the last measured epoch's latest ACK to
+        its own, or its send rate if there is none or its ACK is no later.
+        """
+        last = self.last_meas_ack
+        recv = (fb.send_rate if last is None or fb.last_ack <= last
+                else fb.send_rate * self.epoch_len / (fb.last_ack - last))
+        delta = None if self.prev_rtt is None else fb.mean_rtt - self.prev_rtt
+        self.last_meas_ack = fb.last_ack
+        self.prev_rtt = fb.mean_rtt
+        rec = Measurement(fb.end, fb.send_rate, recv, fb.mean_rtt, delta)
+        self._append_record(rec)
+        return rec
+
+    def _append_record(self, rec: Measurement) -> None:
+        """Append a record to the history, its sums and the RTT samples.
+
+        A full history evicts its oldest record first.  The RTT samples
+        drop every sample at or above the new one, which outlives them in
+        any window, so the rest stay the candidates for its minimum.
+        """
+        if len(self.history) == HISTORY_CAP:
+            self._evict_oldest()
+        self.history.append(rec)
+        self.sums.add(rec)
+        samples = self.rtt_samples
+        while samples and samples[-1][1] >= rec.mean_rtt:
+            samples.pop()
+        samples.append((rec.end, rec.mean_rtt))
+
+    def _log_entry(self, fb: EpochFeedback, now: float, phase: Phase, k: float,
+                   recv_rate: float | None = None, objective: float | None = None,
+                   rtt_step: float | None = None,
+                   contraction: float | None = None) -> DecisionLogEntry:
+        """The record of the decision a step just made: its rate is the
+        current rate, its target the current target delay."""
+        return DecisionLogEntry(
+            time=now,
+            epoch_index=fb.index,
+            phase=phase,
+            rate=self.current_rate,
+            k=k,
+            measured=fb.measured,
+            rtt=fb.mean_rtt,
+            target_delay=self.target_delay,
+            objective=objective,
+            rtt_step=rtt_step,
+            recv_rate=recv_rate,
+            contraction=contraction,
+        )
+
+    def _steady_step(self, fb: EpochFeedback, now: float) -> DecisionLogEntry:
+        """One steady-state control step.
+
+        An unmeasured epoch holds the rate.  A measured one is recorded,
+        refreshes the target delay, derives the next pacing rate, and
+        periodically re-fits the slope.  If the target window holds no
+        sample and no target was ever set, the epoch's own RTT becomes the
+        target.  Loss does not enter the decision directly: random loss must
+        not read as congestion, and genuine congestion already shows up in
+        the RTT.
+        """
+        if not fb.measured:
+            return self._log_entry(fb, now, Phase.STEADY, self.k)
+        params = self.params
+        recv = self._record_measurement(fb).recv_rate
+        target = self.update_target_delay(now)
+        if target is None:
+            target = self.target_delay = fb.mean_rtt
+        objective = compute_objective(fb.send_rate, fb.mean_rtt, target, params.queue_load_target)
+        rtt_step = expected_rtt_variation(objective, params.rtt_step_bound, params.objective_scale)
+        k_used = effective_slope(params, self.k, fb.mean_rtt, target)
+        self.current_rate = next_sending_rate(recv, rtt_step, k_used)
+        self._maybe_refit_k(now)
+        return self._log_entry(fb, now, Phase.STEADY, k_used, recv, objective, rtt_step,
+                               gap_contraction_factor(params, fb.mean_rtt, target, k_used))
+
+    def _exit_cold(self, fit: RegressionFit | None, now: float) -> None:
+        """Leave the ramp: install the fit and land on the latest receiving rate."""
+        self.phase = Phase.STEADY
+        if not self._adopt_fit(fit, now):
+            self.k = K_MIN  # ramp data was degenerate; learn on the fly
+        landing = self.history[-1].recv_rate if self.history else self.current_rate
+        self.current_rate = max(RATE_FLOOR, landing)
+
+    def _cold_step(self, fb: EpochFeedback, now: float) -> DecisionLogEntry:
+        """One cold-start step: double the rate until loss reveals capacity.
+
+        A loss burst — a per-epoch loss rate that jumps ``COLD_LOSS_JUMP``
+        above the previous epoch's and clears ``COLD_LOSS_THRESHOLD`` —
+        marks the probe as having overfilled the bottleneck.  (Requiring a
+        jump keeps a noisy but steady background loss rate from reading as
+        an overshoot; on thin epochs of one or two packets a single stray
+        drop swings the measured rate violently.)  Loss pinned at
+        saturation never jumps epoch over epoch, so a rate at or above
+        ``COLD_LOSS_SEVERE`` counts as a burst on its own; without that a
+        rejected burst would resume doubling into a saturated queue
+        unchecked.  The ramp ends there only
+        if the gathered records already support a usable slope fit — enough
+        samples, real rate excursions, adequate correlation — because the
+        exit fit seeds every early steady-state decision, and a fit taken
+        from two or three quiet epochs is noise that can start the flow
+        with a wildly wrong slope.  When the data is not yet informative
+        the rate is halved instead and probing continues, so the next
+        overshoot adds more learnable records.  The safety rate ceiling
+        forces an exit with the ungated fit of the whole history.  On exit
+        the pacing rate falls back to the last observed receiving rate.  The
+        record logs the slope the flow had before the step.
+        """
+        k = self.k
+        recv = None
+        if fb.measured:
+            recv = self._record_measurement(fb).recv_rate
+            self.update_target_delay(now)
+        loss_rate = fb.loss_rate
+        prev_loss = self.prev_loss_rate
+        self.prev_loss_rate = loss_rate
+        loss_burst = (
+            loss_rate > COLD_LOSS_THRESHOLD
+            and (loss_rate > prev_loss + COLD_LOSS_JUMP or loss_rate >= COLD_LOSS_SEVERE)
+        )
+        if self.current_rate >= RATE_CEILING:
+            self._exit_cold(_plain_fit(self.history), now)
+        elif loss_burst:
+            fit = self._screened_fit(COLD_FIT_SAMPLES)
+            if fit is not None:
+                self._exit_cold(fit, now)
+            else:
+                # Burst before the ramp became informative: back off, keep probing.
+                self.current_rate = max(RATE_FLOOR, self.current_rate * COLD_BACKOFF)
+        else:
+            self.current_rate = min(self.current_rate * 2.0, RATE_CEILING)
+        return self._log_entry(fb, now, Phase.COLD_START, k, recv)

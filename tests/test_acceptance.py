@@ -230,13 +230,13 @@ def test_10_startup_doubles_then_switches_to_learned_slope():
         else:
             break
     exit_ms = min(steady_times) if steady_times else math.inf
-    fit = ctrl.state.last_fit
+    fit = ctrl.applied_fits[-1][1] if ctrl.applied_fits else None
     util = utilization(traces, mbps_to_pkts_per_ms(10.0), 2000.0, 5000.0)
     ok = (doublings >= 4
           and exit_ms < 1000.0
-          and ctrl.state.phase is Phase.STEADY
+          and ctrl.phase is Phase.STEADY
           and fit is not None
-          and ctrl.state.k >= K_MIN)
+          and ctrl.k >= K_MIN)
     assert verdict(10, "startup-ramp", ok,
                    f"{doublings} clean doublings, handoff at {exit_ms:.0f} ms < 1000, "
-                   f"slope {ctrl.state.k:.1f}, settled util {util:.3f}")
+                   f"slope {ctrl.k:.1f}, settled util {util:.3f}")

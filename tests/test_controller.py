@@ -5,15 +5,18 @@ closed forms (math.tanh, ordinary least squares) rather than from the
 implementation under test.
 """
 
+import importlib.util
 import math
 import random
 import statistics
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import feedback
+from conftest import feedback, flow, make_link, scenario
+from iriscc import netsim
 from iriscc.controller import (
     CONTRACTION_CAP,
     EXCITATION_FLOOR,
@@ -27,25 +30,23 @@ from iriscc.controller import (
     IrisParams,
     Measurement,
     Phase,
-    _append_record,
-    _evict_oldest,
     _gated_fit,
-    _maybe_refit_k,
-    _record_measurement,
     _screen_rejects,
-    cold_start_step,
     compute_objective,
     effective_slope,
     expected_rtt_variation,
     gap_contraction_factor,
-    new_state,
     next_sending_rate,
-    on_epoch_end,
-    update_target_delay,
 )
 from iriscc.feedback import EpochFeedback
 
 NOTHING_SENT = feedback(sent=0, measured=False)
+
+
+def decide(ctrl, fb, now):
+    """Step ``ctrl`` through one epoch; return the decision it logged."""
+    ctrl.on_epoch(fb, now)
+    return ctrl.decisions[-1]
 
 
 # --- objective ---------------------------------------------------------------
@@ -169,24 +170,24 @@ def test_effective_slope_keeps_gain_below_one(k, queueing):
 # --- target delay window ----------------------------------------------------------
 
 def test_target_tracks_window_minimum():
-    state = new_state()
-    state.rtt_samples.extend([(0.0, 50.0), (5000.0, 60.0)])
-    assert update_target_delay(state, 10_000.0) == 50.0
+    ctrl = IrisController()
+    ctrl.rtt_samples.extend([(0.0, 50.0), (5000.0, 60.0)])
+    assert ctrl.update_target_delay(10_000.0) == 50.0
 
 
 def test_target_evicts_stale_samples():
-    state = new_state()
-    state.rtt_samples.extend([(0.0, 50.0), (5000.0, 60.0)])
-    assert update_target_delay(state, 12_000.0) == 60.0
-    assert list(state.rtt_samples) == [(5000.0, 60.0)]
+    ctrl = IrisController()
+    ctrl.rtt_samples.extend([(0.0, 50.0), (5000.0, 60.0)])
+    assert ctrl.update_target_delay(12_000.0) == 60.0
+    assert list(ctrl.rtt_samples) == [(5000.0, 60.0)]
 
 
 def test_target_survives_empty_window_with_staleness():
-    state = new_state()
-    state.rtt_samples.append((0.0, 50.0))
-    update_target_delay(state, 5000.0)
-    assert update_target_delay(state, 20_000.0) == 50.0
-    assert state.target_stale_epochs == 1
+    ctrl = IrisController()
+    ctrl.rtt_samples.append((0.0, 50.0))
+    ctrl.update_target_delay(5000.0)
+    assert ctrl.update_target_delay(20_000.0) == 50.0
+    assert ctrl.target_stale_epochs == 1
 
 
 @given(st.sampled_from([1.0, 120.0, 1000.0]),
@@ -198,7 +199,7 @@ def test_target_is_the_window_minimum_of_every_sample(rtt_window, steps):
     # first.  RTTs repeat, and lags beyond a short window evict a sample
     # on arrival.  The kept samples must give the minimum over every
     # sample in the window, and the same staleness count.
-    state = new_state(IrisParams(rtt_window=rtt_window))
+    ctrl = IrisController(IrisParams(rtt_window=rtt_window))
     seen = []
     target, stale = None, 0
     now = 0.0
@@ -206,23 +207,23 @@ def test_target_is_the_window_minimum_of_every_sample(rtt_window, steps):
         end = 50.0 * (i + 1)
         now = max(now, end + lag)
         if measured:
-            _record_measurement(state, feedback(index=i, rtt=rtt, end=end))
+            ctrl._record_measurement(feedback(index=i, rtt=rtt, end=end))
             seen.append((end, rtt))
         window = [r for t, r in seen if t >= now - rtt_window]
         if window:
             target, stale = min(window), 0
         else:
             stale += 1
-        assert update_target_delay(state, now) == target
-        assert state.target_stale_epochs == stale
+        assert ctrl.update_target_delay(now) == target
+        assert ctrl.target_stale_epochs == stale
 
 
 # --- receive-rate and RTT-change estimates -------------------------------------
 
 def estimates(*feedbacks):
-    """A fresh state and iris's records of ``feedbacks``, in order."""
-    state = new_state()
-    return state, [_record_measurement(state, fb) for fb in feedbacks]
+    """A fresh controller and iris's records of ``feedbacks``, in order."""
+    ctrl = IrisController()
+    return ctrl, [ctrl._record_measurement(fb) for fb in feedbacks]
 
 
 def test_recv_rate_from_ack_spacing():
@@ -243,10 +244,10 @@ def test_recv_rate_is_the_send_rate_without_a_later_ack(last_ack):
     # The first measured epoch has no earlier ACK to span from, and an
     # ACK at or before the previous one spans nothing; either reads its
     # own send rate.  The estimate then spans from the newer ACK.
-    state, (first, rec) = estimates(feedback(send=3.0, last_ack=50.0),
+    ctrl, (first, rec) = estimates(feedback(send=3.0, last_ack=50.0),
                                     feedback(index=1, send=2.0, end=100.0, last_ack=last_ack))
     assert first.recv_rate == 3.0 and rec.recv_rate == 2.0
-    assert state.last_meas_ack == last_ack
+    assert ctrl.last_meas_ack == last_ack
 
 
 def test_delta_rtt_is_the_change_from_the_previous_measured_epoch():
@@ -258,32 +259,32 @@ def test_delta_rtt_is_the_change_from_the_previous_measured_epoch():
 @pytest.mark.parametrize("phase", list(Phase))
 def test_unmeasured_epochs_advance_no_estimate(phase):
     ctrl = IrisController()
-    ctrl.state.phase = phase
-    ctrl.state.k = 2.0
+    ctrl.phase = phase
+    ctrl.k = 2.0
     ctrl.on_epoch(feedback(rtt=50.0, last_ack=100.0), 50.0)
     ctrl.on_epoch(feedback(index=1, end=100.0, dropped=50, measured=False), 100.0)
     ctrl.on_epoch(NOTHING_SENT._replace(index=2, end=150.0), 150.0)
-    assert (ctrl.state.last_meas_ack, ctrl.state.prev_rtt) == (100.0, 50.0)
+    assert (ctrl.last_meas_ack, ctrl.prev_rtt) == (100.0, 50.0)
     # 150 packets over the 150 ms since the last measured epoch's ACK.
     ctrl.on_epoch(feedback(index=3, send=3.0, rtt=60.0, end=200.0, last_ack=250.0), 200.0)
     assert ctrl.decisions[-1].recv_rate == 1.0
-    assert ctrl.state.history[-1].delta_rtt == 10.0
+    assert ctrl.history[-1].delta_rtt == 10.0
 
 
 # --- steady-state step ---------------------------------------------------------
 
 def steady_state(**kwargs):
-    state = new_state(IrisParams(**kwargs)) if kwargs else new_state()
-    state.phase = Phase.STEADY
-    state.k = 2.0
-    return state
+    ctrl = IrisController(IrisParams(**kwargs)) if kwargs else IrisController()
+    ctrl.phase = Phase.STEADY
+    ctrl.k = 2.0
+    return ctrl
 
 
 def test_equilibrium_is_a_fixed_point():
-    state = steady_state()
-    state.rtt_samples.append((0.0, 50.0))  # establishes the 50 ms baseline
+    ctrl = steady_state()
+    ctrl.rtt_samples.append((0.0, 50.0))  # establishes the 50 ms baseline
     fb = feedback(send=2.0, rtt=55.0, end=50.0)
-    entry = on_epoch_end(state, fb, 50.0)
+    entry = decide(ctrl, fb, 50.0)
     assert entry.objective == 0.0
     assert entry.rtt_step == 0.0
     assert entry.rate == 2.0
@@ -293,27 +294,27 @@ def test_equilibrium_is_a_fixed_point():
 def test_floored_slope_logs_the_loop_gain_it_realizes():
     # A learned slope far below the floor: the step divides by the
     # floored slope, and the logged loop gain is that step's, at the cap.
-    state = steady_state()
-    state.k = 1e-3
-    state.rtt_samples.append((0.0, 50.0))
-    entry = on_epoch_end(state, feedback(send=2.0, rtt=100.0, end=50.0), 50.0)
+    ctrl = steady_state()
+    ctrl.k = 1e-3
+    ctrl.rtt_samples.append((0.0, 50.0))
+    entry = decide(ctrl, feedback(send=2.0, rtt=100.0, end=50.0), 50.0)
     assert entry.k == pytest.approx(3.0 * 50.0 / (100.0 * CONTRACTION_CAP))
     assert entry.contraction == pytest.approx(CONTRACTION_CAP)
 
 
 def test_queue_above_target_pushes_rate_down():
-    state = steady_state()
-    state.rtt_samples.append((0.0, 50.0))
+    ctrl = steady_state()
+    ctrl.rtt_samples.append((0.0, 50.0))
     fb = feedback(send=2.0, rtt=60.0, end=50.0)  # 20 packets queued
-    entry = on_epoch_end(state, fb, 50.0)
+    entry = decide(ctrl, fb, 50.0)
     assert entry.objective == pytest.approx(10.0)
     assert entry.rate < 2.0
 
 
 def test_empty_queue_pushes_rate_up():
-    state = steady_state()
+    ctrl = steady_state()
     fb = feedback(send=2.0, rtt=50.0, end=50.0)  # rtt == target
-    entry = on_epoch_end(state, fb, 50.0)
+    entry = decide(ctrl, fb, 50.0)
     assert entry.objective == pytest.approx(-10.0)
     assert entry.rate > 2.0
 
@@ -323,11 +324,11 @@ def test_steady_target_when_the_window_is_empty(target, expected):
     # The epoch is released 150 ms after it ends, so a 1 ms window has
     # evicted its RTT sample: a flow that never had a target takes the
     # epoch's RTT, and one that had a target keeps it, stale.
-    state = steady_state(rtt_window=1.0)
-    state.target_delay = target
-    entry = on_epoch_end(state, feedback(end=50.0), 200.0)
-    assert state.target_delay == entry.target_delay == expected
-    assert state.target_stale_epochs == 1
+    ctrl = steady_state(rtt_window=1.0)
+    ctrl.target_delay = target
+    entry = decide(ctrl, feedback(end=50.0), 200.0)
+    assert ctrl.target_delay == entry.target_delay == expected
+    assert ctrl.target_stale_epochs == 1
     assert entry.objective == pytest.approx(1.0 * (50.0 - expected) - 10.0)
 
 
@@ -350,44 +351,44 @@ def ack_driven(samples, rtt=50.0):
     return fbs
 
 
-def push(state, end, send, recv, delta, rtt=50.0):
+def push(ctrl, end, send, recv, delta, rtt=50.0):
     """Append iris's record of a measured epoch as if it had estimated it."""
-    _append_record(state, Measurement(end, send, recv, rtt, delta))
+    ctrl._append_record(Measurement(end, send, recv, rtt, delta))
 
 
 def test_slope_refit_recovers_linear_response():
-    state = steady_state()
-    state.k = 0.01
+    ctrl = steady_state()
+    ctrl.k = 0.01
     samples = [(1.0, 1.0, None)]
     for i in range(12):
         diff = 0.5 if i % 2 == 0 else -0.5
         samples.append((1.0 + diff, 1.0, 2.0 * diff))  # network responds with slope 2
     for fb in ack_driven(samples):
-        on_epoch_end(state, fb, fb.end)
-    assert state.k == pytest.approx(2.0, rel=1e-9)
-    assert state.last_fit is not None and state.last_fit.plcc == pytest.approx(1.0)
-    assert len(state.applied_fits) == 1
-    assert state.applied_fits[-1] == (state.last_k_update, state.last_fit)
+        ctrl.on_epoch(fb, fb.end)
+    assert ctrl.k == pytest.approx(2.0, rel=1e-9)
+    (time, fit), = ctrl.applied_fits
+    assert time == 550.0  # the first window with MIN_FIT_SAMPLES RTT changes
+    assert fit.plcc == pytest.approx(1.0)
 
 
 def test_slope_refit_skips_quiet_windows():
     # Same setup but with no real rate excursions: the send/receive gap
     # is pure noise, so no fit may be adopted no matter how correlated.
-    state = steady_state()
-    state.k = 5.0
+    ctrl = steady_state()
+    ctrl.k = 5.0
     samples = [(1.0, 1.0, None)]
     for i in range(12):
         diff = 1e-4 if i % 2 == 0 else -1e-4
         samples.append((1.0 + diff, 1.0, 2.0 * diff))
     for fb in ack_driven(samples):
-        on_epoch_end(state, fb, fb.end)
-    assert state.k == 5.0
-    assert state.applied_fits == []
+        ctrl.on_epoch(fb, fb.end)
+    assert ctrl.k == 5.0
+    assert ctrl.applied_fits == []
 
 
 def test_slope_refit_rejects_weak_correlation():
-    state = steady_state()
-    state.k = 5.0
+    ctrl = steady_state()
+    ctrl.k = 5.0
     # Excited but orthogonal: rate swings follow a +,-,-,+ pattern while
     # the RTT deltas follow +,+,-,-, so their sample covariance is zero.
     diff_cycle = [0.5, -0.5, -0.5, 0.5]
@@ -395,9 +396,9 @@ def test_slope_refit_rejects_weak_correlation():
     samples = [(1.0, 1.0, None)]
     samples += [(1.0 + diff_cycle[i % 4], 1.0, delta_cycle[i % 4]) for i in range(12)]
     for fb in ack_driven(samples):
-        on_epoch_end(state, fb, fb.end)
-    assert state.k == 5.0
-    assert state.applied_fits == []
+        ctrl.on_epoch(fb, fb.end)
+    assert ctrl.k == 5.0
+    assert ctrl.applied_fits == []
 
 
 def _excitation_window(spread):
@@ -421,34 +422,34 @@ def test_slope_refit_excitation_gate_at_its_floor(floor_scale, adopted):
     # records only (lower, because the first record sends the most)
     # would adopt both.  Ten fitted records meet MIN_FIT_SAMPLES exactly.
     spread = EXCITATION_FLOOR / floor_scale
-    state = steady_state()
-    state.rtt_samples.append((0.0, 50.0))
+    ctrl = steady_state()
+    ctrl.rtt_samples.append((0.0, 50.0))
     for fb in _excitation_window(spread):
-        on_epoch_end(state, fb, fb.end)
+        ctrl.on_epoch(fb, fb.end)
     overshoots = [rec.send_rate - rec.recv_rate
-                  for rec in state.history if rec.delta_rtt is not None]
-    assert (statistics.pstdev(overshoots) / statistics.fmean(rec.send_rate for rec in state.history)
+                  for rec in ctrl.history if rec.delta_rtt is not None]
+    assert (statistics.pstdev(overshoots) / statistics.fmean(rec.send_rate for rec in ctrl.history)
             == pytest.approx(spread, rel=1e-12))
-    assert len(state.applied_fits) == (1 if adopted else 0)
+    assert len(ctrl.applied_fits) == (1 if adopted else 0)
     if adopted:
-        assert state.k == pytest.approx(2.0, rel=1e-9)
+        assert ctrl.k == pytest.approx(2.0, rel=1e-9)
 
 
 def test_history_is_bounded_by_its_cap_when_no_record_ages_out():
     # With an infinite re-fit period the window never evicts by time;
     # quiet records keep every attempt rejected, so the history would grow
     # without the cap, which evicts the oldest record and its sums.
-    state = steady_state(k_update_period=math.inf)
+    ctrl = steady_state(k_update_period=math.inf)
     for i in range(HISTORY_CAP + 50):
         diff = 1e-4 if i % 2 else -1e-4
         end = 50.0 * (i + 1)
-        push(state, end, 1.0 + diff, 1.0, 2.0 * diff if i % 3 else None)
-        _maybe_refit_k(state, end)
-    assert state.applied_fits == []
-    assert len(state.history) == HISTORY_CAP
-    assert state.history[0].end == 50.0 * 51  # the 51st record
-    assert state.sums.n == sum(rec.delta_rtt is not None for rec in state.history)
-    assert state.sums.send == pytest.approx(math.fsum(rec.send_rate for rec in state.history),
+        push(ctrl, end, 1.0 + diff, 1.0, 2.0 * diff if i % 3 else None)
+        ctrl._maybe_refit_k(end)
+    assert ctrl.applied_fits == []
+    assert len(ctrl.history) == HISTORY_CAP
+    assert ctrl.history[0].end == 50.0 * 51  # the 51st record
+    assert ctrl.sums.n == sum(rec.delta_rtt is not None for rec in ctrl.history)
+    assert ctrl.sums.send == pytest.approx(math.fsum(rec.send_rate for rec in ctrl.history),
                                             rel=1e-12)
 
 
@@ -463,7 +464,7 @@ def _unit(values):
 
 @st.composite
 def screened_windows(draw):
-    """A state whose history is a re-fit window, built through the
+    """A controller whose history is a re-fit window, built through the
     controller's own pushes and evictions.
 
     Its n overshoots x and RTT changes y are unit-spread shapes, shifted
@@ -518,21 +519,21 @@ def screened_windows(draw):
     powers = st.one_of(st.integers(4, 16), st.integers(0, 300 - max(power_x, power_y)))
     transients = [(10.0 ** (power_x + k), 10.0 ** (power_y + k))
                   for k in draw(st.lists(powers, max_size=2))]
-    state = new_state()
+    ctrl = IrisController()
     records = [*transients, *[(offset_x, None)] * plain, *zip(xs, ys)]
     for i, (x, y) in enumerate(records):
-        push(state, 50.0 * (i + 1), rate + x, rate, y)
+        push(ctrl, 50.0 * (i + 1), rate + x, rate, y)
     for _ in transients:
-        _evict_oldest(state)
-    return state
+        ctrl._evict_oldest()
+    return ctrl
 
 
 def window_of(recv, records):
-    """A state whose window holds ``(send, delta)`` records, 50 ms apart."""
-    state = new_state()
+    """A controller whose window holds ``(send, delta)`` records, 50 ms apart."""
+    ctrl = IrisController()
     for i, (send, delta) in enumerate(records):
-        push(state, 50.0 * (i + 1), send, recv, delta)
-    return state
+        push(ctrl, 50.0 * (i + 1), send, recv, delta)
+    return ctrl
 
 
 # A window whose PLCC sits exactly at the gate: the exact fit adopts it,
@@ -550,9 +551,9 @@ AT_THE_PLCC_GATE = window_of(1.3849306072454481, [
 @settings(max_examples=400)
 @given(screened_windows())
 @example(AT_THE_PLCC_GATE)
-def test_screen_rejects_only_windows_the_exact_gate_rejects(state):
-    if _screen_rejects(state.sums, len(state.history), MIN_FIT_SAMPLES):
-        assert _gated_fit(state.history, MIN_FIT_SAMPLES) is None
+def test_screen_rejects_only_windows_the_exact_gate_rejects(ctrl):
+    if _screen_rejects(ctrl.sums, len(ctrl.history), MIN_FIT_SAMPLES):
+        assert _gated_fit(ctrl.history, MIN_FIT_SAMPLES) is None
 
 
 def test_screen_stays_one_sided_after_an_overshoot_leaves():
@@ -563,18 +564,18 @@ def test_screen_stays_one_sided_after_an_overshoot_leaves():
     rng = random.Random(3)
     adopted = 0
     for _ in range(1500):
-        state = new_state()
+        ctrl = IrisController()
         big = 10.0 ** rng.uniform(6.0, 9.0)
         records = [(big, big)]
         for _ in range(20):
             x = rng.gauss(0.0, 1.0)
             records.append((x, 0.5 * x + rng.gauss(0.0, 1.0)))
         for i, (x, y) in enumerate(records):
-            push(state, 50.0 * (i + 1), 10.0 + x, 10.0, y)
-        _evict_oldest(state)
-        if _gated_fit(state.history, MIN_FIT_SAMPLES) is not None:
+            push(ctrl, 50.0 * (i + 1), 10.0 + x, 10.0, y)
+        ctrl._evict_oldest()
+        if _gated_fit(ctrl.history, MIN_FIT_SAMPLES) is not None:
             adopted += 1
-            assert not _screen_rejects(state.sums, len(state.history), MIN_FIT_SAMPLES)
+            assert not _screen_rejects(ctrl.sums, len(ctrl.history), MIN_FIT_SAMPLES)
     assert adopted > 1000
 
 
@@ -584,24 +585,24 @@ def test_running_sums_stay_within_their_drift_bound():
     # its push until the first re-sum after it leaves.  Meanwhile the
     # screen leaves every window with enough samples to the exact fit.
     rng = random.Random(5)
-    state = steady_state(k_update_period=1000.0)
+    ctrl = steady_state(k_update_period=1000.0)
     non_finite = 0
     for i in range(100_000):
         end = 50.0 * (i + 1)
         diff = 1e200 if i == 50_000 else rng.uniform(-0.5, 0.5)
         delta = rng.uniform(-1.0, 1.0) if i % 7 else None
-        push(state, end, 1.0 + diff, 1.0, delta)
-        _maybe_refit_k(state, end)
-        sums = state.sums
+        push(ctrl, end, 1.0 + diff, 1.0, delta)
+        ctrl._maybe_refit_k(end)
+        sums = ctrl.sums
         if not all(map(math.isfinite, (sums.sx, sums.sy, sums.sxx, sums.syy, sums.sxy))):
             non_finite += 1
             assert sums.n >= MIN_FIT_SAMPLES
-            assert not _screen_rejects(sums, len(state.history), MIN_FIT_SAMPLES)
+            assert not _screen_rejects(sums, len(ctrl.history), MIN_FIT_SAMPLES)
     assert 0 < non_finite <= 2 * HISTORY_CAP
-    usable = [rec for rec in state.history if rec.delta_rtt is not None]
+    usable = [rec for rec in ctrl.history if rec.delta_rtt is not None]
     xs = [rec.send_rate - rec.recv_rate for rec in usable]
     ys = [rec.delta_rtt for rec in usable]
-    sends = [rec.send_rate for rec in state.history]
+    sends = [rec.send_rate for rec in ctrl.history]
     assert sums.n == len(usable)
     for value, terms, largest in (
             (sums.sx, xs, sums.max_x),
@@ -618,35 +619,35 @@ def test_running_sums_stay_within_their_drift_bound():
 # --- cold start -----------------------------------------------------------------
 
 def test_cold_ramp_doubles_every_epoch():
-    state = new_state()
-    start = state.current_rate
+    ctrl = IrisController()
+    start = ctrl.current_rate
     for i in range(3):
-        cold_start_step(state, NOTHING_SENT, 50.0 * (i + 1))
-    assert state.current_rate == pytest.approx(8.0 * start)
-    assert state.phase is Phase.COLD_START
+        ctrl.on_epoch(NOTHING_SENT, 50.0 * (i + 1))
+    assert ctrl.current_rate == pytest.approx(8.0 * start)
+    assert ctrl.phase is Phase.COLD_START
 
 
 def cold_state(rate):
-    state = new_state()
-    state.current_rate = rate
-    return state
+    ctrl = IrisController()
+    ctrl.current_rate = rate
+    return ctrl
 
 
 def test_cold_ramp_caps_at_ceiling_then_exits():
-    state = cold_state(0.4 * RATE_CEILING)
-    cold_start_step(state, NOTHING_SENT, 50.0)
-    assert state.current_rate == pytest.approx(0.8 * RATE_CEILING)
-    cold_start_step(state, NOTHING_SENT, 100.0)
-    assert state.current_rate == RATE_CEILING
-    cold_start_step(state, NOTHING_SENT, 150.0)
-    assert state.phase is Phase.STEADY
-    assert state.k == K_MIN  # no data: conservative slope
+    ctrl = cold_state(0.4 * RATE_CEILING)
+    ctrl.on_epoch(NOTHING_SENT, 50.0)
+    assert ctrl.current_rate == pytest.approx(0.8 * RATE_CEILING)
+    ctrl.on_epoch(NOTHING_SENT, 100.0)
+    assert ctrl.current_rate == RATE_CEILING
+    ctrl.on_epoch(NOTHING_SENT, 150.0)
+    assert ctrl.phase is Phase.STEADY
+    assert ctrl.k == K_MIN  # no data: conservative slope
 
 
 def test_cold_ceiling_exit_installs_plain_fit_of_quiet_ramp():
     # A quiet ramp history: the gate rejects it at a loss burst, but the
     # rate ceiling forces the exit with its ordinary least-squares fit.
-    state = new_state()
+    ctrl = IrisController()
     xs, ys = [], []
     now = 0.0
     for i in range(10):
@@ -655,68 +656,77 @@ def test_cold_ceiling_exit_installs_plain_fit_of_quiet_ramp():
         delta = 2.0 * diff + 1e-5 * (i % 4)
         xs.append(diff)
         ys.append(delta)
-        push(state, now, 1.0 + diff, 1.0, delta)
-    state.current_rate = RATE_CEILING / 2.0
+        push(ctrl, now, 1.0 + diff, 1.0, delta)
+    ctrl.current_rate = RATE_CEILING / 2.0
     now += 50.0
-    cold_start_step(state, feedback(index=10, end=now, dropped=30, measured=False), now)
-    assert state.phase is Phase.COLD_START and state.applied_fits == []  # gate rejected
+    ctrl.on_epoch(feedback(index=10, end=now, dropped=30, measured=False), now)
+    assert ctrl.phase is Phase.COLD_START and ctrl.applied_fits == []  # gate rejected
     for _ in range(3):  # a quarter -> half -> all of the ceiling, then the exit there
         now += 50.0
-        cold_start_step(state, NOTHING_SENT, now)
-    assert state.phase is Phase.STEADY
+        ctrl.on_epoch(NOTHING_SENT, now)
+    assert ctrl.phase is Phase.STEADY
     ref = statistics.linear_regression(xs, ys)
-    (time, fit), = state.applied_fits
+    (time, fit), = ctrl.applied_fits
     assert time == now
     assert fit.n == 10
     assert fit.k == pytest.approx(ref.slope, rel=1e-9)
     assert fit.b == pytest.approx(ref.intercept, rel=1e-9, abs=1e-12)
     assert fit.plcc == pytest.approx(statistics.correlation(xs, ys), rel=1e-9)
-    assert state.k == fit.k
-    assert state.current_rate == 1.0  # lands on the last known receiving rate
+    assert ctrl.k == fit.k
+    assert ctrl.current_rate == 1.0  # lands on the last known receiving rate
 
 
 def test_cold_backoff_on_early_loss_burst():
-    state = cold_state(1.0)
-    entry = cold_start_step(state, feedback(send=1.0, rtt=60.0, dropped=25), 50.0)
+    ctrl = cold_state(1.0)
+    entry = decide(ctrl, feedback(send=1.0, rtt=60.0, dropped=25), 50.0)
     assert entry.rate == pytest.approx(0.5)
-    assert state.phase is Phase.COLD_START
+    assert ctrl.phase is Phase.COLD_START
 
 
 def test_cold_ignores_steady_background_loss():
-    state = cold_state(1.0)
-    entry = cold_start_step(state, feedback(send=1.0, rtt=50.0, dropped=1), 50.0)
+    ctrl = cold_state(1.0)
+    entry = decide(ctrl, feedback(send=1.0, rtt=50.0, dropped=1), 50.0)
     assert entry.rate == pytest.approx(2.0)  # 2% loss
-    entry = cold_start_step(
-        state, feedback(index=1, send=2.0, rtt=50.0, end=100.0, sent=250, dropped=7),
-        100.0)  # 2.8%: above threshold but no jump over the last epoch
+    entry = decide(ctrl, feedback(index=1, send=2.0, rtt=50.0, end=100.0, sent=250, dropped=7),
+                   100.0)  # 2.8%: above threshold but no jump over the last epoch
     assert entry.rate == pytest.approx(4.0)
-    assert state.phase is Phase.COLD_START
+    assert ctrl.phase is Phase.COLD_START
+
+
+def test_cold_loss_jump_below_severe_is_a_burst():
+    # 10% loss after a clean epoch: a jump over the previous epoch's
+    # loss rate, though below COLD_LOSS_SEVERE, so the probe backs off.
+    ctrl = cold_state(1.0)
+    assert decide(ctrl, feedback(send=1.0), 50.0).rate == pytest.approx(2.0)
+    entry = decide(ctrl, feedback(index=1, send=2.0, end=100.0, sent=100, dropped=10), 100.0)
+    assert entry.rate == pytest.approx(1.0)
+    assert ctrl.phase is Phase.COLD_START
 
 
 def test_cold_saturated_loss_keeps_backing_off():
-    state = cold_state(8.0)
-    cold_start_step(state, feedback(send=8.0, rtt=90.0, dropped=45), 50.0)
-    assert state.current_rate == pytest.approx(4.0)
+    ctrl = cold_state(8.0)
+    ctrl.on_epoch(feedback(send=8.0, rtt=90.0, dropped=45), 50.0)
+    assert ctrl.current_rate == pytest.approx(4.0)
     # No epoch-over-epoch jump, but the rate is pinned at severe loss:
     # the burst must re-fire rather than let doubling resume.
-    cold_start_step(state, feedback(index=1, send=4.0, rtt=90.0, end=100.0, dropped=44), 100.0)
-    assert state.current_rate == pytest.approx(2.0)
-    assert state.phase is Phase.COLD_START
+    ctrl.on_epoch(feedback(index=1, send=4.0, rtt=90.0, end=100.0, dropped=44), 100.0)
+    assert ctrl.current_rate == pytest.approx(2.0)
+    assert ctrl.phase is Phase.COLD_START
 
 
 def test_cold_exit_requires_informative_history():
     # Plenty of samples, but all quiet: a burst must back off, not exit.
-    state = new_state()
+    ctrl = IrisController()
     now = 0.0
     for i in range(10):
         now += 50.0
         diff = 1e-4 if i % 2 == 0 else -1e-4
-        push(state, now, 1.0 + diff, 1.0, 2.0 * diff)
-    state.current_rate = 1.0
-    cold_start_step(state, feedback(index=10, end=now + 50.0, dropped=30, measured=False),
+        push(ctrl, now, 1.0 + diff, 1.0, 2.0 * diff)
+    ctrl.current_rate = 1.0
+    ctrl.on_epoch(feedback(index=10, end=now + 50.0, dropped=30, measured=False),
                     now + 50.0)  # 60% loss, nothing ACKed
-    assert state.phase is Phase.COLD_START
-    assert state.current_rate == pytest.approx(0.5)
+    assert ctrl.phase is Phase.COLD_START
+    assert ctrl.current_rate == pytest.approx(0.5)
 
 
 def test_cold_exit_fits_slope_from_ramp():
@@ -724,21 +734,21 @@ def test_cold_exit_fits_slope_from_ramp():
     # doubles from 0.1 to 25.6 pkt/ms into a 2 pkt/ms bottleneck whose
     # RTT grows 24 ms per pkt/ms of overshoot, and the next epoch, at
     # 51.2 pkt/ms, loses half its packets.
-    state = cold_state(0.05)
+    ctrl = cold_state(0.05)
     sends = [0.05 * 2.0 ** i for i in range(11)]
     *ramp, burst = ack_driven([(send, min(send, 2.0), 24.0 * (send - min(send, 2.0)))
                                for send in sends])
     for fb in ramp:
-        assert fb.send_rate == state.current_rate
-        cold_start_step(state, fb, fb.end)
-    assert state.phase is Phase.COLD_START
-    entry = cold_start_step(state, burst._replace(acked=25, dropped=25), burst.end)
-    assert state.phase is Phase.STEADY
-    assert state.k == pytest.approx(24.0, rel=0.2)
+        assert fb.send_rate == ctrl.current_rate
+        ctrl.on_epoch(fb, fb.end)
+    assert ctrl.phase is Phase.COLD_START
+    entry = decide(ctrl, burst._replace(acked=25, dropped=25), burst.end)
+    assert ctrl.phase is Phase.STEADY
+    assert ctrl.k == pytest.approx(24.0, rel=0.2)
     # The exit step is logged as cold start, with the slope it started from.
     assert entry.phase is Phase.COLD_START and entry.k == K_MIN
-    assert state.current_rate == pytest.approx(2.0)  # lands on the receiving rate
-    assert len(state.applied_fits) == 1
+    assert ctrl.current_rate == pytest.approx(2.0)  # lands on the receiving rate
+    assert len(ctrl.applied_fits) == 1
 
 
 # --- feedback and parameter validation --------------------------------------------
@@ -823,9 +833,9 @@ def test_params_validation(kwargs):
 
 def test_adapter_holds_rate_on_unmeasured_epoch():
     ctrl = IrisController()
-    ctrl.state.phase = Phase.STEADY
-    ctrl.state.k = 2.0
-    ctrl.state.current_rate = 1.5
+    ctrl.phase = Phase.STEADY
+    ctrl.k = 2.0
+    ctrl.current_rate = 1.5
     rate = ctrl.on_epoch(NOTHING_SENT, 50.0)
     assert rate == 1.5
     entry = ctrl.decisions[-1]
@@ -845,8 +855,21 @@ def test_adapter_contraction_logged_only_in_steady_state():
     ctrl = IrisController()
     ctrl.on_epoch(feedback(), 50.0)
     assert ctrl.decisions[-1].contraction is None
-    ctrl.state.phase = Phase.STEADY
-    ctrl.state.k = 3.0
+    ctrl.phase = Phase.STEADY
+    ctrl.k = 3.0
     ctrl.on_epoch(feedback(index=1, rtt=55.0, end=100.0), 100.0)
     entry = ctrl.decisions[-1]
     assert entry.contraction is not None and entry.contraction < 1.0
+
+
+def test_benchmark_counts_the_fits_the_controllers_adopted():
+    # The benchmark's tracer counts `fits_adopted` through each iris
+    # controller's `state.applied_fits`; it must count the adopted fits.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    tracer = layers.Tracer(count_heap=True)
+    tracer.run(netsim.run_scenario, scenario(make_link(mbps=10, queue=52), (flow("iris"),), 2000.0))
+    adopted = sum(len(c.applied_fits) for c in tracer.iris)
+    assert tracer.exact_counts()["fits_adopted"] == adopted > 0

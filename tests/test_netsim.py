@@ -455,9 +455,9 @@ def test_dropped_epochs_released_after_their_predecessor_carry_no_receive_estima
     assert [fb.index for fb, _ in recorder.received] == sorted(by_index)
     epoch20, released = by_index[20]
     assert epoch20.measured and epoch20.acked == 4
-    state = controller.new_state()  # iris's estimator, on epochs as long
-    assert state.params.epoch_len == sim.flows[0].epoch_len
-    estimates = {fb.index: controller._record_measurement(state, fb)
+    iris = controller.IrisController()  # iris's estimator, on epochs as long
+    assert iris.epoch_len == sim.flows[0].epoch_len
+    estimates = {fb.index: iris._record_measurement(fb)
                  for fb, _ in recorder.received if fb.measured}
     assert estimates[20].recv_rate == pytest.approx(0.002475, abs=1e-6)
     for index in range(21, 26):
@@ -565,10 +565,10 @@ def test_short_rtt_window_keeps_the_target_fresh():
     stale = []
 
     def recording_on_epoch(fb, now):
-        steady = iris.state.phase is controller.Phase.STEADY
+        steady = iris.phase is controller.Phase.STEADY
         rate = on_epoch(fb, now)
         if steady and fb.measured:
-            stale.append(iris.state.target_stale_epochs)
+            stale.append(iris.target_stale_epochs)
         return rate
 
     iris.on_epoch = recording_on_epoch

@@ -9,10 +9,11 @@ plcc**2 == R**2) are checked as properties.
 import math
 import random
 import statistics
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from iriscc.regression import (
@@ -195,12 +196,19 @@ def test_residuals_orthogonal_to_regressor(cloud):
 
 
 @given(sample_clouds(), st.floats(min_value=0.01, max_value=100.0))
+@example(([0.0, 1.0, 2.0], [0.0, 2e-154, 0.0]), 0.5)
 def test_slope_scale_equivariance(cloud, c):
     xs, ys = cloud
     fit = fit_k_b(xs, ys)
     if fit is None:
         return
-    scaled = fit_k_b(xs, [c * y for y in ys])
+    scaled_ys = [c * y for y in ys]
+    scaled = fit_k_b(xs, scaled_ys)
+    my = math.fsum(scaled_ys) / len(scaled_ys)
+    if math.fsum((y - my) ** 2 for y in scaled_ys) < sys.float_info.min:
+        # Scaled below the smallest normal float, the spread counts as none.
+        assert scaled is None
+        return
     assert scaled is not None
     assert scaled.k == pytest.approx(c * fit.k, rel=1e-6, abs=1e-9 * c)
     assert scaled.plcc == pytest.approx(fit.plcc, rel=1e-6, abs=1e-9)

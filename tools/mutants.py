@@ -31,6 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 NETSIM = "src/iriscc/netsim.py"
 BASELINES = "src/iriscc/baselines.py"
+CONTROLLER = "src/iriscc/controller.py"
 
 # (file, text, replacement): one mutant each.
 MUTANTS = [
@@ -107,7 +108,7 @@ unreleased = []
     # A replaced feedback record is checked like a new one.
     ("src/iriscc/feedback.py", "return cls(*iterable)", "return tuple.__new__(cls, iterable)"),
     # The re-fit screen may reject only what the exact gate rejects.
-    ("src/iriscc/controller.py", """\
+    (CONTROLLER, """\
 SCREEN_PLCC_MARGIN = 0.05
 # ... and, with the send-rate sum, the excitation estimate by under 0.3%.
 SCREEN_EXCITATION_MARGIN = 0.1   # relative
@@ -118,19 +119,33 @@ SCREEN_EXCITATION_MARGIN = 0.0   # relative
 """),
     # Iris's own estimates: an ACK no later than the previous one spans
     # nothing, and the RTT change is taken before the previous RTT moves.
-    ("src/iriscc/controller.py", "fb.last_ack <= last", "fb.last_ack < last"),
-    ("src/iriscc/controller.py", """\
-    delta = None if state.prev_rtt is None else fb.mean_rtt - state.prev_rtt
-    state.last_meas_ack = fb.last_ack
-    state.prev_rtt = fb.mean_rtt
+    (CONTROLLER, "fb.last_ack <= last", "fb.last_ack < last"),
+    (CONTROLLER, """\
+        delta = None if self.prev_rtt is None else fb.mean_rtt - self.prev_rtt
+        self.last_meas_ack = fb.last_ack
+        self.prev_rtt = fb.mean_rtt
 """, """\
-    state.prev_rtt = fb.mean_rtt
-    delta = None if state.prev_rtt is None else fb.mean_rtt - state.prev_rtt
-    state.last_meas_ack = fb.last_ack
+        self.prev_rtt = fb.mean_rtt
+        delta = None if self.prev_rtt is None else fb.mean_rtt - self.prev_rtt
+        self.last_meas_ack = fb.last_ack
 """),
     # The contraction factor reads the slope the step used.
-    ("src/iriscc/controller.py", "gap_contraction_factor(params, fb.mean_rtt, target, k_used)",
-     "gap_contraction_factor(params, fb.mean_rtt, target, state.k)"),
+    (CONTROLLER, "gap_contraction_factor(params, fb.mean_rtt, target, k_used)",
+     "gap_contraction_factor(params, fb.mean_rtt, target, self.k)"),
+    # The re-fit clock waits out a whole period after an adopted fit.
+    (CONTROLLER, "now - fits[-1][0] < params.k_update_period",
+     "now - fits[-1][0] <= params.k_update_period"),
+    # The cold exit lands on the latest receiving rate, and the loss
+    # burst compares against the previous epoch's loss rate.
+    (CONTROLLER, "landing = self.history[-1].recv_rate if self.history else self.current_rate",
+     "landing = self.current_rate"),
+    (CONTROLLER, """\
+        prev_loss = self.prev_loss_rate
+        self.prev_loss_rate = loss_rate
+""", """\
+        self.prev_loss_rate = loss_rate
+        prev_loss = self.prev_loss_rate
+"""),
     # AIMD: slow start ends at ssthresh, and a loss keeps one packet.
     (BASELINES, "1.0 if cwnd < ssthresh else", "1.0 if cwnd <= ssthresh else"),
     (BASELINES, "max(1.0, self.cwnd / 2.0)", "max(0.5, self.cwnd / 2.0)"),
