@@ -11,18 +11,24 @@ up to the epoch's end and materializes it as the flow's *run*, a sorted
 list of pending ``(time, flow id)`` arrivals read from a head index, so
 only timers go through the heap, as ``(time, kind, flow id)``.  Before
 each heap event the loop takes from every run its arrivals up to that
-event's instant, that instant included, sorts them together only when
-more than one flow contributed, admits them and then handles the event:
-arrivals come before timers at equal timestamps, then lower flow ids
-first, and the only randomness is a seeded Bernoulli draw per arrival
-for random loss — so a scenario is a pure function of its description
-and seed, and equal seeds give byte-identical traces.  Each arrival is
-sorted at most once, with the arrivals of the other flows due by the
-same event.
+event's instant, that instant included, joins them in flow-id order and,
+only when more than one flow contributed, sorts them on time alone (a
+stable sort, so ties keep flow-id order), admits them and then handles
+the event: arrivals come before timers at equal timestamps, then lower
+flow ids first, and the only randomness is a seeded Bernoulli draw per
+arrival for random loss — so a scenario is a pure function of its
+description and seed, and equal seeds give byte-identical traces.  Each
+arrival is sorted at most once, with the arrivals of the other flows
+due by the same event.
 Departures need no events: the capacity schedule is known in advance,
 so the FIFO fixes each admitted packet's service start and departure
-when it arrives.  Its one server runs at the scheduled link capacity,
-and :meth:`Simulation.run` applies its rules inline:
+when it arrives.  The FIFO is an append-only list of departure times
+read from a head index: the occupancy is the number of entries past the
+head, and once more than ``_COMPACT`` entries before it have left, the
+next heap event deletes them.  The loop keeps the latest departure at
+hand, so an arrival after it finds the FIFO empty without a scan and an
+admitted packet starts from it.  Its one server runs at the scheduled
+link capacity, and :meth:`Simulation.run` applies its rules inline:
 
 - each arrival takes one seeded draw for random loss first (when the
   link has any), then is dropped if the occupancy, the packets queued
@@ -87,6 +93,7 @@ import random
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import itemgetter
 
 from .baselines import AimdController, ConstantRateController, VegasController
@@ -98,6 +105,7 @@ from .units import mbps_to_pkts_per_ms
 
 _MAX_EMISSIONS_PER_EPOCH = 1_000_000  # guard against runaway controllers
 _SEGMENT = 2048  # arrivals a flow materializes at a time
+_COMPACT = 4096  # forgotten departures the FIFO may hold before a heap event drops them
 _TIMER, _REFILL = 0, 1  # heap event kinds, the middle field of every heap event
 _arrival_time = itemgetter(0)
 
@@ -112,7 +120,7 @@ class _EpochAccum:
     lost: int = 0        # random drops
     rtt_sum: float = 0.0
     last_ack: float | None = None
-    occ_sum: float = 0.0
+    occ_sum: int = 0     # occupancy found by each arrival; an int, so exact
 
 
 @dataclass(slots=True)
@@ -188,7 +196,8 @@ class Simulation:
         scenario.validate()
         self.scenario = scenario
         self._rng = random.Random(scenario.link.seed)
-        self._departures: deque[float] = deque()  # pending departures, FIFO order
+        # Departures in FIFO order; the run forgets them from a head index.
+        self._departures: list[float] = []
         self._heap: list = []
         self.flows: list[_FlowRuntime] = []
         for i, spec in enumerate(scenario.flows):
@@ -210,7 +219,6 @@ class Simulation:
             if spec.start_time <= scenario.duration:
                 heapq.heappush(self._heap, (spec.start_time, _TIMER, i))
         self._open: list[_EpochAccum | None] = [None] * len(self.flows)  # open tallies by flow id
-        self._segment = range(_SEGMENT)  # one slot per arrival of a segment, built once
         self._ran = False
 
     @property
@@ -221,14 +229,10 @@ class Simulation:
     #
     # A heap event is (time, kind, flow id).  A flow has at most one
     # pending timer and one pending refill, so no two events tie.
-    # Arrivals are handled in :meth:`run` itself.
+    # Arrivals, and the departures a timer forgets, are handled in
+    # :meth:`run` itself.
 
     def _on_timer(self, now: float, flow_id: int) -> None:
-        # This instant's departures precede the timer and the arrivals
-        # it emits now.
-        departures = self._departures
-        while departures and departures[0] <= now:
-            departures.popleft()
         flow = self.flows[flow_id]
         self._release(flow, now)
         interval = 1.0 / flow.rate
@@ -252,7 +256,7 @@ class Simulation:
         flow_id = flow.flow_id
         segment = []
         append = segment.append
-        for _ in self._segment:
+        for _ in repeat(None, _SEGMENT):
             if t >= window_end:
                 break
             append((t, flow_id))
@@ -335,8 +339,9 @@ class Simulation:
         on_timer = self._on_timer
         refill = self._refill
         departures = self._departures
-        retire = departures.popleft
         depart = departures.append
+        gone = 0  # departures[:gone] have left; the rest are pending
+        tail = -math.inf  # the latest departure, or -inf when a timer forgot them all
         capacity = link.queue_capacity
         random_loss = link.random_loss
         draw = self._rng.random
@@ -363,13 +368,22 @@ class Simulation:
                         chunk = run[head:hi]
                     taken += 1
             if taken > 1:
-                chunk.sort()  # merges the sorted runs
+                # Merges the sorted runs: they were joined in flow-id
+                # order and the sort is stable.
+                chunk.sort(key=_arrival_time)
             for now, flow_id in chunk:
-                # An arrival: it belongs to its flow's open epoch.
+                # An arrival: it belongs to its flow's open epoch.  It
+                # forgets the departures before it: all of them if it
+                # comes after the latest one, else the head stops at or
+                # before that one.
                 acc = open_tally[flow_id]
-                while departures and departures[0] < now:
-                    retire()
-                occupancy = len(departures)
+                if tail < now:
+                    gone = len(departures)
+                    occupancy = 0
+                else:
+                    while departures[gone] < now:
+                        gone += 1
+                    occupancy = len(departures) - gone
                 acc.occ_sum += occupancy
                 if random_loss > 0.0 and draw() < random_loss:
                     acc.lost += 1
@@ -377,12 +391,13 @@ class Simulation:
                 if occupancy >= capacity:
                     acc.overflow += 1
                     continue
-                start = departures[-1] if occupancy else now
+                start = tail if occupancy else now
                 while next_change < start:
                     entry += 1
                     next_change = change_times[entry]
                     service_time = service_times[entry]
-                depart(start + service_time)
+                tail = start + service_time
+                depart(tail)
                 ack = start + rtprops[flow_id]
                 acc.rtt_sum += ack - now
                 acc.last_ack = ack
@@ -390,8 +405,19 @@ class Simulation:
                     flows[flow_id].trace.totals.in_flight += 1
             if not heap:
                 break
+            if gone > _COMPACT:
+                del departures[:gone]
+                gone = 0
             now, kind, flow_id = heappop(heap)
             if kind == _TIMER:
+                # This instant's departures precede the timer and the
+                # arrivals it emits now.
+                if tail <= now:
+                    gone = len(departures)
+                    tail = -math.inf  # none pending, so the next arrival starts at once
+                else:
+                    while departures[gone] <= now:
+                        gone += 1
                 on_timer(now, flow_id)
             else:
                 flow = flows[flow_id]

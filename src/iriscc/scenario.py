@@ -72,7 +72,7 @@ class LinkConfig(NamedTuple):
             raise ScenarioError(f"{prefix}.bandwidth_schedule", "first entry must start at time 0")
         prev_t = -math.inf
         for t, cap in sched:
-            if t <= prev_t:
+            if not t > prev_t:  # a NaN time fails too
                 raise ScenarioError(f"{prefix}.bandwidth_schedule", "times must be strictly increasing")
             if not (math.isfinite(cap) and cap > 0):
                 raise ScenarioError(f"{prefix}.bandwidth_schedule", f"capacity must be positive, got {cap}")

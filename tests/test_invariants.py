@@ -3,7 +3,7 @@ generator that ``tools/diffcheck.py`` also uses."""
 
 import heapq
 import random
-from collections import Counter, deque
+from collections import Counter
 
 import pytest
 
@@ -68,9 +68,11 @@ class _Clock:
         watch_refills(sim, note)
 
 
-class _StartRecorder(deque):
+class _StartRecorder(list):
     """Departure FIFO that notes each admitted packet's service start:
-    the last pending departure, or the arrival time if none is pending."""
+    the later of the last departure and the arrival time.  The loop
+    forgets departures from a head index, so the last one may have left
+    already, and then the packet starts at once."""
 
     def __init__(self, clock):
         super().__init__()
@@ -78,7 +80,7 @@ class _StartRecorder(deque):
         self.starts = []
 
     def append(self, departure):
-        self.starts.append(self[-1] if self else self.clock.now)
+        self.starts.append(max(self[-1], self.clock.now) if self else self.clock.now)
         super().append(departure)
 
 

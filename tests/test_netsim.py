@@ -535,6 +535,17 @@ def test_segment_refills_keep_the_bytes(name, monkeypatch, tmp_path):
     assert watched_run(sc, tmp_path / "refilled.csv") == (trace, totals, 3)
 
 
+@pytest.mark.parametrize("name", [*sorted(GOLDEN), "backlog"])
+def test_departure_compaction_keeps_the_bytes(name, monkeypatch, tmp_path):
+    # With a compaction limit of one, the FIFO deletes its forgotten
+    # departures at nearly every heap event and keeps the pending ones:
+    # the trace and totals are those of the default limit.
+    sc = GOLDEN[name] if name in GOLDEN else scenario_from_dict(json.loads(BACKLOG_SCENARIO))
+    trace, totals, _ = watched_run(sc, tmp_path / "default.csv")
+    monkeypatch.setattr(netsim, "_COMPACT", 1)
+    assert watched_run(sc, tmp_path / "compacted.csv")[:2] == (trace, totals)
+
+
 @pytest.mark.xfail(strict=True, reason="cold start doubles once per released epoch, "
                                        "so a backlog released at one instant compounds")
 def test_backlog_released_at_one_instant_grows_the_rate_at_most_twofold():

@@ -1,6 +1,7 @@
 """Scenario JSON parsing, validation errors, and round-tripping."""
 
 import copy
+import math
 
 import pytest
 
@@ -197,6 +198,10 @@ def test_schedule_times_strictly_increasing():
     doc = base_doc()
     del doc["link"]["bandwidth_mbps"]
     doc["link"]["bandwidth_schedule"] = [[0.0, 2.0], [0.0, 1.0]]
+    expect_error(doc, "link.bandwidth_schedule")
+    # A NaN time compares false both ways, so it must not let a later,
+    # earlier time through either.
+    doc["link"]["bandwidth_schedule"] = [[0, 1.0], [50, 2.0], [math.nan, 3.0], [10, 0.5]]
     expect_error(doc, "link.bandwidth_schedule")
 
 

@@ -37,10 +37,13 @@ CONTROLLER = "src/iriscc/controller.py"
 MUTANTS = [
     # The FIFO's rules.
     (NETSIM, "if occupancy >= capacity:", "if occupancy > capacity:"),
-    (NETSIM, "while departures and departures[0] < now:",
-     "while departures and departures[0] <= now:"),
-    (NETSIM, "while departures and departures[0] <= now:",
-     "while departures and departures[0] < now:"),
+    # An arrival forgets the departures before it, a timer those at its
+    # instant too, and compaction drops only forgotten ones.
+    (NETSIM, "while departures[gone] < now:", "while departures[gone] <= now:"),
+    (NETSIM, "if tail < now:", "if tail <= now:"),
+    (NETSIM, "while departures[gone] <= now:", "while departures[gone] < now:"),
+    (NETSIM, "if tail <= now:", "if tail < now:"),
+    (NETSIM, "del departures[:gone]", "del departures[:gone + 1]"),
     (NETSIM, "while next_change < start:", "while next_change <= start:"),
     (NETSIM, """\
                 if random_loss > 0.0 and draw() < random_loss:
@@ -57,12 +60,12 @@ MUTANTS = [
                     acc.lost += 1
                     continue
 """),
-    (NETSIM, "depart(start + service_time)", "depart(start + service_time / 2)"),
+    (NETSIM, "tail = start + service_time", "tail = start + service_time / 2"),
     # The arrivals' order: arrivals at an event's instant come before
     # it, an epoch's chain stops short of its end, and the runs of two
-    # or more flows are merged.  (A sort on time alone would be an
-    # equivalent mutant: the runs are joined in flow-id order and the
-    # sort is stable.)
+    # or more flows are merged.  (A sort on the whole (time, flow id)
+    # tuple would be an equivalent mutant: the runs are joined in
+    # flow-id order and the sort on time is stable.)
     (NETSIM, "hi = bisect_right(run, bound,", "hi = __import__('bisect').bisect_left(run, bound,"),
     (NETSIM, "if t >= window_end:", "if t > window_end:"),
     (NETSIM, "if taken > 1:", "if taken > 2:"),
