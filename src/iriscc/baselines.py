@@ -14,16 +14,11 @@ from __future__ import annotations
 
 import math
 
-from .feedback import EpochFeedback
+from .feedback import EpochFeedback, require_positive
 
 _RTT_EWMA_WEIGHT = 0.125  # classic smoothed-RTT gain
 INITIAL_RTT = 100.0       # ms, the RTT estimate before any feedback
 INITIAL_SSTHRESH = 1e9    # packets: no threshold until the first loss
-
-
-def _require_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _require_initial_cwnd(initial_cwnd: float) -> None:
@@ -39,7 +34,7 @@ class AimdController:
     kind = "aimd"
 
     def __init__(self, epoch_len: float = 50.0, initial_cwnd: float = 10.0):
-        _require_positive("epoch_len", epoch_len)
+        require_positive("epoch_len", epoch_len)
         _require_initial_cwnd(initial_cwnd)
         self.epoch_len = epoch_len
         self.cwnd = initial_cwnd          # packets
@@ -74,7 +69,7 @@ class VegasController:
 
     def __init__(self, epoch_len: float = 50.0, alpha: float = 2.0, beta: float = 4.0,
                  initial_cwnd: float = 10.0):
-        _require_positive("epoch_len", epoch_len)
+        require_positive("epoch_len", epoch_len)
         _require_initial_cwnd(initial_cwnd)
         if not 0 < alpha <= beta < math.inf:
             raise ValueError(f"need 0 < alpha <= beta, both finite, got alpha={alpha}, beta={beta}")
@@ -114,8 +109,8 @@ class ConstantRateController:
     kind = "constant"
 
     def __init__(self, rate: float, epoch_len: float = 50.0):
-        _require_positive("rate", rate)
-        _require_positive("epoch_len", epoch_len)
+        require_positive("rate", rate)
+        require_positive("epoch_len", epoch_len)
         self.rate = rate
         self.epoch_len = epoch_len
 

@@ -17,10 +17,11 @@ A new flow starts in a cold-start phase: it sends at a low initial rate
 and doubles every epoch until loss appears, then fits an initial slope
 from the data it gathered and switches to steady-state control.
 
-:class:`IrisController` is the whole controller: a flow's rate, slope,
-target delay and records are its attributes, and each phase's step is
-one of its methods.  The decision math and the slope-fit gate read no
-state and stay module functions.
+:class:`IrisController` is the whole controller: the six knobs of its
+control law are its constructor's keywords, they and a flow's rate,
+slope, target delay and records are its attributes, and each phase's
+step is one of its methods.  The decision math and the slope-fit gate
+read no state and stay module functions.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .feedback import EpochFeedback
+from .feedback import EpochFeedback, require_positive
 from .regression import RegressionFit, fit_k_b
 from .units import kbps_to_pkts_per_ms
 
@@ -72,30 +73,6 @@ SCREEN_EXCITATION_MARGIN = 0.1   # relative
 class Phase(Enum):
     COLD_START = "cold_start"
     STEADY = "steady"
-
-
-@dataclass(frozen=True)
-class IrisParams:
-    """The knobs of the control law.
-
-    Times are ms, queue loads packets.
-    """
-
-    epoch_len: float = 50.0             # decision interval
-    queue_load_target: float = 10.0     # packets to keep queued at the bottleneck
-    objective_scale: float = 100.0      # tanh input scale for the objective
-    rtt_step_bound: float = 3.0         # max desired RTT change per epoch, ms
-    k_update_period: float = 5000.0     # how often the slope is re-fitted, ms
-    rtt_window: float = 10_000.0        # sliding window for the target delay, ms
-
-    def __post_init__(self) -> None:
-        for name in ("epoch_len", "queue_load_target", "objective_scale", "rtt_step_bound"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        for name in ("k_update_period", "rtt_window"):  # infinity reads as "never"
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 class Measurement(NamedTuple):
@@ -240,19 +217,19 @@ def next_sending_rate(recv_rate: float, rtt_step: float, k: float) -> float:
     return max(RATE_FLOOR, recv_rate + rtt_step / k)
 
 
-def gap_contraction_factor(params: IrisParams, rtt: float, target_delay: float,
-                           k: float) -> float:
+def gap_contraction_factor(rtt: float, target_delay: float, k: float,
+                           rtt_step_bound: float, objective_scale: float) -> float:
     """Sufficient-condition factor for two flows' rate gap to shrink.
 
     When this is below 1 at a decision point, the rate difference of two
     flows sharing the bottleneck cannot grow at that step (the tanh
     slope is at most 1, so the realized factor is never larger).
     """
-    return (params.rtt_step_bound / k) * ((rtt - target_delay) / params.objective_scale)
+    return (rtt_step_bound / k) * ((rtt - target_delay) / objective_scale)
 
 
-def effective_slope(params: IrisParams, k: float, rtt: float,
-                    target_delay: float) -> float:
+def effective_slope(k: float, rtt: float, target_delay: float,
+                    rtt_step_bound: float, objective_scale: float) -> float:
     """Slope a decision divides by: the learned ``k``, floored so the
     per-step loop gain (:func:`gap_contraction_factor`) stays at or
     below ``CONTRACTION_CAP``.
@@ -262,8 +239,8 @@ def effective_slope(params: IrisParams, k: float, rtt: float,
     gain keeps one bad fit from destabilizing the loop until the next
     re-fit corrects it.
     """
-    floor = (params.rtt_step_bound * (rtt - target_delay)
-             / (params.objective_scale * CONTRACTION_CAP))
+    floor = (rtt_step_bound * (rtt - target_delay)
+             / (objective_scale * CONTRACTION_CAP))
     return max(k, floor)
 
 
@@ -349,9 +326,23 @@ class IrisController:
 
     kind = "iris"
 
-    def __init__(self, params: IrisParams | None = None):
-        self.params = params = params or IrisParams()
-        self.epoch_len = params.epoch_len
+    def __init__(self, epoch_len: float = 50.0, queue_load_target: float = 10.0,
+                 objective_scale: float = 100.0, rtt_step_bound: float = 3.0,
+                 k_update_period: float = 5000.0, rtt_window: float = 10_000.0):
+        require_positive("epoch_len", epoch_len)
+        require_positive("queue_load_target", queue_load_target)
+        require_positive("objective_scale", objective_scale)
+        require_positive("rtt_step_bound", rtt_step_bound)
+        for name, value in (("k_update_period", k_update_period), ("rtt_window", rtt_window)):
+            if not value > 0:  # infinity reads as "never"
+                raise ValueError(f"{name} must be positive, got {value}")
+        # The knobs of the control law.  Times are ms, queue loads packets.
+        self.epoch_len = epoch_len                  # decision interval
+        self.queue_load_target = queue_load_target  # packets to keep queued at the bottleneck
+        self.objective_scale = objective_scale      # tanh input scale for the objective
+        self.rtt_step_bound = rtt_step_bound        # max desired RTT change per epoch
+        self.k_update_period = k_update_period      # how often the slope is re-fitted
+        self.rtt_window = rtt_window                # sliding window for the target delay
         self.phase = Phase.COLD_START
         self.current_rate = INITIAL_RATE
         self.k = K_MIN
@@ -368,7 +359,7 @@ class IrisController:
 
     @property
     def state(self) -> IrisController:
-        return self  # perfbench/layers.py and tools/diffcheck.py read `c.state.applied_fits`
+        return self  # perfbench/layers.py reads `c.state.applied_fits`
 
     def start_rate(self) -> float:
         return self.current_rate
@@ -390,7 +381,7 @@ class IrisController:
         newest (see :meth:`_record_measurement`), so the oldest is the
         minimum.
         """
-        window_start = now - self.params.rtt_window
+        window_start = now - self.rtt_window
         samples = self.rtt_samples
         while samples and samples[0][0] < window_start:
             samples.popleft()
@@ -431,11 +422,10 @@ class IrisController:
         competing flow, a loss burst) shows up, instead of waiting out
         another full period.
         """
-        params = self.params
         fits = self.applied_fits
-        if fits and now - fits[-1][0] < params.k_update_period:
+        if fits and now - fits[-1][0] < self.k_update_period:
             return
-        cutoff = now - params.k_update_period
+        cutoff = now - self.k_update_period
         history = self.history
         while history and history[0].end < cutoff:
             self._evict_oldest()
@@ -507,18 +497,18 @@ class IrisController:
         """
         if not fb.measured:
             return self._log_entry(fb, now, Phase.STEADY, self.k)
-        params = self.params
         recv = self._record_measurement(fb).recv_rate
         target = self.update_target_delay(now)
         if target is None:
             target = self.target_delay = fb.mean_rtt
-        objective = compute_objective(fb.send_rate, fb.mean_rtt, target, params.queue_load_target)
-        rtt_step = expected_rtt_variation(objective, params.rtt_step_bound, params.objective_scale)
-        k_used = effective_slope(params, self.k, fb.mean_rtt, target)
+        bound, scale = self.rtt_step_bound, self.objective_scale
+        objective = compute_objective(fb.send_rate, fb.mean_rtt, target, self.queue_load_target)
+        rtt_step = expected_rtt_variation(objective, bound, scale)
+        k_used = effective_slope(self.k, fb.mean_rtt, target, bound, scale)
         self.current_rate = next_sending_rate(recv, rtt_step, k_used)
         self._maybe_refit_k(now)
         return self._log_entry(fb, now, Phase.STEADY, k_used, recv, objective, rtt_step,
-                               gap_contraction_factor(params, fb.mean_rtt, target, k_used))
+                               gap_contraction_factor(fb.mean_rtt, target, k_used, bound, scale))
 
     def _exit_cold(self, fit: RegressionFit | None, now: float) -> None:
         """Leave the ramp: install the fit and land on the latest receiving rate."""

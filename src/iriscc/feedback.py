@@ -61,6 +61,12 @@ class EpochFeedback(_Fields):
         return self.dropped / self.sent if self.sent else 0.0
 
 
+def require_positive(name: str, value: float) -> None:
+    """Reject a controller knob that is not positive and finite."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 class RateController(Protocol):
     """What the simulator needs from any congestion controller."""
 

@@ -88,6 +88,7 @@ Time is ms, rates are packets/ms throughout.
 from __future__ import annotations
 
 import heapq
+import inspect
 import math
 import random
 from bisect import bisect_right
@@ -97,7 +98,7 @@ from itertools import repeat
 from operator import itemgetter
 
 from .baselines import AimdController, ConstantRateController, VegasController
-from .controller import IrisController, IrisParams
+from .controller import IrisController
 from .feedback import EpochFeedback, RateController
 from .scenario import FlowSpec, Scenario, ScenarioError, _number
 from .trace import FlowTotals, FlowTrace, TraceRow
@@ -144,7 +145,15 @@ class _FlowRuntime:
     trace: FlowTrace = None  # type: ignore[assignment]
 
 
-def _checked_params(params: dict, allowed: set[str], prefix: str) -> dict:
+# Each kind's class and the params it accepts, its constructor's
+# keywords; ``constant`` also takes ``rate_mbps`` (see _constant_rate).
+_CONTROLLERS = {
+    cls.kind: (cls, frozenset(inspect.signature(cls).parameters))
+    for cls in (IrisController, AimdController, VegasController, ConstantRateController)
+}
+
+
+def _checked_params(params: dict, allowed: frozenset[str], prefix: str) -> dict:
     """Reject unknown names and values that are not numbers."""
     unknown = set(params) - allowed
     if unknown:
@@ -152,41 +161,30 @@ def _checked_params(params: dict, allowed: set[str], prefix: str) -> dict:
     return {name: _number(value, f"{prefix}.{name}") for name, value in params.items()}
 
 
-def _construct(cls, kwargs: dict, prefix: str):
+def _constant_rate(kwargs: dict, prefix: str, packet_bytes: int) -> None:
+    """Turn a constant sender's ``rate_mbps`` into its ``rate`` at the
+    link's packet size."""
+    if ("rate" in kwargs) == ("rate_mbps" in kwargs):
+        raise ScenarioError(prefix, "give exactly one of rate (packets/ms) or rate_mbps")
+    if "rate_mbps" in kwargs:
+        kwargs["rate"] = mbps_to_pkts_per_ms(kwargs.pop("rate_mbps"), packet_bytes)
+
+
+def build_controller(spec: FlowSpec, flow_index: int, packet_bytes: int) -> RateController:
+    if spec.controller not in _CONTROLLERS:
+        raise ScenarioError(f"flows[{flow_index}].controller",
+                            f"unknown controller {spec.controller!r}")
+    cls, accepted = _CONTROLLERS[spec.controller]
+    prefix = f"flows[{flow_index}].params"
+    if cls is ConstantRateController:
+        kwargs = _checked_params(spec.params, accepted | {"rate_mbps"}, prefix)
+        _constant_rate(kwargs, prefix, packet_bytes)
+    else:
+        kwargs = _checked_params(spec.params, accepted, prefix)
     try:
         return cls(**kwargs)
     except ValueError as exc:
         raise ScenarioError(prefix, str(exc)) from exc
-
-
-def _constant_controller(params: dict, prefix: str, packet_bytes: int) -> ConstantRateController:
-    raw = _checked_params(params, {"epoch_len", "rate", "rate_mbps"}, prefix)
-    has_rate = "rate" in raw
-    if has_rate == ("rate_mbps" in raw):
-        raise ScenarioError(prefix, "give exactly one of rate (packets/ms) or rate_mbps")
-    rate = raw["rate"] if has_rate else mbps_to_pkts_per_ms(raw["rate_mbps"], packet_bytes)
-    return _construct(ConstantRateController,
-                      {"rate": rate, "epoch_len": raw.get("epoch_len", 50.0)}, prefix)
-
-
-def _iris_controller(params: dict, prefix: str) -> IrisController:
-    raw = _checked_params(params, set(IrisParams.__dataclass_fields__), prefix)
-    return IrisController(_construct(IrisParams, raw, prefix))
-
-
-def build_controller(spec: FlowSpec, flow_index: int, packet_bytes: int) -> RateController:
-    prefix = f"flows[{flow_index}].params"
-    if spec.controller == "iris":
-        return _iris_controller(spec.params, prefix)
-    if spec.controller == "aimd":
-        return _construct(AimdController, _checked_params(
-            spec.params, {"epoch_len", "initial_cwnd"}, prefix), prefix)
-    if spec.controller == "vegas":
-        return _construct(VegasController, _checked_params(
-            spec.params, {"epoch_len", "alpha", "beta", "initial_cwnd"}, prefix), prefix)
-    if spec.controller == "constant":
-        return _constant_controller(spec.params, prefix, packet_bytes)
-    raise ScenarioError(f"flows[{flow_index}].controller", f"unknown controller {spec.controller!r}")
 
 
 class Simulation:

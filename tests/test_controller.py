@@ -27,7 +27,6 @@ from iriscc.controller import (
     RATE_CEILING,
     SUM_DRIFT,
     IrisController,
-    IrisParams,
     Measurement,
     Phase,
     _gated_fit,
@@ -134,36 +133,31 @@ def test_next_rate_rejects_unclamped_slope():
 # --- loop-gain bound -------------------------------------------------------------
 
 def test_contraction_factor_value():
-    params = IrisParams()
-    assert gap_contraction_factor(params, 55.0, 50.0, 3.0) == pytest.approx(0.05)
-    assert gap_contraction_factor(params, 100.0, 50.0, 1.5) == pytest.approx(1.0)
+    assert gap_contraction_factor(55.0, 50.0, 3.0, 3.0, 100.0) == pytest.approx(0.05)
+    assert gap_contraction_factor(100.0, 50.0, 1.5, 3.0, 100.0) == pytest.approx(1.0)
 
 
 def test_effective_slope_floors_small_k():
-    params = IrisParams()
     # floor = 3 * 50 / (100 * 0.95)
     floor = 1.5789473684210527
-    assert effective_slope(params, 0.5, 100.0, 50.0) == pytest.approx(floor, abs=1e-12)
-    assert effective_slope(params, 10.0, 100.0, 50.0) == 10.0
+    assert effective_slope(0.5, 100.0, 50.0, 3.0, 100.0) == pytest.approx(floor, abs=1e-12)
+    assert effective_slope(10.0, 100.0, 50.0, 3.0, 100.0) == 10.0
 
 
 def test_effective_slope_respects_cap_exactly():
-    params = IrisParams()
-    k = effective_slope(params, 0.01, 100.0, 50.0)
-    assert gap_contraction_factor(params, 100.0, 50.0, k) == pytest.approx(0.95, abs=1e-12)
+    k = effective_slope(0.01, 100.0, 50.0, 3.0, 100.0)
+    assert gap_contraction_factor(100.0, 50.0, k, 3.0, 100.0) == pytest.approx(0.95, abs=1e-12)
 
 
 def test_effective_slope_noop_when_rtt_below_target():
-    params = IrisParams()
-    assert effective_slope(params, 2.0, 48.0, 50.0) == 2.0
+    assert effective_slope(2.0, 48.0, 50.0, 3.0, 100.0) == 2.0
 
 
 @given(st.floats(min_value=0.01, max_value=100.0),
        st.floats(min_value=0.0, max_value=500.0))
 def test_effective_slope_keeps_gain_below_one(k, queueing):
-    params = IrisParams()
-    used = effective_slope(params, k, 50.0 + queueing, 50.0)
-    assert gap_contraction_factor(params, 50.0 + queueing, 50.0, used) < 1.0
+    used = effective_slope(k, 50.0 + queueing, 50.0, 3.0, 100.0)
+    assert gap_contraction_factor(50.0 + queueing, 50.0, used, 3.0, 100.0) < 1.0
     assert used >= k
 
 
@@ -199,7 +193,7 @@ def test_target_is_the_window_minimum_of_every_sample(rtt_window, steps):
     # first.  RTTs repeat, and lags beyond a short window evict a sample
     # on arrival.  The kept samples must give the minimum over every
     # sample in the window, and the same staleness count.
-    ctrl = IrisController(IrisParams(rtt_window=rtt_window))
+    ctrl = IrisController(rtt_window=rtt_window)
     seen = []
     target, stale = None, 0
     now = 0.0
@@ -274,7 +268,7 @@ def test_unmeasured_epochs_advance_no_estimate(phase):
 # --- steady-state step ---------------------------------------------------------
 
 def steady_state(**kwargs):
-    ctrl = IrisController(IrisParams(**kwargs)) if kwargs else IrisController()
+    ctrl = IrisController(**kwargs)
     ctrl.phase = Phase.STEADY
     ctrl.k = 2.0
     return ctrl
@@ -826,7 +820,7 @@ def test_feedback_is_immutable():
 ])
 def test_params_validation(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
-        IrisParams(**kwargs)
+        IrisController(**kwargs)
 
 
 # --- simulator-facing adapter ---------------------------------------------------

@@ -11,7 +11,7 @@ from conftest import flow, make_link, scenario, watch_refills
 from iriscc import baselines, controller, netsim
 from iriscc.metrics import mean_throughput
 from iriscc.netsim import Simulation, run_scenario
-from iriscc.scenario import ScenarioError, scenario_from_dict
+from iriscc.scenario import CONTROLLER_KINDS, ScenarioError, scenario_from_dict
 from iriscc.trace import write_trace_csv
 from test_golden import SCENARIOS as GOLDEN
 
@@ -295,6 +295,27 @@ def test_build_iris_rejects_bad_target_mode():
     assert excinfo.value.field == "flows[0].params.target_mode"
 
 
+def test_build_rejects_unknown_controller():
+    with pytest.raises(ScenarioError) as excinfo:
+        build(flow("reno"))
+    assert str(excinfo.value) == "flows[0].controller: unknown controller 'reno'"
+    assert excinfo.value.field == "flows[0].controller"
+
+
+def test_build_knows_exactly_the_scenario_kinds():
+    # scenario names the kinds without importing the controllers, so
+    # the two lists are kept apart and must agree.
+    assert sorted(netsim._CONTROLLERS) == sorted(CONTROLLER_KINDS)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("epoch_len", 20.0), ("queue_load_target", 5.0), ("objective_scale", 50.0),
+    ("rtt_step_bound", 1.5), ("k_update_period", 2000.0), ("rtt_window", 3000.0),
+])
+def test_build_passes_each_iris_knob_to_its_attribute(name, value):
+    assert getattr(build(flow("iris", **{name: value})), name) == value
+
+
 def test_build_rejects_unknown_parameter():
     with pytest.raises(ScenarioError) as excinfo:
         build(flow("iris", warp_factor=9))
@@ -417,7 +438,7 @@ def test_build_accepts_infinity_that_reads_as_never(controller, params):
 def test_iris_params_flow_through_scenario():
     sc = scenario(make_link(), [flow("iris", queue_load_target=5)], 500.0)
     sim = Simulation(sc)
-    assert sim.controllers[0].params.queue_load_target == 5.0
+    assert sim.controllers[0].queue_load_target == 5.0
 
 
 # --- epoch release ----------------------------------------------------------------

@@ -143,12 +143,12 @@ def digest_runs(docs: list[dict]) -> dict:
                 "totals": repr([trace.totals for trace in traces]).encode(),
                 "decisions": repr([c.decisions for c in iris]).encode(),
                 "applied_fits": repr([[(time, fit.k, fit.b, fit.plcc, fit.n)
-                                       for time, fit in c.state.applied_fits]
+                                       for time, fit in c.applied_fits]
                                       for c in iris]).encode(),
                 "metrics": repr(metrics).encode(),
             }
             digests.append({name: hashlib.sha256(outputs[name]).hexdigest() for name in PARTS})
-            fits += sum(len(c.state.applied_fits) for c in iris)
+            fits += sum(len(c.applied_fits) for c in iris)
             paths.update("cold start" if entry.phase is Phase.COLD_START
                          else "steady" if entry.measured else "hold"
                          for c in iris for entry in c.decisions)

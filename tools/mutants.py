@@ -94,6 +94,11 @@ unreleased = []
     (NETSIM, "acked = acc.planned - dropped", "acked = acc.planned"),
     (NETSIM, "acc.last_ack is not None and acc.last_ack > now",
      "acc.last_ack is not None and acc.last_ack >= now"),
+    # A controller accepts every keyword of its constructor, and its
+    # ValueError becomes a ScenarioError on the flow's params.
+    (NETSIM, "frozenset(inspect.signature(cls).parameters)",
+     "frozenset(list(inspect.signature(cls).parameters)[:-1])"),
+    (NETSIM, "except ValueError as exc:", "except TypeError as exc:"),
     # Trace windows are left-open, right-closed at both edges.
     ("src/iriscc/trace.py", "lo = bisect_right(rows, t0, key=_row_time)",
      "lo = __import__('bisect').bisect_left(rows, t0, key=_row_time)"),
@@ -133,11 +138,11 @@ SCREEN_EXCITATION_MARGIN = 0.0   # relative
         self.last_meas_ack = fb.last_ack
 """),
     # The contraction factor reads the slope the step used.
-    (CONTROLLER, "gap_contraction_factor(params, fb.mean_rtt, target, k_used)",
-     "gap_contraction_factor(params, fb.mean_rtt, target, self.k)"),
+    (CONTROLLER, "gap_contraction_factor(fb.mean_rtt, target, k_used, bound, scale)",
+     "gap_contraction_factor(fb.mean_rtt, target, self.k, bound, scale)"),
     # The re-fit clock waits out a whole period after an adopted fit.
-    (CONTROLLER, "now - fits[-1][0] < params.k_update_period",
-     "now - fits[-1][0] <= params.k_update_period"),
+    (CONTROLLER, "now - fits[-1][0] < self.k_update_period",
+     "now - fits[-1][0] <= self.k_update_period"),
     # The cold exit lands on the latest receiving rate, and the loss
     # burst compares against the previous epoch's loss rate.
     (CONTROLLER, "landing = self.history[-1].recv_rate if self.history else self.current_rate",
