@@ -315,13 +315,14 @@ def _screen_rejects(sums: WindowSums, records: int, min_samples: int) -> bool:
 class IrisController:
     """The iris controller, driven by the simulator's epoch feedback.
 
-    ``on_epoch`` runs the step of the current phase and logs its
-    decision in ``decisions``.  ``history`` holds measured epochs in
-    order of their ends, at most ``HISTORY_CAP`` of them.  Each steady
-    re-fit attempt first trims it to the re-fit window, the records of
-    the last ``k_update_period``; cold start trims nothing.  ``sums``
-    follows it.  ``rtt_samples`` keeps only the samples that can still
-    be a window minimum, each below every later one.
+    ``on_epoch`` records a measured epoch, refreshes the target delay,
+    runs the step of the current phase and logs its decision in
+    ``decisions``.  ``history`` holds measured epochs in order of their
+    ends, at most ``HISTORY_CAP`` of them.  Each steady re-fit attempt
+    first trims it to the re-fit window, the records of the last
+    ``k_update_period``; cold start trims nothing.  ``sums`` follows it.
+    ``rtt_samples`` keeps only the samples that can still be a window
+    minimum, each below every later one.
     """
 
     kind = "iris"
@@ -365,8 +366,12 @@ class IrisController:
         return self.current_rate
 
     def on_epoch(self, feedback: EpochFeedback, now: float) -> float:
+        recv = target = None
+        if feedback.measured:
+            recv = self._record_measurement(feedback).recv_rate
+            target = self.update_target_delay(now)
         step = self._cold_step if self.phase is Phase.COLD_START else self._steady_step
-        entry = step(feedback, now)
+        entry = step(feedback, now, recv, target)
         self.decisions.append(entry)
         return entry.rate
 
@@ -484,21 +489,19 @@ class IrisController:
             contraction=contraction,
         )
 
-    def _steady_step(self, fb: EpochFeedback, now: float) -> DecisionLogEntry:
-        """One steady-state control step.
+    def _steady_step(self, fb: EpochFeedback, now: float, recv: float | None,
+                     target: float | None) -> DecisionLogEntry:
+        """One steady-state control step on what :meth:`on_epoch` measured.
 
-        An unmeasured epoch holds the rate.  A measured one is recorded,
-        refreshes the target delay, derives the next pacing rate, and
-        periodically re-fits the slope.  If the target window holds no
-        sample and no target was ever set, the epoch's own RTT becomes the
-        target.  Loss does not enter the decision directly: random loss must
-        not read as congestion, and genuine congestion already shows up in
-        the RTT.
+        An unmeasured epoch holds the rate.  A measured one derives the
+        next pacing rate from its receiving rate ``recv`` and the target
+        delay ``target``, and periodically re-fits the slope.  With no
+        target yet, the epoch's own RTT becomes the target.  Loss does not
+        enter the decision directly: random loss must not read as
+        congestion, and genuine congestion already shows up in the RTT.
         """
         if not fb.measured:
             return self._log_entry(fb, now, Phase.STEADY, self.k)
-        recv = self._record_measurement(fb).recv_rate
-        target = self.update_target_delay(now)
         if target is None:
             target = self.target_delay = fb.mean_rtt
         bound, scale = self.rtt_step_bound, self.objective_scale
@@ -518,7 +521,8 @@ class IrisController:
         landing = self.history[-1].recv_rate if self.history else self.current_rate
         self.current_rate = max(RATE_FLOOR, landing)
 
-    def _cold_step(self, fb: EpochFeedback, now: float) -> DecisionLogEntry:
+    def _cold_step(self, fb: EpochFeedback, now: float, recv: float | None,
+                   target: float | None) -> DecisionLogEntry:
         """One cold-start step: double the rate until loss reveals capacity.
 
         A loss burst — a per-epoch loss rate that jumps ``COLD_LOSS_JUMP``
@@ -540,13 +544,9 @@ class IrisController:
         overshoot adds more learnable records.  The safety rate ceiling
         forces an exit with the ungated fit of the whole history.  On exit
         the pacing rate falls back to the last observed receiving rate.  The
-        record logs the slope the flow had before the step.
+        record logs ``recv`` and the slope the flow had before the step.
         """
         k = self.k
-        recv = None
-        if fb.measured:
-            recv = self._record_measurement(fb).recv_rate
-            self.update_target_delay(now)
         loss_rate = fb.loss_rate
         prev_loss = self.prev_loss_rate
         self.prev_loss_rate = loss_rate

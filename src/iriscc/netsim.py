@@ -9,23 +9,23 @@ packet measures exactly its two-way propagation delay.
 Arrivals are known ahead: an epoch timer fixes its flow's pacing chain
 up to the epoch's end and materializes it as the flow's *run*, a sorted
 list of pending ``(time, flow id)`` arrivals read from a head index, so
-only timers go through the heap, as ``(time, kind, flow id)``.  Before
-each heap event the loop takes from every run its arrivals up to that
-event's instant, that instant included, joins them in flow-id order and,
-only when more than one flow contributed, sorts them on time alone (a
-stable sort, so ties keep flow-id order), admits them and then handles
-the event: arrivals come before timers at equal timestamps, then lower
-flow ids first, and the only randomness is a seeded Bernoulli draw per
+the heap holds only epoch timers, as ``(time, flow id)``.  Before each
+timer the loop takes from every run its arrivals up to that timer's
+instant, that instant included, joins them in flow-id order and, only
+when more than one flow contributed, sorts them on time alone (a stable
+sort, so ties keep flow-id order), admits them and then handles the
+timer: arrivals come before timers at equal timestamps, then lower flow
+ids first, and the only randomness is a seeded Bernoulli draw per
 arrival for random loss — so a scenario is a pure function of its
 description and seed, and equal seeds give byte-identical traces.  Each
 arrival is sorted at most once, with the arrivals of the other flows
-due by the same event.
+due by the same timer.
 Departures need no events: the capacity schedule is known in advance,
 so the FIFO fixes each admitted packet's service start and departure
 when it arrives.  The FIFO is an append-only list of departure times
 read from a head index: the occupancy is the number of entries past the
 head, and once more than ``_COMPACT`` entries before it have left, the
-next heap event deletes them.  The loop keeps the latest departure at
+next timer deletes them.  The loop keeps the latest departure at
 hand, so an arrival after it finds the FIFO empty without a scan and an
 admitted packet starts from it.  Its one server runs at the scheduled
 link capacity, and :meth:`Simulation.run` applies its rules inline:
@@ -46,13 +46,14 @@ Packets arrive in time order, so service starts never decrease and the
 schedule entry in force only moves forward.
 
 A flow materializes at most ``_SEGMENT`` arrivals of its open epoch at
-a time, and keeps the rest of its chain as plain state, the next time,
-the gap and the epoch's end, refilled at the last one.  Each arrival is
-one gap added to the one before it.  A chain's times strictly increase
-unless a gap rounds away, and then it stalls until the emission guard
-ends the run, so a refill after the arrivals at its instant keeps the
-order.  The chain's last arrival, noted when it is materialized, keeps
-the pacing gap into the next epoch.
+a time, and keeps the rest of its chain as ``pacing``, the next time,
+the gap and the epoch's end; the loop materializes the next segment
+when it takes the last arrival of a run.  Each arrival is one gap added
+to the one before it.  A chain's times strictly increase unless a gap
+rounds away, and then it stalls until the emission guard ends the run,
+so a segment taken after the one before it keeps the order.  The
+chain's last arrival, noted when it is materialized, keeps the pacing
+gap into the next epoch.
 
 ACKs need no events either.  Delivery and ACK happen at known offsets
 from the start of service (the reverse path is ideal), so an admitted
@@ -62,10 +63,10 @@ the epoch's occupancy sum and overflow or random drop, and the flow's
 in-flight packets (ACKed after the run) are counted.  An epoch's
 planned count grows per materialized segment, by its arrivals within
 the run, as the loop admits no later ones, and the emission guard
-checks it there.  At release an epoch's ACK count is planned less its
-drops, and its planned packets and drops add to the flow's totals, as
-at the end of the run do those of the unreleased epochs, the open one
-too; delivered is sent less drops and in-flight packets.
+checks it there.  An epoch's planned packets and drops add to the
+flow's totals when its timer closes it, and the open epoch's at the end
+of the run; delivered is sent less drops and in-flight packets.  At
+release an epoch's ACK count is planned less its drops.
 
 Only the flow's own timer reads the tally, and it treats an epoch as
 resolved once its latest ACK is due: service starts never decrease and
@@ -73,9 +74,9 @@ a flow's round-trip propagation delay is fixed, so each flow's ACK
 times never decrease in send order, and an ACK precedes a timer at the
 same instant.
 
-Each flow tallies its packets per sender epoch, in a FIFO with the open
-epoch last.  At every epoch timer the closed epochs that are resolved
-are summarized from the front of the FIFO, each into one
+Each flow tallies its packets per sender epoch.  Its timer moves the
+open tally into a FIFO of closed epochs, and then the resolved ones are
+summarized from the front of the FIFO, each into one
 :class:`~iriscc.feedback.EpochFeedback` of what the sender observed
 (the controller makes its own estimates from it) and one trace row;
 the end of the run does the same without decisions.
@@ -106,8 +107,7 @@ from .units import mbps_to_pkts_per_ms
 
 _MAX_EMISSIONS_PER_EPOCH = 1_000_000  # guard against runaway controllers
 _SEGMENT = 2048  # arrivals a flow materializes at a time
-_COMPACT = 4096  # forgotten departures the FIFO may hold before a heap event drops them
-_TIMER, _REFILL = 0, 1  # heap event kinds, the middle field of every heap event
+_COMPACT = 4096  # forgotten departures the FIFO may hold before a timer drops them
 _arrival_time = itemgetter(0)
 
 
@@ -132,17 +132,17 @@ class _FlowRuntime:
     rtprop: float                # round-trip propagation delay
     epoch_len: float
     rate: float
-    # While a refill is pending, the rest of the open epoch's chain:
+    prev_mean_rtt: float         # of the latest measured epoch, for the trace; rtprop before one
+    trace: FlowTrace
+    # While the open epoch's chain goes on past ``run``, the rest of it:
     # (next time, gap, the epoch's end, which it stops short of).
     pacing: tuple = ()
     run: list = field(default_factory=list)  # materialized (time, flow id) arrivals, sorted
     head: int = 0                    # index of the first one in ``run`` not yet admitted
     due: float = math.inf            # its time, or inf once all are admitted
     last_emit: float | None = None   # the last arrival of the latest epoch that sent one
-    epochs: deque = field(default_factory=deque)  # unreleased _EpochAccum tallies, open one last
-    next_release: int = 0                 # index of the epoch at the front of ``epochs``
-    prev_mean_rtt: float | None = None    # of the latest measured epoch, for the trace
-    trace: FlowTrace = None  # type: ignore[assignment]
+    epochs: deque = field(default_factory=deque)  # closed _EpochAccum tallies not yet released
+    next_release: int = 0            # index of the epoch at the front of ``epochs``
 
 
 # Each kind's class and the params it accepts, its constructor's
@@ -187,6 +187,20 @@ def build_controller(spec: FlowSpec, flow_index: int, packet_bytes: int) -> Rate
         raise ScenarioError(prefix, str(exc)) from exc
 
 
+def _checked_rate(rate: float) -> float:
+    """A controller's rate, if the chain can pace it: positive and finite."""
+    if not 0 < rate < math.inf:
+        raise RuntimeError(f"controller returned a non-positive or non-finite rate: {rate}")
+    return rate
+
+
+def _count(totals: FlowTotals, acc: _EpochAccum) -> None:
+    """Add a closed or final epoch's planned packets and drops to its flow's totals."""
+    totals.sent += acc.planned
+    totals.dropped_overflow += acc.overflow
+    totals.dropped_random += acc.lost
+
+
 class Simulation:
     """One scenario run; keeps controllers accessible for inspection."""
 
@@ -200,22 +214,19 @@ class Simulation:
         self.flows: list[_FlowRuntime] = []
         for i, spec in enumerate(scenario.flows):
             controller = build_controller(spec, i, scenario.link.packet_bytes)
-            prop_delay = spec.prop_delay if spec.prop_delay is not None else scenario.link.prop_delay
-            rate = controller.start_rate()
-            if not 0 < rate < math.inf:
-                raise RuntimeError(f"controller returned a non-positive or non-finite rate: {rate}")
-            flow = _FlowRuntime(
+            rtprop = 2.0 * (spec.prop_delay if spec.prop_delay is not None else scenario.link.prop_delay)
+            self.flows.append(_FlowRuntime(
                 flow_id=i,
                 spec=spec,
                 controller=controller,
-                rtprop=2.0 * prop_delay,
+                rtprop=rtprop,
                 epoch_len=controller.epoch_len,
-                rate=rate,
-            )
-            flow.trace = FlowTrace(flow_id=i, kind=spec.controller, totals=FlowTotals())
-            self.flows.append(flow)
+                rate=_checked_rate(controller.start_rate()),
+                prev_mean_rtt=rtprop,
+                trace=FlowTrace(flow_id=i, kind=spec.controller, totals=FlowTotals()),
+            ))
             if spec.start_time <= scenario.duration:
-                heapq.heappush(self._heap, (spec.start_time, _TIMER, i))
+                heapq.heappush(self._heap, (spec.start_time, i))
         self._open: list[_EpochAccum | None] = [None] * len(self.flows)  # open tallies by flow id
         self._ran = False
 
@@ -225,32 +236,34 @@ class Simulation:
 
     # -- event handlers -----------------------------------------------------
     #
-    # A heap event is (time, kind, flow id).  A flow has at most one
-    # pending timer and one pending refill, so no two events tie.
-    # Arrivals, and the departures a timer forgets, are handled in
-    # :meth:`run` itself.
+    # A heap event is an epoch timer, (time, flow id), at most one per
+    # flow.  Arrivals, refills and the departures a timer forgets are
+    # handled in :meth:`run` itself.
 
     def _on_timer(self, now: float, flow_id: int) -> None:
+        """Close the flow's open epoch, release what is resolved, open the next."""
         flow = self.flows[flow_id]
-        self._release(flow, now)
+        closed = self._open[flow_id]
+        if closed is not None:
+            _count(flow.trace.totals, closed)
+            flow.epochs.append(closed)
+            self._release(flow, now)
         interval = 1.0 / flow.rate
-        self._open[flow_id] = acc = _EpochAccum()
-        flow.epochs.append(acc)
+        self._open[flow_id] = _EpochAccum()
         window_end = now + flow.epoch_len
         first = now if flow.last_emit is None else max(now, flow.last_emit + interval)
         self._refill(flow, first, interval, window_end)
         if window_end <= self.scenario.duration:
-            heapq.heappush(self._heap, (window_end, _TIMER, flow_id))
+            heapq.heappush(self._heap, (window_end, flow_id))
 
     def _refill(self, flow: _FlowRuntime, t: float, interval: float, window_end: float) -> None:
         """Materialize the next segment of the flow's chain, from ``t`` on
         and short of ``window_end``, as its run; count its arrivals within
-        the run into the open epoch, and schedule the next refill at its
-        last arrival if it is full.
+        the run into the open epoch, and keep the rest of the chain as
+        ``pacing`` while it goes on within the run, else clear it.
 
         The flow's previous run is all admitted by now: a timer follows
-        its epoch's arrivals, and a refill its segment's last one.
-        """
+        its epoch's arrivals, and the loop refills only a used-up run."""
         flow_id = flow.flow_id
         segment = []
         append = segment.append
@@ -259,21 +272,20 @@ class Simulation:
                 break
             append((t, flow_id))
             t += interval
+        duration = self.scenario.duration
+        chain_goes_on = len(segment) == _SEGMENT and segment[-1][0] <= duration
+        flow.pacing = (t, interval, window_end) if chain_goes_on else ()
+        flow.due = segment[0][0] if segment else math.inf
         if not segment:
             return
         flow.run = segment
         flow.head = 0
-        flow.due = segment[0][0]
         flow.last_emit = last = segment[-1][0]
-        duration = self.scenario.duration
         acc = self._open[flow_id]
         acc.planned += (len(segment) if last <= duration
                         else bisect_right(segment, duration, key=_arrival_time))
         if acc.planned > _MAX_EMISSIONS_PER_EPOCH:
             raise RuntimeError(f"flow {flow_id} emission rate exploded ({flow.rate}/ms)")
-        if len(segment) == _SEGMENT and last <= duration:
-            flow.pacing = (t, interval, window_end)
-            heapq.heappush(self._heap, (last, _REFILL, flow_id))
 
     # -- epoch accounting ---------------------------------------------------
 
@@ -283,9 +295,7 @@ class Simulation:
 
         Each one becomes an :class:`EpochFeedback`, goes to the
         controller (unless ``decide`` is False) and adds a trace row.
-        Every tally in the FIFO must be a closed epoch: a timer
-        releases before it opens the next epoch, and the end of the run
-        drops the open one first.
+        Its packets are in the totals already, counted when it closed.
         """
         epoch_len = flow.epoch_len
         epochs = flow.epochs
@@ -296,10 +306,6 @@ class Simulation:
             epochs.popleft()
             index = flow.next_release
             flow.next_release = index + 1
-            totals = flow.trace.totals
-            totals.sent += acc.planned
-            totals.dropped_overflow += acc.overflow
-            totals.dropped_random += acc.lost
             send_rate = acc.planned / epoch_len
             dropped = acc.overflow + acc.lost
             acked = acc.planned - dropped
@@ -311,13 +317,9 @@ class Simulation:
             fb = EpochFeedback(index, end, send_rate, acc.planned, acked, dropped,
                                mean_rtt, acc.last_ack)
             if decide:
-                flow.rate = flow.controller.on_epoch(fb, now)
-                if not 0 < flow.rate < math.inf:
-                    raise RuntimeError(
-                        f"controller returned a non-positive or non-finite rate: {flow.rate}")
+                flow.rate = _checked_rate(flow.controller.on_epoch(fb, now))
             flow.trace.rows.append(TraceRow(
-                end, send_rate, acked / epoch_len,
-                flow.prev_mean_rtt if flow.prev_mean_rtt is not None else flow.rtprop,
+                end, send_rate, acked / epoch_len, flow.prev_mean_rtt,
                 acc.occ_sum / acc.planned if acc.planned else 0.0, dropped))
 
     # -- main loop ----------------------------------------------------------
@@ -355,16 +357,22 @@ class Simulation:
             chunk = ()
             taken = 0  # runs that contributed to the chunk
             for flow in flows:
-                if flow.due <= bound:
+                while flow.due <= bound:
                     run = flow.run
                     head = flow.head
                     flow.head = hi = bisect_right(run, bound, head, key=_arrival_time)
-                    flow.due = run[hi][0] if hi < len(run) else math.inf
                     if taken:
                         chunk += run[head:hi]
                     else:
                         chunk = run[head:hi]
                     taken += 1
+                    if hi < len(run):
+                        flow.due = run[hi][0]
+                        break
+                    if flow.pacing:  # used up, and the chain goes on
+                        refill(flow, *flow.pacing)
+                    else:
+                        flow.due = math.inf
             if taken > 1:
                 # Merges the sorted runs: they were joined in flow-id
                 # order and the sort is stable.
@@ -406,31 +414,23 @@ class Simulation:
             if gone > _COMPACT:
                 del departures[:gone]
                 gone = 0
-            now, kind, flow_id = heappop(heap)
-            if kind == _TIMER:
-                # This instant's departures precede the timer and the
-                # arrivals it emits now.
-                if tail <= now:
-                    gone = len(departures)
-                    tail = -math.inf  # none pending, so the next arrival starts at once
-                else:
-                    while departures[gone] <= now:
-                        gone += 1
-                on_timer(now, flow_id)
+            now, flow_id = heappop(heap)
+            # This instant's departures precede the timer and the
+            # arrivals it emits now.
+            if tail <= now:
+                gone = len(departures)
+                tail = -math.inf  # none pending, so the next arrival starts at once
             else:
-                flow = flows[flow_id]
-                refill(flow, *flow.pacing)
+                while departures[gone] <= now:
+                    gone += 1
+            on_timer(now, flow_id)
         for flow in flows:
             totals = flow.trace.totals
-            # The newest epoch is still open: it goes into the totals
-            # unreleased, with the epochs it leaves unresolved.
-            unreleased = [flow.epochs.pop()] if flow.epochs else []
+            # The open epoch is never released, but its packets count.
+            final = open_tally[flow.flow_id]
+            if final is not None:
+                _count(totals, final)
             self._release(flow, duration, decide=False)
-            unreleased += flow.epochs
-            for acc in unreleased:
-                totals.sent += acc.planned
-                totals.dropped_overflow += acc.overflow
-                totals.dropped_random += acc.lost
             totals.delivered = (totals.sent - totals.dropped_random
                                 - totals.dropped_overflow - totals.in_flight)
         return [flow.trace for flow in flows]

@@ -111,21 +111,20 @@ def test_service_starts_and_ack_times_never_decrease(seed):
 
 class _CheckedHeapq:
     """``heapq`` stand-in that checks the event heap after every push,
-    and notes when each flow's open epoch began."""
+    and notes when each flow's open epoch began: every event is an epoch
+    timer, ``(time, flow id)``."""
 
     def __init__(self):
         self.opened = {}
 
     def heappush(self, heap, event):
         heapq.heappush(heap, event)
-        per_flow = Counter((kind, flow_id) for _, kind, flow_id in heap)
-        assert max(per_flow.values()) == 1
+        assert max(Counter(flow_id for _, flow_id in heap).values()) == 1
 
     def heappop(self, heap):
-        now, kind, flow_id = heapq.heappop(heap)
-        if kind == netsim._TIMER:
-            self.opened[flow_id] = now
-        return now, kind, flow_id
+        now, flow_id = heapq.heappop(heap)
+        self.opened[flow_id] = now
+        return now, flow_id
 
 
 class _CheckedRuns:
@@ -152,9 +151,9 @@ class _CheckedRuns:
 
 @pytest.mark.parametrize("seed", range(30))
 def test_heap_holds_one_arrival_and_one_timer_per_flow(seed, monkeypatch):
-    # The heap holds no arrival and at most one timer and one refill per
-    # flow; each flow's run, refilled every five arrivals here, holds at
-    # most a segment of its open epoch.
+    # The heap holds at most one timer per flow and nothing else; each
+    # flow's run, refilled every five arrivals here, holds at most a
+    # segment of its open epoch.
     checked = _CheckedHeapq()
     monkeypatch.setattr(netsim, "heapq", checked)
     monkeypatch.setattr(netsim, "_SEGMENT", 5)

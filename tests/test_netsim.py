@@ -4,10 +4,12 @@ accounting identities, and determinism."""
 import itertools
 import json
 import math
+import random
 
 import pytest
 
 from conftest import flow, make_link, scenario, watch_refills
+from diffcheck import random_scenario
 from iriscc import baselines, controller, netsim
 from iriscc.metrics import mean_throughput
 from iriscc.netsim import Simulation, run_scenario
@@ -554,6 +556,23 @@ def test_segment_refills_keep_the_bytes(name, monkeypatch, tmp_path):
     trace, totals, _ = watched_run(sc, tmp_path / "default.csv")
     monkeypatch.setattr(netsim, "_SEGMENT", 3)
     assert watched_run(sc, tmp_path / "refilled.csv") == (trace, totals, 3)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_segment_size_never_changes_the_bytes(seed, monkeypatch, tmp_path):
+    # Random scenarios put delays and start times on a 5 ms grid, so a
+    # segment's last arrival often ties with another flow's arrival or
+    # timer.  Refilled at every arrival, a run keeps its trace and totals.
+    sc = scenario_from_dict(random_scenario(random.Random(seed)))
+
+    def run(path):
+        traces = run_scenario(sc)
+        write_trace_csv(traces, path)
+        return path.read_bytes(), [trace.totals for trace in traces]
+
+    default = run(tmp_path / "default.csv")
+    monkeypatch.setattr(netsim, "_SEGMENT", 1)
+    assert run(tmp_path / "refilled.csv") == default
 
 
 @pytest.mark.parametrize("name", [*sorted(GOLDEN), "backlog"])

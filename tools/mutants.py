@@ -70,8 +70,9 @@ MUTANTS = [
     (NETSIM, "if t >= window_end:", "if t > window_end:"),
     (NETSIM, "if taken > 1:", "if taken > 2:"),
     # The emission guard allows exactly its limit per epoch, counting
-    # only arrivals within the run, and each refill resumes where the
-    # last segment ended.
+    # only arrivals within the run; the loop refills a used-up run while
+    # its chain goes on, and each refill resumes where the last segment
+    # ended.
     (NETSIM, "if acc.planned > _MAX_EMISSIONS_PER_EPOCH:",
      "if acc.planned >= _MAX_EMISSIONS_PER_EPOCH:"),
     (NETSIM, "acc.planned += (len(segment) if last <= duration",
@@ -79,15 +80,16 @@ MUTANTS = [
     (NETSIM, "flow.pacing = (t, interval, window_end)",
      "flow.pacing = (t + interval, interval, window_end)"),
     (NETSIM, "len(segment) == _SEGMENT", "len(segment) > _SEGMENT"),
-    # Drops are counted by kind, the open epoch's too at the end.
+    (NETSIM, "if flow.pacing:", "if False:"),
+    # Drops are counted by kind, and the end of the run counts the open
+    # epoch, its drops too.
     (NETSIM, "acc.lost += 1", "acc.overflow += 1"),
-    (NETSIM, "unreleased = [flow.epochs.pop()] if flow.epochs else []", """\
-unreleased = []
-            if flow.epochs:
-                totals.sent += flow.epochs.pop().planned"""),
+    (NETSIM, "_count(totals, final)", "pass"),
+    (NETSIM, "_count(totals, final)", "totals.sent += final.planned"),
     # A rate the chain can pace, from the start on: positive and finite.
-    (NETSIM, "0 < flow.rate < math.inf", "0 < flow.rate <= math.inf"),
     (NETSIM, "if not 0 < rate < math.inf:", "if not 0 < rate <= math.inf:"),
+    (NETSIM, "flow.rate = _checked_rate(flow.controller.on_epoch(fb, now))",
+     "flow.rate = flow.controller.on_epoch(fb, now)"),
     # ACK accounting: delivered within the run, every admitted packet
     # acked, and an epoch resolved once its latest ACK is due.
     (NETSIM, "if ack > duration:", "if ack >= duration:"),
