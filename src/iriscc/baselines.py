@@ -45,9 +45,9 @@ class AimdController:
         return self.cwnd / self.rtt_est
 
     def on_epoch(self, feedback: EpochFeedback, now: float) -> float:
-        if feedback.measured:
-            assert feedback.mean_rtt is not None
-            self.rtt_est += _RTT_EWMA_WEIGHT * (feedback.mean_rtt - self.rtt_est)
+        rtt = feedback.mean_rtt
+        if rtt is not None:
+            self.rtt_est += _RTT_EWMA_WEIGHT * (rtt - self.rtt_est)
         if feedback.dropped > 0:
             # One multiplicative decrease per epoch, however many packets
             # died: halve the window, never below one packet.
@@ -90,9 +90,8 @@ class VegasController:
         packets are queued; the window walks up or down by one packet to
         keep that inside [alpha, beta].  An unmeasured epoch holds it.
         """
-        if feedback.measured:
-            rtt = feedback.mean_rtt
-            assert rtt is not None
+        rtt = feedback.mean_rtt
+        if rtt is not None:
             self.rtt_est = rtt
             self.base_rtt = min(self.base_rtt, rtt)
             diff = self.cwnd * (1.0 - self.base_rtt / rtt)

@@ -109,7 +109,7 @@ class DecisionLogEntry(NamedTuple):
     contraction: float | None  # gap-contraction factor at this decision
 
 
-@dataclass
+@dataclass(slots=True)
 class WindowSums:
     """Running sums over the records of ``IrisController.history``.
 
@@ -134,29 +134,29 @@ class WindowSums:
     evictions: int = 0   # since the last re-sum
 
     def add(self, rec: Measurement) -> None:
-        send = rec.send_rate
+        _, send, recv, _, y = rec
         self.send += send
         if send > self.max_send:
             self.max_send = send
-        y = rec.delta_rtt
         if y is not None:
-            x = send - rec.recv_rate
+            x = send - recv
             self.n += 1
             self.sx += x
             self.sy += y
             self.sxx += x * x
             self.syy += y * y
             self.sxy += x * y
-            if abs(x) > self.max_x:
-                self.max_x = abs(x)
-            if abs(y) > self.max_y:
-                self.max_y = abs(y)
+            ax, ay = abs(x), abs(y)
+            if ax > self.max_x:
+                self.max_x = ax
+            if ay > self.max_y:
+                self.max_y = ay
 
     def remove(self, rec: Measurement) -> None:
-        self.send -= rec.send_rate
-        y = rec.delta_rtt
+        _, send, recv, _, y = rec
+        self.send -= send
         if y is not None:
-            x = rec.send_rate - rec.recv_rate
+            x = send - recv
             self.n -= 1
             self.sx -= x
             self.sy -= y
@@ -299,7 +299,8 @@ def _screen_rejects(sums: WindowSums, records: int, min_samples: int) -> bool:
     cxx = sums.sxx - mx * sums.sx
     cyy = sums.syy - sums.sy / n * sums.sy
     cxy = sums.sxy - mx * sums.sy
-    if not (all(map(math.isfinite, (cxx, cyy, cxy, sums.send)))
+    if not (math.isfinite(cxx) and math.isfinite(cyy) and math.isfinite(cxy)
+            and math.isfinite(sums.send)
             and cxx > SCREEN_CONDITION * sums.max_x * sums.max_x
             and cyy > SCREEN_CONDITION * sums.max_y * sums.max_y
             and sums.send > SCREEN_CONDITION * sums.max_send):
@@ -367,7 +368,7 @@ class IrisController:
 
     def on_epoch(self, feedback: EpochFeedback, now: float) -> float:
         recv = target = None
-        if feedback.measured:
+        if feedback.mean_rtt is not None:
             recv = self._record_measurement(feedback).recv_rate
             target = self.update_target_delay(now)
         step = self._cold_step if self.phase is Phase.COLD_START else self._steady_step
@@ -474,20 +475,10 @@ class IrisController:
                    contraction: float | None = None) -> DecisionLogEntry:
         """The record of the decision a step just made: its rate is the
         current rate, its target the current target delay."""
-        return DecisionLogEntry(
-            time=now,
-            epoch_index=fb.index,
-            phase=phase,
-            rate=self.current_rate,
-            k=k,
-            measured=fb.measured,
-            rtt=fb.mean_rtt,
-            target_delay=self.target_delay,
-            objective=objective,
-            rtt_step=rtt_step,
-            recv_rate=recv_rate,
-            contraction=contraction,
-        )
+        rtt = fb.mean_rtt
+        # Positional: keywords cost about twice as much per epoch.
+        return DecisionLogEntry(now, fb.index, phase, self.current_rate, k, rtt is not None, rtt,
+                                self.target_delay, objective, rtt_step, recv_rate, contraction)
 
     def _steady_step(self, fb: EpochFeedback, now: float, recv: float | None,
                      target: float | None) -> DecisionLogEntry:
@@ -500,7 +491,7 @@ class IrisController:
         enter the decision directly: random loss must not read as
         congestion, and genuine congestion already shows up in the RTT.
         """
-        if not fb.measured:
+        if recv is None:
             return self._log_entry(fb, now, Phase.STEADY, self.k)
         if target is None:
             target = self.target_delay = fb.mean_rtt

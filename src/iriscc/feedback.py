@@ -43,7 +43,8 @@ class EpochFeedback(_Fields):
             raise ValueError(f"last_ack must be None exactly when no ACK came back, got {last_ack}")
         if not 0 <= send_rate < math.inf:
             raise ValueError(f"send_rate must be non-negative and finite, got {send_rate}")
-        if measured and not (math.isfinite(mean_rtt) and mean_rtt > 0 and math.isfinite(last_ack)):
+        # Chained comparisons: NaN fails them as it fails isfinite.
+        if measured and not (0 < mean_rtt < math.inf and -math.inf < last_ack < math.inf):
             raise ValueError(f"mean_rtt must be positive and finite and last_ack finite, "
                              f"got {mean_rtt} and {last_ack}")
         return tuple.__new__(cls, (index, end, send_rate, sent, acked, dropped, mean_rtt, last_ack))

@@ -21,6 +21,7 @@ from iriscc.controller import (
     CONTRACTION_CAP,
     EXCITATION_FLOOR,
     HISTORY_CAP,
+    INITIAL_RATE,
     K_MIN,
     MIN_FIT_PLCC,
     MIN_FIT_SAMPLES,
@@ -788,6 +789,9 @@ def test_feedback_rejects_bad_values():
     ({"mean_rtt": 0.0}, "mean_rtt"),
     ({"mean_rtt": math.nan}, "mean_rtt"),
     ({"mean_rtt": math.inf}, "mean_rtt"),
+    ({"last_ack": math.nan}, "finite"),
+    ({"mean_rtt": -1.0}, "mean_rtt"),
+    ({"mean_rtt": -math.inf}, "mean_rtt"),
 ])
 def test_feedback_make_and_replace_check_like_the_constructor(changes, match):
     good = feedback()
@@ -835,6 +839,43 @@ def test_adapter_holds_rate_on_unmeasured_epoch():
     entry = ctrl.decisions[-1]
     assert entry.measured is False and entry.rtt is None
     assert entry.phase is Phase.STEADY and entry.k == 2.0 and entry.objective is None
+
+
+def test_steady_decision_record_holds_what_the_control_law_gives():
+    ctrl = IrisController(queue_load_target=4.0)
+    ctrl.phase = Phase.STEADY
+    ctrl.k = 0.1
+    decide(ctrl, feedback(rtt=50.0, end=50.0, last_ack=100.0), 50.0)
+    entry = decide(ctrl, feedback(index=1, send=2.0, rtt=58.0, end=100.0, last_ack=140.0), 110.0)
+    # 100 packets over the 40 ms from the last measured epoch's ACK.
+    recv = 2.5
+    objective = compute_objective(2.0, 58.0, 50.0, 4.0)
+    rtt_step = expected_rtt_variation(objective, 3.0, 100.0)
+    k_used = effective_slope(0.1, 58.0, 50.0, 3.0, 100.0)
+    assert k_used > 0.1  # the gain bound lifted the slope
+    assert entry._asdict() == {
+        "time": 110.0,
+        "epoch_index": 1,
+        "phase": Phase.STEADY,
+        "rate": next_sending_rate(recv, rtt_step, k_used),
+        "k": k_used,
+        "measured": True,
+        "rtt": 58.0,
+        "target_delay": 50.0,
+        "objective": objective,
+        "rtt_step": rtt_step,
+        "recv_rate": recv,
+        "contraction": gap_contraction_factor(58.0, 50.0, k_used, 3.0, 100.0),
+    }
+    assert ctrl.current_rate == entry.rate
+    # An unmeasured steady epoch logs only the held rate, slope and target.
+    held = decide(ctrl, feedback(index=2, end=150.0, measured=False), 160.0)
+    assert held == (160.0, 2, Phase.STEADY, entry.rate, 0.1, False, None, 50.0,
+                    None, None, None, None)
+    # A cold epoch logs its measurement but none of the steady law's terms.
+    cold = decide(IrisController(), feedback(rtt=40.0, end=50.0), 50.0)
+    assert cold == (50.0, 0, Phase.COLD_START, 2 * INITIAL_RATE, K_MIN, True, 40.0, 40.0,
+                    None, None, 1.0, None)
 
 
 def test_adapter_cold_doubles_then_logs():

@@ -14,8 +14,10 @@ last line and its first failing test.  The exit status is 1 if any
 mutant survived or if any entry's text no longer occurs exactly once in
 its file (``STALE``), else 0.  The unmutated copy runs the suite first
 and must pass it, else the exit status is 2.  The checkout itself is
-never modified.  Mutants run one after another, each in at most the
-suite's own running time.
+never modified.  Mutants run one after another, each for at most
+``TIMEOUT_FACTOR`` times as long as the unmutated suite took: a suite
+still running then (a mutant can make a loop spin) is stopped, and its
+mutant counts as ``killed (timeout)``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,6 +35,10 @@ ROOT = Path(__file__).resolve().parent.parent
 NETSIM = "src/iriscc/netsim.py"
 BASELINES = "src/iriscc/baselines.py"
 CONTROLLER = "src/iriscc/controller.py"
+FEEDBACK = "src/iriscc/feedback.py"
+
+# How many times the unmutated suite's running time a mutant's suite gets.
+TIMEOUT_FACTOR = 4
 
 # (file, text, replacement): one mutant each.
 MUTANTS = [
@@ -115,8 +122,10 @@ MUTANTS = [
      "lo = __import__('bisect').bisect_left(row_times, t - window)"),
     ("src/iriscc/metrics.py", "hi = bisect_right(row_times, t, lo)",
      "hi = __import__('bisect').bisect_left(row_times, t, lo)"),
-    # A replaced feedback record is checked like a new one.
-    ("src/iriscc/feedback.py", "return cls(*iterable)", "return tuple.__new__(cls, iterable)"),
+    # A replaced feedback record is checked like a new one, and a
+    # measured epoch's mean RTT is positive.
+    (FEEDBACK, "return cls(*iterable)", "return tuple.__new__(cls, iterable)"),
+    (FEEDBACK, "0 < mean_rtt < math.inf", "0 <= mean_rtt < math.inf"),
     # The re-fit screen may reject only what the exact gate rejects.
     (CONTROLLER, """\
 SCREEN_PLCC_MARGIN = 0.05
@@ -139,6 +148,9 @@ SCREEN_EXCITATION_MARGIN = 0.0   # relative
         delta = None if self.prev_rtt is None else fb.mean_rtt - self.prev_rtt
         self.last_meas_ack = fb.last_ack
 """),
+    # The decision record's fields are in their declared order.
+    (CONTROLLER, "self.target_delay, objective, rtt_step, recv_rate, contraction)",
+     "self.target_delay, rtt_step, objective, recv_rate, contraction)"),
     # The contraction factor reads the slope the step used.
     (CONTROLLER, "gap_contraction_factor(fb.mean_rtt, target, k_used, bound, scale)",
      "gap_contraction_factor(fb.mean_rtt, target, self.k, bound, scale)"),
@@ -176,9 +188,11 @@ def checkout_files() -> list[str]:
     return [name for name in listed.split("\0") if name and (ROOT / name).is_file()]
 
 
-def run_suite(files: list[str], mutant: tuple[str, str, str] | None) -> tuple[str, str]:
+def run_suite(files: list[str], mutant: tuple[str, str, str] | None,
+              timeout: float | None = None) -> tuple[str, str]:
     """(verdict, the suite's last line) for one mutant, or for the
-    unmutated copy when ``mutant`` is None."""
+    unmutated copy when ``mutant`` is None.  A suite that runs past
+    ``timeout`` seconds is stopped and kills its mutant."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp)
         for name in files:
@@ -191,10 +205,13 @@ def run_suite(files: list[str], mutant: tuple[str, str, str] | None) -> tuple[st
             if source.count(text) != 1:
                 return "STALE", f"the text occurs {source.count(text)} times"
             target.write_text(source.replace(text, replacement))
-        suite = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
-            cwd=copy, capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": str(copy / "src")})
+        try:
+            suite = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
+                cwd=copy, capture_output=True, text=True, timeout=timeout,
+                env={**os.environ, "PYTHONPATH": str(copy / "src")})
+        except subprocess.TimeoutExpired:
+            return "killed (timeout)", f"no result after {timeout:.0f} s"
     lines = [line for line in suite.stdout.splitlines() if line.strip()]
     failed = [line.split(" - ")[0] for line in lines if line.startswith(("FAILED ", "ERROR "))]
     summary = (lines[-1] if lines else "") + (f" ({failed[0]})" if failed else "")
@@ -203,16 +220,18 @@ def run_suite(files: list[str], mutant: tuple[str, str, str] | None) -> tuple[st
 
 def main() -> int:
     files = checkout_files()
+    start = time.monotonic()
     verdict, last = run_suite(files, None)
-    print(f"unmutated copy: {verdict} -- {last}", flush=True)
+    timeout = TIMEOUT_FACTOR * (time.monotonic() - start)
+    print(f"unmutated copy: {verdict} -- {last}; each mutant gets {timeout:.0f} s", flush=True)
     if verdict != "passed":
         return 2
     bad = 0
     for index, mutant in enumerate(MUTANTS):
-        verdict, last = run_suite(files, mutant)
+        verdict, last = run_suite(files, mutant, timeout)
         if verdict == "passed":
             verdict = "SURVIVED"
-        bad += verdict != "killed"
+        bad += not verdict.startswith("killed")
         path, _, replacement = mutant
         print(f"{index:2d} {verdict:8s} {path}: {replacement.strip().splitlines()[0]!r} -- {last}",
               flush=True)
