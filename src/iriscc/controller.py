@@ -399,13 +399,12 @@ class IrisController:
         self.target_stale_epochs = 0
         return target
 
-    def _adopt_fit(self, fit: RegressionFit | None, now: float) -> bool:
-        """Clamp and install a fitted slope; report whether one was applied."""
+    def _adopt_fit(self, fit: RegressionFit | None, now: float) -> None:
+        """Clamp and install a fitted slope, if there is a finite one."""
         if fit is None or not math.isfinite(fit.k):
-            return False
+            return
         self.k = max(K_MIN, fit.k)
         self.applied_fits.append((now, fit))
-        return True
 
     def _screened_fit(self, min_samples: int) -> RegressionFit | None:
         """:func:`_gated_fit` of the history, unless the screen rejects it."""
@@ -505,10 +504,11 @@ class IrisController:
                                gap_contraction_factor(fb.mean_rtt, target, k_used, bound, scale))
 
     def _exit_cold(self, fit: RegressionFit | None, now: float) -> None:
-        """Leave the ramp: install the fit and land on the latest receiving rate."""
+        """Leave the ramp: install the fit and land on the latest receiving
+        rate.  Without a finite fit the slope stays ``K_MIN``, where the
+        ramp kept it, and the steady state learns it on the fly."""
         self.phase = Phase.STEADY
-        if not self._adopt_fit(fit, now):
-            self.k = K_MIN  # ramp data was degenerate; learn on the fly
+        self._adopt_fit(fit, now)
         landing = self.history[-1].recv_rate if self.history else self.current_rate
         self.current_rate = max(RATE_FLOOR, landing)
 
@@ -535,9 +535,8 @@ class IrisController:
         overshoot adds more learnable records.  The safety rate ceiling
         forces an exit with the ungated fit of the whole history.  On exit
         the pacing rate falls back to the last observed receiving rate.  The
-        record logs ``recv`` and the slope the flow had before the step.
+        record logs ``recv`` and ``K_MIN``, the slope the ramp keeps.
         """
-        k = self.k
         loss_rate = fb.loss_rate
         prev_loss = self.prev_loss_rate
         self.prev_loss_rate = loss_rate
@@ -556,4 +555,4 @@ class IrisController:
                 self.current_rate = max(RATE_FLOOR, self.current_rate * COLD_BACKOFF)
         else:
             self.current_rate = min(self.current_rate * 2.0, RATE_CEILING)
-        return self._log_entry(fb, now, Phase.COLD_START, k, recv)
+        return self._log_entry(fb, now, Phase.COLD_START, K_MIN, recv)

@@ -12,7 +12,6 @@ import statistics
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Sequence
 
 from .trace import FlowTrace
@@ -77,21 +76,16 @@ def window_throughput(trace: FlowTrace, t: float, window: float) -> float:
 
 
 def _window_throughputs(trace: FlowTrace, times: Sequence[float], window: float) -> list[float]:
-    """:func:`window_throughput` at each of ``times``: exact integer prefix sums
-    over a common power-of-two denominator, rounded once by int/int division."""
+    """:func:`window_throughput` at each of ``times``, from one pass over
+    the rows: each window is a slice of their amounts, summed by ``fsum``."""
     spacing = _row_spacing(trace)
     amounts = [row.throughput * spacing for row in trace.rows]
-    if not all(map(math.isfinite, amounts)):
-        return [window_throughput(trace, t, window) for t in times]
-    ratios = [amount.as_integer_ratio() for amount in amounts]
-    denom = max((d for _, d in ratios), default=1)
-    prefix = [0, *accumulate(n * (denom // d) for n, d in ratios)]
     row_times = [row.time for row in trace.rows]
     rates = []
     for t in times:
         lo = bisect_right(row_times, t - window)
         hi = bisect_right(row_times, t, lo)
-        rates.append((prefix[hi] - prefix[lo]) / denom / window)
+        rates.append(math.fsum(amounts[lo:hi]) / window)
     return rates
 
 

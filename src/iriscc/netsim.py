@@ -45,15 +45,17 @@ link capacity, and :meth:`Simulation.run` applies its rules inline:
 Packets arrive in time order, so service starts never decrease and the
 schedule entry in force only moves forward.
 
-A flow materializes at most ``_SEGMENT`` arrivals of its open epoch at
-a time, and keeps the rest of its chain as ``pacing``, the next time,
-the gap and the epoch's end; the loop materializes the next segment
-when it takes the last arrival of a run.  Each arrival is one gap added
-to the one before it.  A chain's times strictly increase unless a gap
-rounds away, and then it stalls until the emission guard ends the run,
-so a segment taken after the one before it keeps the order.  The
-chain's last arrival, noted when it is materialized, keeps the pacing
-gap into the next epoch.
+A flow's chain stops short of its epoch's end and at the run's end,
+so it holds only arrivals within the run.  A flow materializes at most
+``_SEGMENT`` arrivals of its open epoch at a time, and after a full
+segment keeps the rest of its chain as ``pacing``, the next time, the
+gap and the stop; the loop materializes the next segment when it takes
+the last arrival of a run.  Each arrival is one gap added to the one
+before it.  A chain's times strictly increase unless a gap rounds away,
+and then it stalls until the emission guard ends the run, so a segment
+taken after the one before it keeps the order.  The chain's last
+arrival, noted when it is materialized, keeps the pacing gap into the
+next epoch.
 
 ACKs need no events either.  Delivery and ACK happen at known offsets
 from the start of service (the reverse path is ideal), so an admitted
@@ -61,9 +63,8 @@ packet's ACK time is fixed on arrival, and the packet is tallied into
 its epoch then: RTT sum and latest ACK time.  Per packet, only these,
 the epoch's occupancy sum and overflow or random drop, and the flow's
 in-flight packets (ACKed after the run) are counted.  An epoch's
-planned count grows per materialized segment, by its arrivals within
-the run, as the loop admits no later ones, and the emission guard
-checks it there.  An epoch's planned packets and drops add to the
+planned count grows by each segment it materializes, and the emission
+guard checks it there.  An epoch's planned packets and drops add to the
 flow's totals when its timer closes it, and the open epoch's at the end
 of the run; delivered is sent less drops and in-flight packets.  At
 release an epoch's ACK count is planned less its drops.
@@ -134,8 +135,8 @@ class _FlowRuntime:
     rate: float
     prev_mean_rtt: float         # of the latest measured epoch, for the trace; rtprop before one
     trace: FlowTrace
-    # While the open epoch's chain goes on past ``run``, the rest of it:
-    # (next time, gap, the epoch's end, which it stops short of).
+    # After a full segment, the rest of the open epoch's chain:
+    # (next time, gap, the stop it stays short of).
     pacing: tuple = ()
     run: list = field(default_factory=list)  # materialized (time, flow id) arrivals, sorted
     head: int = 0                    # index of the first one in ``run`` not yet admitted
@@ -250,17 +251,20 @@ class Simulation:
             self._release(flow, now)
         interval = 1.0 / flow.rate
         self._open[flow_id] = _EpochAccum()
+        duration = self.scenario.duration
         window_end = now + flow.epoch_len
         first = now if flow.last_emit is None else max(now, flow.last_emit + interval)
-        self._refill(flow, first, interval, window_end)
-        if window_end <= self.scenario.duration:
+        if window_end <= duration:
+            self._refill(flow, first, interval, window_end)
             heapq.heappush(self._heap, (window_end, flow_id))
+        else:  # the last epoch: its chain stops at the run's end, that instant included
+            self._refill(flow, first, interval, math.nextafter(duration, math.inf))
 
-    def _refill(self, flow: _FlowRuntime, t: float, interval: float, window_end: float) -> None:
+    def _refill(self, flow: _FlowRuntime, t: float, interval: float, stop: float) -> None:
         """Materialize the next segment of the flow's chain, from ``t`` on
-        and short of ``window_end``, as its run; count its arrivals within
-        the run into the open epoch, and keep the rest of the chain as
-        ``pacing`` while it goes on within the run, else clear it.
+        and short of ``stop``, as its run; count its arrivals into the open
+        epoch, and keep the rest of the chain as ``pacing`` if the segment
+        is full, else clear it.
 
         The flow's previous run is all admitted by now: a timer follows
         its epoch's arrivals, and the loop refills only a used-up run."""
@@ -268,22 +272,19 @@ class Simulation:
         segment = []
         append = segment.append
         for _ in repeat(None, _SEGMENT):
-            if t >= window_end:
+            if t >= stop:
                 break
             append((t, flow_id))
             t += interval
-        duration = self.scenario.duration
-        chain_goes_on = len(segment) == _SEGMENT and segment[-1][0] <= duration
-        flow.pacing = (t, interval, window_end) if chain_goes_on else ()
+        flow.pacing = (t, interval, stop) if len(segment) == _SEGMENT else ()
         flow.due = segment[0][0] if segment else math.inf
         if not segment:
             return
         flow.run = segment
         flow.head = 0
-        flow.last_emit = last = segment[-1][0]
+        flow.last_emit = segment[-1][0]
         acc = self._open[flow_id]
-        acc.planned += (len(segment) if last <= duration
-                        else bisect_right(segment, duration, key=_arrival_time))
+        acc.planned += len(segment)
         if acc.planned > _MAX_EMISSIONS_PER_EPOCH:
             raise RuntimeError(f"flow {flow_id} emission rate exploded ({flow.rate}/ms)")
 
@@ -369,7 +370,7 @@ class Simulation:
                     if hi < len(run):
                         flow.due = run[hi][0]
                         break
-                    if flow.pacing:  # used up, and the chain goes on
+                    if flow.pacing:  # used up, and the chain may go on
                         refill(flow, *flow.pacing)
                     else:
                         flow.due = math.inf

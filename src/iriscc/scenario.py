@@ -64,27 +64,27 @@ class LinkConfig(NamedTuple):
     seed: int = 0
     packet_bytes: int = DEFAULT_PACKET_BYTES
 
-    def validate(self, prefix: str = "link") -> None:
+    def validate(self) -> None:
         sched = self.bandwidth_schedule
         if not sched:
-            raise ScenarioError(f"{prefix}.bandwidth_schedule", "must not be empty")
+            raise ScenarioError("link.bandwidth_schedule", "must not be empty")
         if sched[0][0] != 0:
-            raise ScenarioError(f"{prefix}.bandwidth_schedule", "first entry must start at time 0")
+            raise ScenarioError("link.bandwidth_schedule", "first entry must start at time 0")
         prev_t = -math.inf
         for t, cap in sched:
             if not t > prev_t:  # a NaN time fails too
-                raise ScenarioError(f"{prefix}.bandwidth_schedule", "times must be strictly increasing")
+                raise ScenarioError("link.bandwidth_schedule", "times must be strictly increasing")
             if not (math.isfinite(cap) and cap > 0):
-                raise ScenarioError(f"{prefix}.bandwidth_schedule", f"capacity must be positive, got {cap}")
+                raise ScenarioError("link.bandwidth_schedule", f"capacity must be positive, got {cap}")
             prev_t = t
         if not (math.isfinite(self.prop_delay) and self.prop_delay > 0):
-            raise ScenarioError(f"{prefix}.prop_delay_ms", f"must be positive, got {self.prop_delay}")
+            raise ScenarioError("link.prop_delay_ms", f"must be positive, got {self.prop_delay}")
         if self.queue_capacity < 1:
-            raise ScenarioError(f"{prefix}.queue_capacity_pkts", f"must be >= 1, got {self.queue_capacity}")
+            raise ScenarioError("link.queue_capacity_pkts", f"must be >= 1, got {self.queue_capacity}")
         if not 0.0 <= self.random_loss < 1.0:
-            raise ScenarioError(f"{prefix}.random_loss", f"must be in [0, 1), got {self.random_loss}")
+            raise ScenarioError("link.random_loss", f"must be in [0, 1), got {self.random_loss}")
         if self.packet_bytes <= 0:
-            raise ScenarioError(f"{prefix}.packet_bytes", f"must be positive, got {self.packet_bytes}")
+            raise ScenarioError("link.packet_bytes", f"must be positive, got {self.packet_bytes}")
 
     def mean_capacity(self, t0: float, t1: float) -> float:
         """Time-weighted mean capacity over ``(t0, t1]``, packets/ms.

@@ -128,17 +128,20 @@ class _CheckedHeapq:
 
 
 class _CheckedRuns:
-    """Checks, after every segment materialized, that each flow holds at
-    most ``_SEGMENT`` pending arrivals, all inside its open epoch, and
-    counts the arrivals materialized."""
+    """Checks, after every segment materialized, that its arrivals are
+    all within the run and that each flow holds at most ``_SEGMENT``
+    pending arrivals, all inside its open epoch, and counts the arrivals
+    materialized."""
 
     def __init__(self, sim, opened):
         self.flows = sim.flows
         self.opened = opened
+        self.duration = sim.scenario.duration
         self.materialized = 0
         watch_refills(sim, self.check)
 
     def check(self, refilled):
+        assert all(t <= self.duration for t, _ in refilled.run)
         self.materialized += len(refilled.run)
         for flow in self.flows:
             pending = flow.run[flow.head:]
@@ -153,11 +156,12 @@ class _CheckedRuns:
 def test_heap_holds_one_arrival_and_one_timer_per_flow(seed, monkeypatch):
     # The heap holds at most one timer per flow and nothing else; each
     # flow's run, refilled every five arrivals here, holds at most a
-    # segment of its open epoch.
+    # segment of its open epoch, and every arrival it materializes is
+    # sent.
     checked = _CheckedHeapq()
     monkeypatch.setattr(netsim, "heapq", checked)
     monkeypatch.setattr(netsim, "_SEGMENT", 5)
     sim = Simulation(scenario_from_dict(random_scenario(random.Random(seed))))
     runs = _CheckedRuns(sim, checked.opened)
     traces = sim.run()
-    assert runs.materialized >= sum(trace.totals.sent for trace in traces)
+    assert runs.materialized == sum(trace.totals.sent for trace in traces)

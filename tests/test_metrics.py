@@ -292,8 +292,8 @@ def test_jain_series_and_fairness_report_match_scan(traces, duration, after, win
 
 # --- the one-pass Jain series against a point-by-point fsum -----------------------
 
-# Shares from tiny subnormals to near overflow, so the exact prefix sums
-# span a 2**-1074 denominator and ~1e300 numerators in one trace.
+# Shares from tiny subnormals to near overflow, so one window's sum can
+# hold 2**-1074 and ~1e300 amounts at once.
 extreme_throughputs = st.one_of(
     st.floats(0.0, 10.0),
     st.sampled_from([5e-324, 1e-323, 2.2250738585072014e-308, 1e300, 9.99e299]),
@@ -316,10 +316,11 @@ def jain_by_points(traces, duration, window, grid, starts):
 
 
 def outcome(series, *args):
-    """What ``series`` returns, or the message of the ValueError it raises."""
+    """What ``series`` returns, or the message of the ValueError or
+    OverflowError it raises."""
     try:
         return series(*args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         return str(exc)
 
 
@@ -337,15 +338,18 @@ def default_start(trace):
          200, 50.0, 25.0, None)
 @example([lattice_trace([]), lattice_trace([(2, 1e300)]), lattice_trace([(3, 1e300), (4, 5e-324)])],
          300, 100.0, 25.0, None)
-# A trace read from a file may hold non-finite rates; they have no
-# integer ratio, and their windows still read as fsum reads them.  A
-# window that holds one is a share Jain's index rejects; one that starts
-# after it reads the finite rows alone.
+# A trace read from a file may hold non-finite rates, and their windows
+# read as fsum reads them.  A window that holds one is a share Jain's
+# index rejects; one that starts after it reads the finite rows alone.
 @example([lattice_trace([(1, 1.0), (3, math.inf)]), lattice_trace([(2, math.nan), (9, 2.0)]),
           lattice_trace([(4, 1.0)])], 400, 50.0, 25.0, None)
 @example([lattice_trace([(1, 1.0), (3, math.inf), (8, 2.0)]),
           lattice_trace([(2, math.nan), (9, 2.0)]), lattice_trace([(4, 1.0)])],
          400, 50.0, 25.0, [150.0, 150.0, 0.0, 0.0])
+# A window whose partial sums overflow, though its total does not,
+# raises as fsum raises.
+@example([lattice_trace([(2, 2e306), (4, 2e306), (6, -2e306)]), lattice_trace([(1, 1.0)])],
+         200, 1000.0, 25.0, None)
 def test_jain_series_equals_fsum_per_point(traces, duration, window, grid, starts):
     expected_starts = [default_start(trace) for trace in traces] if starts is None else starts
     assert outcome(jain_series, traces, duration, window, grid, starts) == outcome(

@@ -5,7 +5,8 @@ working tree and on another revision, and compare what they produce.
 
 REV is checked out into a temporary ``git worktree``.  Each tree runs
 every scenario in its own Python process, with its own ``src`` first on
-the path; the two processes run at the same time.  Each reports per
+the path; the two processes run at the same time.  A SIGTERM, or one
+process failing, stops both and removes the worktree.  Each reports per
 scenario the sha256 of five outputs: the
 trace CSV, the per-flow totals, the iris decision logs, the adopted
 slope fits, each fit as ``(time, k, b, plcc, n)``, and the metrics,
@@ -31,6 +32,7 @@ import json
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 import tempfile
@@ -192,6 +194,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--count", type=int, default=300, help="number of scenarios")
     parser.add_argument("--seed", type=int, default=0, help="seed of the scenario generator")
     args = parser.parse_args(argv)
+    # Unwind on SIGTERM, so that the runs stop and the worktree goes.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     rng = random.Random(args.seed)
     # Runs of up to 6 s, so that more iris flows reach steady state and re-fit.
     docs = [random_scenario(rng, max_duration=6000.0) for _ in range(args.count)]
@@ -199,16 +203,22 @@ def main(argv: list[str] | None = None) -> int:
         docs_path = Path(tmp) / "docs.json"
         docs_path.write_text(json.dumps(docs))
         tree = Path(tmp) / "tree"
-        _git("worktree", "add", "--detach", "--quiet", str(tree), args.against)
         try:
+            _git("worktree", "add", "--detach", "--quiet", str(tree), args.against)
             # Leaving the block waits for both processes, so the
-            # worktree outlives its run even when the other one fails.
+            # worktree outlives its run.
             with _start_tree(tree / "src", docs_path) as their_run, \
                     _start_tree(ROOT / "src", docs_path) as our_run:
-                theirs = _tree_digests(their_run, tree / "src")
-                ours = _tree_digests(our_run, ROOT / "src")
+                try:
+                    theirs = _tree_digests(their_run, tree / "src")
+                    ours = _tree_digests(our_run, ROOT / "src")
+                finally:
+                    for run in (their_run, our_run):
+                        if run.returncode is None:  # the other one failed, or a stop
+                            run.kill()
         finally:
-            _git("worktree", "remove", "--force", str(tree))
+            if tree.exists():  # a stop can come before the worktree is added
+                _git("worktree", "remove", "--force", str(tree))
     for index, (doc, mine, other) in enumerate(zip(docs, ours["digests"], theirs["digests"])):
         differing = [name for name in sorted(set(mine) | set(other)) if mine.get(name) != other.get(name)]
         if differing:

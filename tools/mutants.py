@@ -17,13 +17,15 @@ and must pass it, else the exit status is 2.  The checkout itself is
 never modified.  Mutants run one after another, each for at most
 ``TIMEOUT_FACTOR`` times as long as the unmutated suite took: a suite
 still running then (a mutant can make a loop spin) is stopped, and its
-mutant counts as ``killed (timeout)``.
+mutant counts as ``killed (timeout)``.  A SIGTERM stops the suite
+running, with every process it started, and removes its copy.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -69,23 +71,24 @@ MUTANTS = [
 """),
     (NETSIM, "tail = start + service_time", "tail = start + service_time / 2"),
     # The arrivals' order: arrivals at an event's instant come before
-    # it, an epoch's chain stops short of its end, and the runs of two
-    # or more flows are merged.  (A sort on the whole (time, flow id)
-    # tuple would be an equivalent mutant: the runs are joined in
-    # flow-id order and the sort on time is stable.)
+    # it, an epoch's chain stops short of its end and at the run's end,
+    # that instant included, and the runs of two or more flows are
+    # merged.  (A sort on the whole (time, flow id) tuple would be an
+    # equivalent mutant: the runs are joined in flow-id order and the
+    # sort on time is stable.)
     (NETSIM, "hi = bisect_right(run, bound,", "hi = __import__('bisect').bisect_left(run, bound,"),
-    (NETSIM, "if t >= window_end:", "if t > window_end:"),
+    (NETSIM, "if t >= stop:", "if t > stop:"),
+    (NETSIM, "self._refill(flow, first, interval, math.nextafter(duration, math.inf))",
+     "self._refill(flow, first, interval, window_end)"),
+    (NETSIM, "math.nextafter(duration, math.inf))", "duration)"),
     (NETSIM, "if taken > 1:", "if taken > 2:"),
-    # The emission guard allows exactly its limit per epoch, counting
-    # only arrivals within the run; the loop refills a used-up run while
-    # its chain goes on, and each refill resumes where the last segment
-    # ended.
+    # The emission guard allows exactly its limit per epoch; the loop
+    # refills a used-up run after a full segment, and each refill
+    # resumes where the last segment ended.
     (NETSIM, "if acc.planned > _MAX_EMISSIONS_PER_EPOCH:",
      "if acc.planned >= _MAX_EMISSIONS_PER_EPOCH:"),
-    (NETSIM, "acc.planned += (len(segment) if last <= duration",
-     "acc.planned += (len(segment) if True"),
-    (NETSIM, "flow.pacing = (t, interval, window_end)",
-     "flow.pacing = (t + interval, interval, window_end)"),
+    (NETSIM, "flow.pacing = (t, interval, stop)",
+     "flow.pacing = (t + interval, interval, stop)"),
     (NETSIM, "len(segment) == _SEGMENT", "len(segment) > _SEGMENT"),
     (NETSIM, "if flow.pacing:", "if False:"),
     # Drops are counted by kind, and the end of the run counts the open
@@ -205,20 +208,29 @@ def run_suite(files: list[str], mutant: tuple[str, str, str] | None,
             if source.count(text) != 1:
                 return "STALE", f"the text occurs {source.count(text)} times"
             target.write_text(source.replace(text, replacement))
-        try:
-            suite = subprocess.run(
+        # In a session of its own, so that stopping the suite stops what
+        # its tests started too.
+        with subprocess.Popen(
                 [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
-                cwd=copy, capture_output=True, text=True, timeout=timeout,
-                env={**os.environ, "PYTHONPATH": str(copy / "src")})
-        except subprocess.TimeoutExpired:
-            return "killed (timeout)", f"no result after {timeout:.0f} s"
-    lines = [line for line in suite.stdout.splitlines() if line.strip()]
+                cwd=copy, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+                env={**os.environ, "PYTHONPATH": str(copy / "src")},
+                start_new_session=True) as suite:
+            try:
+                out = suite.communicate(timeout=timeout)[0]
+            except subprocess.TimeoutExpired:
+                return "killed (timeout)", f"no result after {timeout:.0f} s"
+            finally:
+                if suite.returncode is None:  # timed out, or the tool was stopped
+                    os.killpg(suite.pid, signal.SIGKILL)
+    lines = [line for line in out.splitlines() if line.strip()]
     failed = [line.split(" - ")[0] for line in lines if line.startswith(("FAILED ", "ERROR "))]
     summary = (lines[-1] if lines else "") + (f" ({failed[0]})" if failed else "")
     return ("passed" if suite.returncode == 0 else "killed"), summary
 
 
 def main() -> int:
+    # Unwind on SIGTERM, so that the running suite stops and its copy goes.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     files = checkout_files()
     start = time.monotonic()
     verdict, last = run_suite(files, None)
