@@ -229,6 +229,7 @@ class Simulation:
             if spec.start_time <= scenario.duration:
                 heapq.heappush(self._heap, (spec.start_time, i))
         self._open: list[_EpochAccum | None] = [None] * len(self.flows)  # open tallies by flow id
+        self._duration = scenario.duration
         self._ran = False
 
     @property
@@ -251,14 +252,14 @@ class Simulation:
             self._release(flow, now)
         interval = 1.0 / flow.rate
         self._open[flow_id] = _EpochAccum()
-        duration = self.scenario.duration
         window_end = now + flow.epoch_len
-        first = now if flow.last_emit is None else max(now, flow.last_emit + interval)
-        if window_end <= duration:
+        paced = now if flow.last_emit is None else flow.last_emit + interval
+        first = paced if paced > now else now  # max(now, paced), cheaper
+        if window_end <= self._duration:
             self._refill(flow, first, interval, window_end)
             heapq.heappush(self._heap, (window_end, flow_id))
         else:  # the last epoch: its chain stops at the run's end, that instant included
-            self._refill(flow, first, interval, math.nextafter(duration, math.inf))
+            self._refill(flow, first, interval, math.nextafter(self._duration, math.inf))
 
     def _refill(self, flow: _FlowRuntime, t: float, interval: float, stop: float) -> None:
         """Materialize the next segment of the flow's chain, from ``t`` on
@@ -318,10 +319,13 @@ class Simulation:
             fb = EpochFeedback(index, end, send_rate, acc.planned, acked, dropped,
                                mean_rtt, acc.last_ack)
             if decide:
-                flow.rate = _checked_rate(flow.controller.on_epoch(fb, now))
-            flow.trace.rows.append(TraceRow(
+                flow.rate = rate = flow.controller.on_epoch(fb, now)
+                if not 0 < rate < math.inf:  # _checked_rate's test, inline
+                    _checked_rate(rate)
+            # tuple.__new__ skips the namedtuple's Python-level __new__.
+            flow.trace.rows.append(tuple.__new__(TraceRow, (
                 end, send_rate, acked / epoch_len, flow.prev_mean_rtt,
-                acc.occ_sum / acc.planned if acc.planned else 0.0, dropped))
+                acc.occ_sum / acc.planned if acc.planned else 0.0, dropped)))
 
     # -- main loop ----------------------------------------------------------
 

@@ -10,8 +10,10 @@ epoch's mean RTT (the last known value is carried over epochs with no
 ACKs so every row stays finite); ``queue_pkts`` is the mean bottleneck
 occupancy seen by this flow's packets on arrival; ``drops`` counts this
 flow's packets lost during the epoch.  Rows are sorted by
-``(time_ms, flow_id)`` and numbers use fixed formats, so equal runs
-produce byte-identical files.
+``(time_ms, flow_id)``: the writer takes the traces in flow-id order and
+sorts their rows on time alone, both sorts stable, so traces that share
+a flow id keep their order too (a NaN time has no place in that order).
+Numbers use fixed formats, so equal runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ class FlowTotals:
     in_flight: int = 0  # unresolved at the end of the run
 
 
-_row_time = attrgetter("time")
+_row_time = itemgetter(0)  # a TraceRow's time
 
 
 @dataclass
@@ -70,25 +72,28 @@ class FlowTrace:
         return rows[lo:bisect_right(rows, t1, lo, key=_row_time)]
 
 
-# One row, as ``csv.writer`` writes it: no field needs quoting.
-_ROW_FORMAT = "%.3f,%d,%.6f,%.6f,%.6f,%.3f,%d\r\n"
+# A row as ``csv.writer`` writes it (no field needs quoting), its flow id to fill in.
+_ROW_FORMAT = "%.3f,{},%.6f,%.6f,%.6f,%.3f,%d\r\n"
 
 
 def write_trace_csv(traces: Iterable[FlowTrace], path: str | Path) -> None:
-    """Write all flows' rows into one CSV, deterministically ordered."""
-    keyed = [(row.time, trace.flow_id, *row[1:]) for trace in traces for row in trace.rows]
-    keyed.sort(key=itemgetter(0, 1))
+    """Write all flows' rows into one CSV, in ``(time, flow id)`` order."""
+    rows, formats = [], []  # each row and its flow's format
+    for trace in sorted(traces, key=attrgetter("flow_id")):
+        rows += trace.rows
+        formats += [_ROW_FORMAT.format(trace.flow_id)] * len(trace.rows)
+    order = sorted(range(len(rows)), key=list(map(_row_time, rows)).__getitem__)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\r\n")
-        for i in range(0, len(keyed), 1024):  # 1024 rows per write bound the text held
-            fh.write("".join([_ROW_FORMAT % item for item in keyed[i:i + 1024]]))
+        for i in range(0, len(order), 1024):  # 1024 rows per write bound the text held
+            fh.write("".join([formats[j] % rows[j] for j in order[i:i + 1024]]))
 
 
 def read_trace_csv(path: str | Path) -> dict[int, list[TraceRow]]:
     """Read a trace CSV back into per-flow, time-ordered rows.
 
     Columns are found by name, in any order; extra columns and blank
-    lines are ignored, and a line short of a named column is an error.
+    lines are ignored, and a short line or a bad field is an error.
     """
     per_flow: dict[int, list[TraceRow]] = {}
     with open(path, newline="") as fh:
@@ -100,11 +105,14 @@ def read_trace_csv(path: str | Path) -> dict[int, list[TraceRow]]:
         t, f, s, tp, r, q, d = (position[col] for col in CSV_COLUMNS)
         try:
             for entry in filter(None, reader):
-                row = TraceRow(float(entry[t]), float(entry[s]), float(entry[tp]),
-                               float(entry[r]), float(entry[q]), int(entry[d]))
+                # tuple.__new__ skips the namedtuple's Python-level __new__.
+                row = tuple.__new__(TraceRow, (float(entry[t]), float(entry[s]), float(entry[tp]),
+                                               float(entry[r]), float(entry[q]), int(entry[d])))
                 per_flow.setdefault(int(entry[f]), []).append(row)
         except IndexError:
             raise ValueError(f"trace line {reader.line_num} has fewer fields than the header") from None
+        except ValueError as exc:
+            raise ValueError(f"trace line {reader.line_num}: {exc}") from None
     for rows in per_flow.values():
         rows.sort(key=_row_time)
     return per_flow

@@ -195,6 +195,25 @@ def test_analyze_rejects_a_short_trace_line(tmp_path, capsys):
     assert "error: trace line 3 has fewer fields than the header" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("column, value, reason", [
+    (2, "abc", "could not convert string to float: 'abc'"),
+    (1, "x", "invalid literal for int() with base 10: 'x'"),
+    (6, "1.5", "invalid literal for int() with base 10: '1.5'"),
+])
+def test_analyze_names_the_line_of_a_field_that_does_not_parse(tmp_path, capsys, column,
+                                                                value, reason):
+    fields = "100.000,0,1.000000,1.000000,50.000000,0.000,0".split(",")
+    fields[column] = value
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "time_ms,flow_id,send_rate,throughput,rtt_ms,queue_pkts,drops\n"
+        "50.000,0,1.000000,1.000000,50.000000,0.000,0\n"
+        + ",".join(fields) + "\n"
+    )
+    assert main(["analyze", "--trace", str(path)]) == 1
+    assert f"error: trace line 3: {reason}\n" in capsys.readouterr().err
+
+
 def test_analyze_directory_is_an_error(tmp_path, capsys):
     assert main(["analyze", "--trace", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err

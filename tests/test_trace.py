@@ -2,12 +2,16 @@
 row-window helper."""
 
 import csv
+import itertools
+import math
 import random
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import flow, make_link, scenario
+from iriscc.netsim import run_scenario
 from iriscc.trace import (
     CSV_COLUMNS,
     FlowTotals,
@@ -159,6 +163,13 @@ awkward_rows = st.builds(TraceRow, time=st.sampled_from([0.0, -0.0, 25.0, 25.000
 
 
 @given(st.lists(st.lists(awkward_rows, max_size=8), max_size=3))
+# NaN times, one NaN object and distinct ones, among equal and finite times.
+@example([[row(math.nan, drops=1), row(50.0, drops=2), row(math.nan, drops=3)],
+          [row(50.0, drops=4), row(float("nan"), drops=5), row(25.0, drops=6)],
+          [row(math.nan, drops=7)]])
+# Equal times within and across flows.
+@example([[row(50.0, drops=i) for i in range(3)], [row(50.0, drops=3 + i) for i in range(3)],
+          [row(25.0, drops=6), row(50.0, drops=7)]])
 @example([[row(-0.0, flow_rate=-0.0, tput=0.0000005, rtt=1e16, queue=0.0005, drops=10**20)],
           [row(-0.0), row(0.0, drops=3)]])
 @example([[row(25.0 * i, drops=i) for i in range(1500)], [row(12.5 * i) for i in range(700)]])
@@ -174,3 +185,48 @@ def test_writer_bytes_equal_csv_writer(tmp_path_factory, rows_per_flow):
     assert header == b"time_ms,flow_id,send_rate,throughput,rtt_ms,queue_pkts,drops"
     assert lines[-1] == b"" and len(lines) == sum(map(len, rows_per_flow)) + 1
     assert not any(b"\n" in line or b"\r" in line for line in lines)
+
+
+def traces_of(*flows):
+    """One trace per ``(flow id, row times)``, in the order given; each
+    row's drops number it, so the output shows where every row went."""
+    numbers = itertools.count()
+    return [FlowTrace(flow_id=flow_id, kind="iris", totals=FlowTotals(),
+                      rows=[row(time, drops=next(numbers)) for time in times])
+            for flow_id, times in flows]
+
+
+@pytest.mark.parametrize("traces", [
+    pytest.param(traces_of((2, [50.0, 100.0]), (1, [25.0, 50.0]), (0, [50.0, 75.0])),
+                 id="reverse-flow-ids"),
+    pytest.param(traces_of((1, [50.0, 100.0]), (0, [50.0]), (1, [25.0, 50.0, 100.0])),
+                 id="shared-flow-id"),
+    pytest.param(traces_of((1, [50.0, 50.0]), (0, [50.0]), (2, [50.0, 50.0]), (0, [50.0])),
+                 id="equal-times"),
+    pytest.param(traces_of((1, [-0.0, 0.0, 25.0]), (0, [0.0, -0.0])), id="signed-zeros"),
+    # A NaN time is neither before nor after any other, so only traces
+    # given in flow-id order are written as csv.writer's oracle writes them.
+    pytest.param(traces_of((0, [math.nan, 50.0, math.nan]), (1, [50.0, float("nan"), 25.0]),
+                           (1, [math.nan, -0.0])), id="nan-times"),
+])
+def test_writer_orders_rows_as_csv_writer_does(tmp_path, traces):
+    write_trace_csv(traces, tmp_path / "fast.csv")
+    csv_writer_reference(traces, tmp_path / "reference.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_rows_are_exactly_trace_rows(tmp_path):
+    # Both build their rows with tuple.__new__, which checks neither the
+    # class nor the number of fields.
+    sc = scenario(make_link(queue=8, loss=0.05, seed=2),
+                  [flow("iris"), flow("aimd", start=200.0), flow("constant", rate=2.0)], 2000.0)
+    traces = run_scenario(sc)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(traces, path)
+    back = read_trace_csv(path)
+    for rows in [*(trace.rows for trace in traces), *back.values()]:
+        assert rows
+        for r in rows:
+            assert type(r) is TraceRow and len(r) == 6 and type(r.drops) is int
+    assert any(r.drops for trace in traces for r in trace.rows)
+    assert sorted(back) == [trace.flow_id for trace in traces]

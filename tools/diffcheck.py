@@ -7,11 +7,12 @@ REV is checked out into a temporary ``git worktree``.  Each tree runs
 every scenario in its own Python process, with its own ``src`` first on
 the path; the two processes run at the same time.  A SIGTERM, or one
 process failing, stops both and removes the worktree.  Each reports per
-scenario the sha256 of five outputs: the
-trace CSV, the per-flow totals, the iris decision logs, the adopted
-slope fits, each fit as ``(time, k, b, plcc, n)``, and the metrics,
-the run's ``fairness_report`` and ``utilization`` (a run that raises
-reports its error instead).  The first scenario whose digests differ
+scenario the sha256 of six outputs: the
+trace CSV, the rows :func:`~iriscc.trace.read_trace_csv` reads back
+from it (their ``repr``), the per-flow totals, the iris decision logs,
+the adopted slope fits, each fit as ``(time, k, b, plcc, n)``, and the
+metrics, the run's ``fairness_report`` and ``utilization`` (a run that
+raises reports its error instead).  The first scenario whose digests differ
 is printed as a JSON config that ``iriscc run`` loads, after the names
 of the outputs that differ; the exit status is then 1.  When every
 scenario agrees it prints how many slope fits the runs adopted, how
@@ -41,7 +42,7 @@ from pathlib import Path
 from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
-PARTS = ("trace_csv", "totals", "decisions", "applied_fits", "metrics")
+PARTS = ("trace_csv", "read_back", "totals", "decisions", "applied_fits", "metrics")
 PATHS = ("cold start", "steady", "hold")  # of an iris decision
 PACKETS = ("delivered", "in flight")  # at the end of a run, summed over flows
 
@@ -117,7 +118,7 @@ def digest_runs(docs: list[dict]) -> dict:
     from iriscc.metrics import fairness_report, utilization
     from iriscc.netsim import Simulation
     from iriscc.scenario import scenario_from_dict
-    from iriscc.trace import write_trace_csv
+    from iriscc.trace import read_trace_csv, write_trace_csv
 
     digests = []
     fits = 0
@@ -132,6 +133,7 @@ def digest_runs(docs: list[dict]) -> dict:
                 sim = Simulation(scenario)
                 traces = sim.run()
                 write_trace_csv(traces, path)
+                read_back = read_trace_csv(path)
                 duration = scenario.duration
                 capacity = scenario.link.mean_capacity(0.0, duration)
                 metrics = (fairness_report(traces, duration),
@@ -142,6 +144,7 @@ def digest_runs(docs: list[dict]) -> dict:
             iris = [c for c in sim.controllers if c.kind == "iris"]
             outputs = {
                 "trace_csv": path.read_bytes(),
+                "read_back": repr(read_back).encode(),
                 "totals": repr([trace.totals for trace in traces]).encode(),
                 "decisions": repr([c.decisions for c in iris]).encode(),
                 "applied_fits": repr([[(time, fit.k, fit.b, fit.plcc, fit.n)

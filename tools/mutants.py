@@ -38,6 +38,7 @@ NETSIM = "src/iriscc/netsim.py"
 BASELINES = "src/iriscc/baselines.py"
 CONTROLLER = "src/iriscc/controller.py"
 FEEDBACK = "src/iriscc/feedback.py"
+TRACE = "src/iriscc/trace.py"
 
 # How many times the unmutated suite's running time a mutant's suite gets.
 TIMEOUT_FACTOR = 4
@@ -78,10 +79,13 @@ MUTANTS = [
     # sort on time is stable.)
     (NETSIM, "hi = bisect_right(run, bound,", "hi = __import__('bisect').bisect_left(run, bound,"),
     (NETSIM, "if t >= stop:", "if t > stop:"),
-    (NETSIM, "self._refill(flow, first, interval, math.nextafter(duration, math.inf))",
+    (NETSIM, "self._refill(flow, first, interval, math.nextafter(self._duration, math.inf))",
      "self._refill(flow, first, interval, window_end)"),
-    (NETSIM, "math.nextafter(duration, math.inf))", "duration)"),
+    (NETSIM, "math.nextafter(self._duration, math.inf))", "self._duration)"),
     (NETSIM, "if taken > 1:", "if taken > 2:"),
+    # A chain keeps its pacing gap into the next epoch only when that
+    # gap ends after the timer.
+    (NETSIM, "first = paced if paced > now else now", "first = paced"),
     # The emission guard allows exactly its limit per epoch; the loop
     # refills a used-up run after a full segment, and each refill
     # resumes where the last segment ended.
@@ -96,10 +100,19 @@ MUTANTS = [
     (NETSIM, "acc.lost += 1", "acc.overflow += 1"),
     (NETSIM, "_count(totals, final)", "pass"),
     (NETSIM, "_count(totals, final)", "totals.sent += final.planned"),
-    # A rate the chain can pace, from the start on: positive and finite.
-    (NETSIM, "if not 0 < rate < math.inf:", "if not 0 < rate <= math.inf:"),
-    (NETSIM, "flow.rate = _checked_rate(flow.controller.on_epoch(fb, now))",
-     "flow.rate = flow.controller.on_epoch(fb, now)"),
+    # A rate the chain can pace, from the start on: positive and finite,
+    # tested in _checked_rate and inline for every decided rate.
+    (NETSIM, """\
+    if not 0 < rate < math.inf:
+        raise""", """\
+    if not 0 < rate <= math.inf:
+        raise"""),
+    (NETSIM, """\
+                if not 0 < rate < math.inf:  # _checked_rate's test, inline
+                    _checked_rate(rate)
+""", "                pass\n"),
+    (NETSIM, "if not 0 < rate < math.inf:  # _checked_rate's test, inline",
+     "if not 0 < rate <= math.inf:"),
     # ACK accounting: delivered within the run, every admitted packet
     # acked, and an epoch resolved once its latest ACK is due.
     (NETSIM, "if ack > duration:", "if ack >= duration:"),
@@ -111,10 +124,14 @@ MUTANTS = [
     (NETSIM, "frozenset(inspect.signature(cls).parameters)",
      "frozenset(list(inspect.signature(cls).parameters)[:-1])"),
     (NETSIM, "except ValueError as exc:", "except TypeError as exc:"),
+    # The writer takes the traces in flow-id order before its stable
+    # sort on time, and the reader keeps each field in its place.
+    (TRACE, "for trace in sorted(traces, key=attrgetter(\"flow_id\")):", "for trace in traces:"),
+    (TRACE, "float(entry[r]), float(entry[q])", "float(entry[q]), float(entry[r])"),
     # Trace windows are left-open, right-closed at both edges.
-    ("src/iriscc/trace.py", "lo = bisect_right(rows, t0, key=_row_time)",
+    (TRACE, "lo = bisect_right(rows, t0, key=_row_time)",
      "lo = __import__('bisect').bisect_left(rows, t0, key=_row_time)"),
-    ("src/iriscc/trace.py", "rows[lo:bisect_right(rows, t1, lo, key=_row_time)]",
+    (TRACE, "rows[lo:bisect_right(rows, t1, lo, key=_row_time)]",
      "rows[lo:__import__('bisect').bisect_left(rows, t1, lo, key=_row_time)]"),
     # Jain's index takes only non-negative, finite shares, also when
     # their sum overflows.
