@@ -448,7 +448,8 @@ class IrisController:
         delta = None if self.prev_rtt is None else fb.mean_rtt - self.prev_rtt
         self.last_meas_ack = fb.last_ack
         self.prev_rtt = fb.mean_rtt
-        rec = Measurement(fb.end, fb.send_rate, recv, fb.mean_rtt, delta)
+        # tuple.__new__ skips the namedtuple's Python-level __new__.
+        rec = tuple.__new__(Measurement, (fb.end, fb.send_rate, recv, fb.mean_rtt, delta))
         self._append_record(rec)
         return rec
 
@@ -475,9 +476,10 @@ class IrisController:
         """The record of the decision a step just made: its rate is the
         current rate, its target the current target delay."""
         rtt = fb.mean_rtt
-        # Positional: keywords cost about twice as much per epoch.
-        return DecisionLogEntry(now, fb.index, phase, self.current_rate, k, rtt is not None, rtt,
-                                self.target_delay, objective, rtt_step, recv_rate, contraction)
+        # tuple.__new__ skips the namedtuple's Python-level __new__.
+        return tuple.__new__(DecisionLogEntry, (
+            now, fb.index, phase, self.current_rate, k, rtt is not None, rtt,
+            self.target_delay, objective, rtt_step, recv_rate, contraction))
 
     def _steady_step(self, fb: EpochFeedback, now: float, recv: float | None,
                      target: float | None) -> DecisionLogEntry:

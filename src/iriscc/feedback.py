@@ -6,6 +6,13 @@ ACKed or dropped, in index order, into what its sender observed:
 sending rate, packet counts, mean RTT and latest ACK time.  That
 :class:`EpochFeedback` goes to the controller, which makes its own
 estimates from it and returns the rate to use next.
+
+The simulator builds each one unchecked, with ``tuple.__new__``: it
+derives the fields from counts that pass the checks by construction,
+except a measured RTT, which can round to zero against a large clock,
+and it passes only that one through the checking constructor.
+``tests/test_invariants.py`` re-checks every feedback a controller
+receives.
 """
 
 from __future__ import annotations

@@ -20,6 +20,12 @@ arrival for random loss — so a scenario is a pure function of its
 description and seed, and equal seeds give byte-identical traces.  Each
 arrival is sorted at most once, with the arrivals of the other flows
 due by the same timer.
+The timers of one instant share a loop turn: the loop handles them one
+after another, in flow-id order, before its next scan.  A timer reads
+and writes only its own flow's tallies, run and controller, so the
+arrivals an earlier one emits at that instant cannot change what a
+later one does; the next scan admits them all, merged in flow-id order,
+the order they would have had one timer at a time.
 Departures need no events: the capacity schedule is known in advance,
 so the FIFO fixes each admitted packet's service start and departure
 when it arrives.  The FIFO is an append-only list of departure times
@@ -80,7 +86,11 @@ open tally into a FIFO of closed epochs, and then the resolved ones are
 summarized from the front of the FIFO, each into one
 :class:`~iriscc.feedback.EpochFeedback` of what the sender observed
 (the controller makes its own estimates from it) and one trace row;
-the end of the run does the same without decisions.
+the end of the run does the same without decisions.  Both are built
+with ``tuple.__new__``, unchecked: the counts pass the feedback's
+checks by construction, and only a measured RTT that rounds to zero
+against a large clock goes through the checking constructor, which
+raises.
 Measured epochs resolve in index order anyway; only an all-dropped
 epoch can resolve before its predecessor, and it then waits for it.
 
@@ -311,13 +321,18 @@ class Simulation:
             send_rate = acc.planned / epoch_len
             dropped = acc.overflow + acc.lost
             acked = acc.planned - dropped
+            end = (flow.spec.start_time + index * epoch_len) + epoch_len
             mean_rtt = None
             if acked > 0:
                 mean_rtt = flow.prev_mean_rtt = acc.rtt_sum / acked
-            end = (flow.spec.start_time + index * epoch_len) + epoch_len
-            # Positional: keywords cost about twice as much per epoch.
-            fb = EpochFeedback(index, end, send_rate, acc.planned, acked, dropped,
-                               mean_rtt, acc.last_ack)
+                # An RTT can round to zero against a large clock; the
+                # checking constructor then raises its ValueError.
+                if not mean_rtt > 0.0:
+                    EpochFeedback(index, end, send_rate, acc.planned, acked, dropped,
+                                  mean_rtt, acc.last_ack)
+            # Unchecked: the counts pass the other checks by construction.
+            fb = tuple.__new__(EpochFeedback, (index, end, send_rate, acc.planned, acked,
+                                               dropped, mean_rtt, acc.last_ack))
             if decide:
                 flow.rate = rate = flow.controller.on_epoch(fb, now)
                 if not 0 < rate < math.inf:  # _checked_rate's test, inline
@@ -429,6 +444,10 @@ class Simulation:
                 while departures[gone] <= now:
                     gone += 1
             on_timer(now, flow_id)
+            # The other timers of this instant, before the next scan: each
+            # reads and writes only its own flow's state.
+            while heap and heap[0][0] == now:
+                on_timer(*heappop(heap))
         for flow in flows:
             totals = flow.trace.totals
             # The open epoch is never released, but its packets count.

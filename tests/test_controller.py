@@ -27,6 +27,7 @@ from iriscc.controller import (
     MIN_FIT_SAMPLES,
     RATE_CEILING,
     SUM_DRIFT,
+    DecisionLogEntry,
     IrisController,
     Measurement,
     Phase,
@@ -876,6 +877,19 @@ def test_steady_decision_record_holds_what_the_control_law_gives():
     cold = decide(IrisController(), feedback(rtt=40.0, end=50.0), 50.0)
     assert cold == (50.0, 0, Phase.COLD_START, 2 * INITIAL_RATE, K_MIN, True, 40.0, 40.0,
                     None, None, 1.0, None)
+
+
+def test_an_iris_run_keeps_whole_records():
+    # The records are built with tuple.__new__, which checks no arity:
+    # over a run, each is of its type and has every one of its fields.
+    sim = netsim.Simulation(scenario(make_link(), (flow("iris"), flow("iris", start=500.0)),
+                                     5000.0))
+    sim.run()
+    for ctrl in sim.controllers:
+        assert ctrl.phase is Phase.STEADY
+        for cls, records in ((DecisionLogEntry, ctrl.decisions), (Measurement, ctrl.history)):
+            assert records
+            assert all(type(r) is cls and len(r) == len(cls._fields) for r in records)
 
 
 def test_adapter_cold_doubles_then_logs():

@@ -10,6 +10,7 @@ import pytest
 from conftest import watch_refills
 from diffcheck import random_scenario
 from iriscc import netsim
+from iriscc.feedback import EpochFeedback
 from iriscc.netsim import Simulation
 from iriscc.scenario import scenario_from_dict
 
@@ -21,11 +22,28 @@ def capacity_integral(schedule, duration):
                for (start, cap), end in zip(schedule, ends) if start < duration)
 
 
+def recheck_feedback(controller, checked):
+    """Wrap ``controller.on_epoch`` so that it re-checks each feedback,
+    which the simulator builds unchecked, and appends it to ``checked``."""
+    on_epoch = controller.on_epoch
+
+    def rechecked(fb, now):
+        assert type(fb) is EpochFeedback and EpochFeedback(*fb) == fb
+        checked.append(fb)
+        return on_epoch(fb, now)
+
+    controller.on_epoch = rechecked
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_simulator_invariants(seed):
     scenario = scenario_from_dict(random_scenario(random.Random(seed)))
     sim = Simulation(scenario)
+    checked = []
+    for controller in sim.controllers:
+        recheck_feedback(controller, checked)
     traces = sim.run()
+    assert bool(checked) == any(trace.rows for trace in traces)  # not vacuous
     link = scenario.link
     for flow, trace in zip(sim.flows, traces):
         totals = trace.totals

@@ -284,6 +284,17 @@ def test_simulation_runs_only_once():
         sim.run()
 
 
+@pytest.mark.parametrize("kind", ["vegas", "iris", "aimd"])
+def test_an_rtt_that_rounds_to_zero_is_fatal(kind):
+    # A 2e-12 ms round trip rounds away against a 2e7 ms clock, so an
+    # unqueued packet measures an RTT of 0.  The simulator builds its
+    # feedback unchecked, except for this: the run stops with the
+    # feedback constructor's error before a controller sees the RTT.
+    sc = scenario(make_link(mbps=1.0, prop=1e-12), [flow(kind, start=2e7)], 2e7 + 300.0)
+    with pytest.raises(ValueError, match="mean_rtt must be positive"):
+        run_scenario(sc)
+
+
 # --- controller construction from flow specs -------------------------------------
 
 def build(spec_flow):
@@ -513,6 +524,18 @@ def test_ack_at_the_end_of_the_run_counts_as_delivered():
                   [flow("constant", rate=0.02)], 300.0)
     totals = run_scenario(sc)[0].totals
     assert (totals.sent, totals.delivered, totals.in_flight) == (7, 6, 1)
+
+
+def test_coinciding_timers_emit_in_flow_id_order():
+    # Three flows send one packet per 100 ms from 0 on, so their timers
+    # and their arrivals share each instant.  Arrivals at one instant
+    # queue in flow-id order: flow i waits for i packets of 9.6 ms each.
+    sc = scenario(make_link(mbps=1.0, prop=25.0),
+                  [flow("constant", rate=0.01) for _ in range(3)], 1000.0)
+    for i, trace in enumerate(run_scenario(sc)):
+        rtts = [row.rtt for row in trace.rows if row.send_rate]
+        assert len(rtts) == 10
+        assert rtts == pytest.approx([50.0 + i * 9.6] * 10)
 
 
 # Drawn by tools/diffcheck.py's random_scenario(random.Random(110)) before

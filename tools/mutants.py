@@ -119,6 +119,9 @@ MUTANTS = [
     (NETSIM, "acked = acc.planned - dropped", "acked = acc.planned"),
     (NETSIM, "acc.last_ack is not None and acc.last_ack > now",
      "acc.last_ack is not None and acc.last_ack >= now"),
+    # Feedback is built unchecked, except that a measured RTT that
+    # rounds to zero still raises the constructor's error.
+    (NETSIM, "if not mean_rtt > 0.0:", "if not mean_rtt >= 0.0:"),
     # A controller accepts every keyword of its constructor, and its
     # ValueError becomes a ScenarioError on the flow's params.
     (NETSIM, "frozenset(inspect.signature(cls).parameters)",
@@ -168,9 +171,11 @@ SCREEN_EXCITATION_MARGIN = 0.0   # relative
         delta = None if self.prev_rtt is None else fb.mean_rtt - self.prev_rtt
         self.last_meas_ack = fb.last_ack
 """),
-    # The decision record's fields are in their declared order.
+    # The records, built unchecked, hold every field, in declared order.
     (CONTROLLER, "self.target_delay, objective, rtt_step, recv_rate, contraction)",
      "self.target_delay, rtt_step, objective, recv_rate, contraction)"),
+    (CONTROLLER, "recv_rate, contraction))", "recv_rate))"),
+    (CONTROLLER, "fb.mean_rtt, delta))", "fb.mean_rtt))"),
     # The contraction factor reads the slope the step used.
     (CONTROLLER, "gap_contraction_factor(fb.mean_rtt, target, k_used, bound, scale)",
      "gap_contraction_factor(fb.mean_rtt, target, self.k, bound, scale)"),
