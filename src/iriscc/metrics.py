@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 import statistics
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .trace import FlowTrace
@@ -46,7 +46,7 @@ def jain_index(values: Sequence[float]) -> float | None:
         raise ValueError("shares must be non-negative and finite")
     n = len(values)
     try:
-        square_sum = math.fsum(v * v for v in values)
+        square_sum = math.fsum(map(mul, values, values))
     except OverflowError:  # a partial sum left the float range
         square_sum = math.inf
     if not (n * square_sum < math.inf and total * total < math.inf
@@ -55,7 +55,7 @@ def jain_index(values: Sequence[float]) -> float | None:
         if top == 0.0:
             return None
         values = [v / top for v in values]
-        square_sum = math.fsum(v * v for v in values)
+        square_sum = math.fsum(map(mul, values, values))
         total = math.fsum(values)
     # Rounding can put a lone hog a hair below 1/n; clamp to the exact range.
     return min(1.0, max(1.0 / n, total * total / (n * square_sum)))
@@ -68,23 +68,35 @@ def _row_spacing(trace: FlowTrace) -> float:
     return DEFAULT_GRID
 
 
+def _check_span(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def window_throughput(trace: FlowTrace, t: float, window: float) -> float:
     """Mean delivered rate (packets/ms) over (t - window, t]."""
+    _check_span("window", window)
     spacing = _row_spacing(trace)
     delivered = math.fsum(row.throughput * spacing for row in trace.rows_between(t - window, t))
     return delivered / window
 
 
 def _window_throughputs(trace: FlowTrace, times: Sequence[float], window: float) -> list[float]:
-    """:func:`window_throughput` at each of ``times``, from one pass over
-    the rows: each window is a slice of their amounts, summed by ``fsum``."""
+    """:func:`window_throughput` at each of ``times``, which must not
+    decrease, from one pass over the rows: each window is a slice of
+    their amounts, summed by ``fsum``."""
     spacing = _row_spacing(trace)
     amounts = [row.throughput * spacing for row in trace.rows]
     row_times = [row.time for row in trace.rows]
+    row_times.append(math.inf)  # stops both walks, as ``times`` are finite
     rates = []
+    lo = hi = 0  # counts of rows with time <= t - window, and with time <= t
     for t in times:
-        lo = bisect_right(row_times, t - window)
-        hi = bisect_right(row_times, t, lo)
+        while row_times[hi] <= t:
+            hi += 1
+        start = t - window
+        while row_times[lo] <= start:
+            lo += 1
         rates.append(math.fsum(amounts[lo:hi]) / window)
     return rates
 
@@ -101,8 +113,11 @@ def jain_series(
     A flow joins the index once it has started (``starts`` gives the
     start times; by default a flow counts from just before its first
     trace row).  Points where fewer than two flows are active, or all
-    active flows delivered nothing, carry None.
+    active flows delivered nothing, carry None.  ``window`` and ``grid``
+    must be positive and finite.
     """
+    _check_span("window", window)
+    _check_span("grid", grid)
     if starts is None:
         starts = [
             (trace.rows[0].time - _row_spacing(trace)) if trace.rows else math.inf

@@ -19,6 +19,11 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+# A spread below this fraction of its mean is the mean's own rounding:
+# equal samples whose mean does not round back to them deviate from it
+# by a few ulps, about 2**-52 of it each.
+_MEAN_ROUNDING = 2.0 ** -50
+
 
 @dataclass(frozen=True)
 class RegressionFit:
@@ -45,7 +50,9 @@ def fit_k_b(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit | None:
     samples, non-finite values, a sum beyond the float range, or no
     variance in either coordinate (a degenerate cloud has no usable
     slope and an undefined correlation; a sum of squares below the
-    smallest normal float has lost its precision and counts as none).
+    smallest normal float has lost its precision, and a spread below
+    ``_MEAN_ROUNDING`` of its mean is that mean's rounding, so both
+    count as none).
     Callers treat ``None`` as "keep whatever estimate you already
     have".  The fit also reports ``x_std``, the population standard
     deviation of ``xs``.
@@ -67,6 +74,9 @@ def fit_k_b(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit | None:
         return None
     if sxx < sys.float_info.min or syy < sys.float_info.min:
         return None
+    x_std = math.sqrt(sxx / n)
+    if x_std <= abs(mx) * _MEAN_ROUNDING or math.sqrt(syy / n) <= abs(my) * _MEAN_ROUNDING:
+        return None
     k = sxy / sxx
     b = my - k * mx
     product = sxx * syy  # the roots are taken apart only where this under- or overflows
@@ -74,7 +84,7 @@ def fit_k_b(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit | None:
                   else math.sqrt(sxx) * math.sqrt(syy))
     # Guard against rounding pushing a perfect correlation past +/-1.
     corr = max(-1.0, min(1.0, corr))
-    return RegressionFit(k=k, b=b, plcc=corr, n=n, x_std=math.sqrt(sxx / n))
+    return RegressionFit(k=k, b=b, plcc=corr, n=n, x_std=x_std)
 
 
 def delta_samples(rows: Iterable[tuple[float, float, float]]) -> tuple[list[float], list[float]]:

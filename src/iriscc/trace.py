@@ -96,6 +96,7 @@ def read_trace_csv(path: str | Path) -> dict[int, list[TraceRow]]:
     lines are ignored, and a short line or a bad field is an error.
     """
     per_flow: dict[int, list[TraceRow]] = {}
+    lists: dict[str, list[TraceRow]] = {}  # each flow's rows, by the text of its id
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         position = {name: i for i, name in enumerate(next(reader, []))}
@@ -108,7 +109,11 @@ def read_trace_csv(path: str | Path) -> dict[int, list[TraceRow]]:
                 # tuple.__new__ skips the namedtuple's Python-level __new__.
                 row = tuple.__new__(TraceRow, (float(entry[t]), float(entry[s]), float(entry[tp]),
                                                float(entry[r]), float(entry[q]), int(entry[d])))
-                per_flow.setdefault(int(entry[f]), []).append(row)
+                text = entry[f]
+                rows = lists.get(text)
+                if rows is None:  # texts such as "1" and "01" name one flow
+                    rows = lists[text] = per_flow.setdefault(int(text), [])
+                rows.append(row)
         except IndexError:
             raise ValueError(f"trace line {reader.line_num} has fewer fields than the header") from None
         except ValueError as exc:

@@ -198,6 +198,7 @@ def test_analyze_rejects_a_short_trace_line(tmp_path, capsys):
 @pytest.mark.parametrize("column, value, reason", [
     (2, "abc", "could not convert string to float: 'abc'"),
     (1, "x", "invalid literal for int() with base 10: 'x'"),
+    (1, "0.0", "invalid literal for int() with base 10: '0.0'"),  # flow 0's value, not its text
     (6, "1.5", "invalid literal for int() with base 10: '1.5'"),
 ])
 def test_analyze_names_the_line_of_a_field_that_does_not_parse(tmp_path, capsys, column,

@@ -144,6 +144,20 @@ def test_utilization_sums_flows():
     assert utilization([a, b], 2.0, 0.0, 10_000.0) == pytest.approx(0.75)
 
 
+@pytest.mark.parametrize("name", ["window", "grid"])
+@pytest.mark.parametrize("value", [0.0, -1000.0, math.inf, math.nan])
+def test_windowed_metrics_reject_a_window_or_grid_not_positive_and_finite(name, value):
+    traces = staggered_pair()
+    message = f"{name} must be positive and finite"
+    with pytest.raises(ValueError, match=message):
+        jain_series(traces, 10_000.0, **{name: value})
+    with pytest.raises(ValueError, match=message):
+        fairness_report(traces, 10_000.0, **{name: value})
+    if name == "window":
+        with pytest.raises(ValueError, match=message):
+            window_throughput(traces[0], 1000.0, value)
+
+
 def test_utilization_validation():
     trace = make_trace([1.0] * 10)
     with pytest.raises(ValueError):
@@ -282,6 +296,13 @@ def test_window_throughput_matches_scan(trace, t, window):
 @given(st.lists(lattice_traces, min_size=1, max_size=4), st.integers(0, 1300),
        lattice, windows, st.sampled_from([25.0, 50.0]),
        st.sampled_from([0.0, 0.5, 0.9]), st.sampled_from([0.0, 100.0, 500.0]))
+# Sparse rows: a window starts past the end of the one before it.
+@example([lattice_trace([(0, 1.0), (40, 2.0)]), lattice_trace([(1, 1.0), (44, 3.0)])],
+         1100, 0.0, 25.0, 25.0, 0.5, 100.0)
+# Repeated row times, exactly on ``t - window`` and on ``t``.
+@example([lattice_trace([(2, 1.0), (2, 2.0), (4, 3.0), (4, 4.0), (6, 5.0)]),
+          lattice_trace([(2, 1.0), (4, 1.0), (4, 1.0)])],
+         200, 0.0, 50.0, 50.0, 0.5, 0.0)
 def test_jain_series_and_fairness_report_match_scan(traces, duration, after, window, grid,
                                                     threshold, sustain):
     assert jain_series(traces, duration, window, grid) == scanned(
@@ -350,6 +371,13 @@ def default_start(trace):
 # raises as fsum raises.
 @example([lattice_trace([(2, 2e306), (4, 2e306), (6, -2e306)]), lattice_trace([(1, 1.0)])],
          200, 1000.0, 25.0, None)
+# Sparse rows: a window starts past the end of the one before it.
+@example([lattice_trace([(0, 1.0), (40, 2.0)]), lattice_trace([(1, 1.0), (44, 3.0)])],
+         1100, 25.0, 25.0, None)
+# Repeated row times, exactly on ``t - window`` and on ``t``.
+@example([lattice_trace([(2, 1.0), (2, 2.0), (4, 3.0), (4, 4.0), (6, 5.0)]),
+          lattice_trace([(2, 1.0), (4, 1.0), (4, 1.0)])],
+         200, 50.0, 50.0, [0.0, 0.0, 0.0, 0.0])
 def test_jain_series_equals_fsum_per_point(traces, duration, window, grid, starts):
     expected_starts = [default_start(trace) for trace in traces] if starts is None else starts
     assert outcome(jain_series, traces, duration, window, grid, starts) == outcome(

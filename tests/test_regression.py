@@ -95,6 +95,13 @@ def test_zero_variance_y():
     assert fit_k_b([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]) is None
 
 
+def test_equal_samples_have_no_variance_though_their_mean_rounds():
+    v = 699051.2133770275
+    assert math.fsum([v] * 3) / 3 == v - 2.0 ** -33  # the mean does not round back to v
+    assert fit_k_b([v] * 3, [0.0, 0.0, 1.0]) is None
+    assert fit_k_b([0.0, 1.0, 2.0], [v] * 3) is None
+
+
 def test_tiny_clouds():
     # The product of the two sums of squares (about 4e-377) underflows;
     # the correlation must still come out.
@@ -197,6 +204,7 @@ def test_residuals_orthogonal_to_regressor(cloud):
 
 @given(sample_clouds(), st.floats(min_value=0.01, max_value=100.0))
 @example(([0.0, 1.0, 2.0], [0.0, 2e-154, 0.0]), 0.5)
+@example(([699051.2133770275] * 3, [0.0, 0.0, 1.0]), 0.01171875)
 def test_slope_scale_equivariance(cloud, c):
     xs, ys = cloud
     fit = fit_k_b(xs, ys)

@@ -105,6 +105,20 @@ def test_read_sorts_rows_per_flow(tmp_path):
     assert [r.time for r in back[0]] == [50.0, 100.0]
 
 
+def test_read_joins_flow_id_texts_of_one_value(tmp_path):
+    path = tmp_path / "trace.csv"
+    header = ",".join(CSV_COLUMNS)
+    path.write_text(
+        f"{header}\n"
+        "100.000,1,1.000000,1.000000,50.000000,0.000,0\n"
+        "50.000,01,2.000000,2.000000,50.000000,0.000,0\n"
+        "150.000,1,3.000000,3.000000,50.000000,0.000,0\n"
+    )
+    back = read_trace_csv(path)
+    assert list(back) == [1]
+    assert [(r.time, r.send_rate) for r in back[1]] == [(50.0, 2.0), (100.0, 1.0), (150.0, 3.0)]
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_read_of_shuffled_rows_is_time_sorted(tmp_path, seed):
     traces = [FlowTrace(flow_id=flow, kind="iris", totals=FlowTotals(),

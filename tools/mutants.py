@@ -131,6 +131,9 @@ MUTANTS = [
     # sort on time, and the reader keeps each field in its place.
     (TRACE, "for trace in sorted(traces, key=attrgetter(\"flow_id\")):", "for trace in traces:"),
     (TRACE, "float(entry[r]), float(entry[q])", "float(entry[q]), float(entry[r])"),
+    # Flow-id texts of one value, such as "1" and "01", share one list.
+    (TRACE, "rows = lists[text] = per_flow.setdefault(int(text), [])",
+     "rows = lists[text] = per_flow[int(text)] = []"),
     # Trace windows are left-open, right-closed at both edges.
     (TRACE, "lo = bisect_right(rows, t0, key=_row_time)",
      "lo = __import__('bisect').bisect_left(rows, t0, key=_row_time)"),
@@ -140,11 +143,13 @@ MUTANTS = [
     # their sum overflows.
     ("src/iriscc/metrics.py", "finite = total < math.inf", "finite = True"),
     ("src/iriscc/metrics.py", "finite = all(v < math.inf for v in values)", "finite = True"),
-    # The one-pass Jain windows are left-open, right-closed too.
-    ("src/iriscc/metrics.py", "lo = bisect_right(row_times, t - window)",
-     "lo = __import__('bisect').bisect_left(row_times, t - window)"),
-    ("src/iriscc/metrics.py", "hi = bisect_right(row_times, t, lo)",
-     "hi = __import__('bisect').bisect_left(row_times, t, lo)"),
+    # The one-pass Jain windows are left-open, right-closed too.  (The
+    # walk needs no step that lifts ``hi`` to ``lo``: every row that
+    # ``lo`` passes lies at or before ``t - window`` <= ``t``, so ``hi``
+    # passes it too, and a mutant that walks ``lo`` first and drops such
+    # a step would be equivalent.)
+    ("src/iriscc/metrics.py", "while row_times[hi] <= t:", "while row_times[hi] < t:"),
+    ("src/iriscc/metrics.py", "while row_times[lo] <= start:", "while row_times[lo] < start:"),
     # A replaced feedback record is checked like a new one, and a
     # measured epoch's mean RTT is positive.
     (FEEDBACK, "return cls(*iterable)", "return tuple.__new__(cls, iterable)"),
@@ -201,8 +206,10 @@ SCREEN_EXCITATION_MARGIN = 0.0   # relative
     (BASELINES, "if diff < self.alpha:", "if diff <= self.alpha:"),
     (BASELINES, "elif diff > self.beta:", "elif diff >= self.beta:"),
     (BASELINES, "max(1.0, self.cwnd - 1.0)", "max(0.5, self.cwnd - 1.0)"),
-    # The excitation gate reads the population deviation of the overshoot.
-    ("src/iriscc/regression.py", "x_std=math.sqrt(sxx / n)", "x_std=math.sqrt(sxx / (n - 1))"),
+    # The excitation gate reads the population deviation of the overshoot,
+    # and equal samples have no spread however their mean rounds.
+    ("src/iriscc/regression.py", "x_std = math.sqrt(sxx / n)", "x_std = math.sqrt(sxx / (n - 1))"),
+    ("src/iriscc/regression.py", "_MEAN_ROUNDING = 2.0 ** -50", "_MEAN_ROUNDING = 0.0"),
 ]
 
 
