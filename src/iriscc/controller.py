@@ -351,7 +351,7 @@ class IrisController:
         self.target_delay: float | None = None
         self.target_stale_epochs = 0
         self.rtt_samples: deque = deque()   # (time, rtt), rtt increasing
-        self.history: deque = deque(maxlen=HISTORY_CAP)  # of Measurement
+        self.history: deque = deque()   # of Measurement, at most HISTORY_CAP
         self.sums = WindowSums()
         self.last_meas_ack: float | None = None  # latest ACK time of the last measured epoch
         self.prev_rtt: float | None = None       # mean RTT of the last measured epoch

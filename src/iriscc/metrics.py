@@ -114,8 +114,10 @@ def jain_series(
     start times; by default a flow counts from just before its first
     trace row).  Points where fewer than two flows are active, or all
     active flows delivered nothing, carry None.  ``window`` and ``grid``
-    must be positive and finite.
+    must be positive and finite, ``duration`` non-negative and finite.
     """
+    if not 0 <= duration < math.inf:
+        raise ValueError(f"duration must be non-negative and finite, got {duration}")
     _check_span("window", window)
     _check_span("grid", grid)
     if starts is None:

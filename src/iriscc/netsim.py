@@ -28,20 +28,20 @@ later one does; the next scan admits them all, merged in flow-id order,
 the order they would have had one timer at a time.
 Departures need no events: the capacity schedule is known in advance,
 so the FIFO fixes each admitted packet's service start and departure
-when it arrives.  The FIFO is an append-only list of departure times
-read from a head index: the occupancy is the number of entries past the
-head, and once more than ``_COMPACT`` entries before it have left, the
-next timer deletes them.  The loop keeps the latest departure at
-hand, so an arrival after it finds the FIFO empty without a scan and an
-admitted packet starts from it.  Its one server runs at the scheduled
-link capacity, and :meth:`Simulation.run` applies its rules inline:
+when it arrives.  The FIFO is a deque of the pending departure times:
+an arrival pops those before it and a timer those at its instant too,
+so its length is the occupancy, and it never holds more than the queue
+capacity.  The loop keeps the latest departure at hand, so an arrival
+after it clears the FIFO without a scan and an admitted packet starts
+from it.  Its one server runs at the scheduled link capacity, and
+:meth:`Simulation.run` applies its rules inline:
 
 - each arrival takes one seeded draw for random loss first (when the
   link has any), then is dropped if the occupancy, the packets queued
   or in service, is at least the queue capacity;
 - a packet counts towards the occupancy through the instant of its
   departure, so a departure follows its instant's arrivals and
-  precedes its timers: an arrival forgets only departures before it,
+  precedes its timers: an arrival pops only departures before it,
   a timer (and the arrivals it emits at once) those at its instant too;
 - an admitted packet starts when the last pending departure leaves, at
   once if none is pending, and is sent at the capacity of the last
@@ -54,14 +54,15 @@ schedule entry in force only moves forward.
 A flow's chain stops short of its epoch's end and at the run's end,
 so it holds only arrivals within the run.  A flow materializes at most
 ``_SEGMENT`` arrivals of its open epoch at a time, and after a full
-segment keeps the rest of its chain as ``pacing``, the next time, the
-gap and the stop; the loop materializes the next segment when it takes
-the last arrival of a run.  Each arrival is one gap added to the one
-before it.  A chain's times strictly increase unless a gap rounds away,
-and then it stalls until the emission guard ends the run, so a segment
-taken after the one before it keeps the order.  The chain's last
-arrival, noted when it is materialized, keeps the pacing gap into the
-next epoch.
+segment keeps only the chain's stop, as ``pacing``; the loop
+materializes the next segment when it takes the last arrival of a run.
+Each arrival is one gap, 1 / rate, after the one before it, and a new
+epoch's chain starts one gap after the flow's last arrival or at its
+timer, whichever is later: a run is replaced only by a non-empty
+segment, so its last arrival is the flow's latest, and the rate changes
+only at the flow's own timer.  A chain's times strictly increase unless
+a gap rounds away, and then it stalls until the emission guard ends the
+run, so a segment taken after the one before it keeps the order.
 
 ACKs need no events either.  Delivery and ACK happen at known offsets
 from the start of service (the reverse path is ideal), so an admitted
@@ -118,7 +119,6 @@ from .units import mbps_to_pkts_per_ms
 
 _MAX_EMISSIONS_PER_EPOCH = 1_000_000  # guard against runaway controllers
 _SEGMENT = 2048  # arrivals a flow materializes at a time
-_COMPACT = 4096  # forgotten departures the FIFO may hold before a timer drops them
 _arrival_time = itemgetter(0)
 
 
@@ -144,16 +144,12 @@ class _FlowRuntime:
     epoch_len: float
     rate: float
     prev_mean_rtt: float         # of the latest measured epoch, for the trace; rtprop before one
-    trace: FlowTrace
-    # After a full segment, the rest of the open epoch's chain:
-    # (next time, gap, the stop it stays short of).
-    pacing: tuple = ()
-    run: list = field(default_factory=list)  # materialized (time, flow id) arrivals, sorted
+    trace: FlowTrace             # a row per released epoch, so its length is the next index
+    pacing: float | None = None  # after a full segment, the stop of the rest of its chain
+    run: list = field(default_factory=list)  # the latest segment's arrivals, sorted
     head: int = 0                    # index of the first one in ``run`` not yet admitted
     due: float = math.inf            # its time, or inf once all are admitted
-    last_emit: float | None = None   # the last arrival of the latest epoch that sent one
     epochs: deque = field(default_factory=deque)  # closed _EpochAccum tallies not yet released
-    next_release: int = 0            # index of the epoch at the front of ``epochs``
 
 
 # Each kind's class and the params it accepts, its constructor's
@@ -219,8 +215,8 @@ class Simulation:
         scenario.validate()
         self.scenario = scenario
         self._rng = random.Random(scenario.link.seed)
-        # Departures in FIFO order; the run forgets them from a head index.
-        self._departures: list[float] = []
+        # Pending departures in FIFO order; the run pops those that have left.
+        self._departures: deque[float] = deque()
         self._heap: list = []
         self.flows: list[_FlowRuntime] = []
         for i, spec in enumerate(scenario.flows):
@@ -249,7 +245,7 @@ class Simulation:
     # -- event handlers -----------------------------------------------------
     #
     # A heap event is an epoch timer, (time, flow id), at most one per
-    # flow.  Arrivals, refills and the departures a timer forgets are
+    # flow.  Arrivals, refills and the departures a timer pops are
     # handled in :meth:`run` itself.
 
     def _on_timer(self, now: float, flow_id: int) -> None:
@@ -260,26 +256,26 @@ class Simulation:
             _count(flow.trace.totals, closed)
             flow.epochs.append(closed)
             self._release(flow, now)
-        interval = 1.0 / flow.rate
         self._open[flow_id] = _EpochAccum()
         window_end = now + flow.epoch_len
-        paced = now if flow.last_emit is None else flow.last_emit + interval
-        first = paced if paced > now else now  # max(now, paced), cheaper
         if window_end <= self._duration:
-            self._refill(flow, first, interval, window_end)
+            self._refill(flow, now, window_end)
             heapq.heappush(self._heap, (window_end, flow_id))
         else:  # the last epoch: its chain stops at the run's end, that instant included
-            self._refill(flow, first, interval, math.nextafter(self._duration, math.inf))
+            self._refill(flow, now, math.nextafter(self._duration, math.inf))
 
-    def _refill(self, flow: _FlowRuntime, t: float, interval: float, stop: float) -> None:
-        """Materialize the next segment of the flow's chain, from ``t`` on
-        and short of ``stop``, as its run; count its arrivals into the open
-        epoch, and keep the rest of the chain as ``pacing`` if the segment
-        is full, else clear it.
+    def _refill(self, flow: _FlowRuntime, start: float, stop: float) -> None:
+        """Materialize the next segment of the flow's chain as its run:
+        one gap after the run's last arrival, if any, but from ``start``
+        on and short of ``stop``.  Count its arrivals into the open epoch,
+        and keep ``stop`` as ``pacing`` if the segment is full, else clear it.
 
         The flow's previous run is all admitted by now: a timer follows
         its epoch's arrivals, and the loop refills only a used-up run."""
         flow_id = flow.flow_id
+        interval = 1.0 / flow.rate
+        paced = flow.run[-1][0] + interval if flow.run else start
+        t = paced if paced > start else start  # max(start, paced), cheaper
         segment = []
         append = segment.append
         for _ in repeat(None, _SEGMENT):
@@ -287,13 +283,12 @@ class Simulation:
                 break
             append((t, flow_id))
             t += interval
-        flow.pacing = (t, interval, stop) if len(segment) == _SEGMENT else ()
+        flow.pacing = stop if len(segment) == _SEGMENT else None
         flow.due = segment[0][0] if segment else math.inf
         if not segment:
             return
         flow.run = segment
         flow.head = 0
-        flow.last_emit = segment[-1][0]
         acc = self._open[flow_id]
         acc.planned += len(segment)
         if acc.planned > _MAX_EMISSIONS_PER_EPOCH:
@@ -316,8 +311,7 @@ class Simulation:
             if acc.last_ack is not None and acc.last_ack > now:
                 return
             epochs.popleft()
-            index = flow.next_release
-            flow.next_release = index + 1
+            index = len(flow.trace.rows)
             send_rate = acc.planned / epoch_len
             dropped = acc.overflow + acc.lost
             acked = acc.planned - dropped
@@ -360,8 +354,9 @@ class Simulation:
         refill = self._refill
         departures = self._departures
         depart = departures.append
-        gone = 0  # departures[:gone] have left; the rest are pending
-        tail = -math.inf  # the latest departure, or -inf when a timer forgot them all
+        popleft = departures.popleft
+        clear = departures.clear
+        tail = -math.inf  # the latest departure, or -inf when a timer cleared them all
         capacity = link.queue_capacity
         random_loss = link.random_loss
         draw = self._rng.random
@@ -389,8 +384,8 @@ class Simulation:
                     if hi < len(run):
                         flow.due = run[hi][0]
                         break
-                    if flow.pacing:  # used up, and the chain may go on
-                        refill(flow, *flow.pacing)
+                    if flow.pacing is not None:  # used up, and the chain may go on
+                        refill(flow, -math.inf, flow.pacing)
                     else:
                         flow.due = math.inf
             if taken > 1:
@@ -399,17 +394,16 @@ class Simulation:
                 chunk.sort(key=_arrival_time)
             for now, flow_id in chunk:
                 # An arrival: it belongs to its flow's open epoch.  It
-                # forgets the departures before it: all of them if it
-                # comes after the latest one, else the head stops at or
-                # before that one.
+                # pops the departures before it: all of them if it comes
+                # after the latest one, else up to that one at most.
                 acc = open_tally[flow_id]
                 if tail < now:
-                    gone = len(departures)
+                    clear()
                     occupancy = 0
                 else:
-                    while departures[gone] < now:
-                        gone += 1
-                    occupancy = len(departures) - gone
+                    while departures[0] < now:
+                        popleft()
+                    occupancy = len(departures)
                 acc.occ_sum += occupancy
                 if random_loss > 0.0 and draw() < random_loss:
                     acc.lost += 1
@@ -431,18 +425,15 @@ class Simulation:
                     flows[flow_id].trace.totals.in_flight += 1
             if not heap:
                 break
-            if gone > _COMPACT:
-                del departures[:gone]
-                gone = 0
             now, flow_id = heappop(heap)
             # This instant's departures precede the timer and the
             # arrivals it emits now.
             if tail <= now:
-                gone = len(departures)
+                clear()
                 tail = -math.inf  # none pending, so the next arrival starts at once
             else:
-                while departures[gone] <= now:
-                    gone += 1
+                while departures[0] <= now:
+                    popleft()
             on_timer(now, flow_id)
             # The other timers of this instant, before the next scan: each
             # reads and writes only its own flow's state.

@@ -19,6 +19,7 @@ Numbers use fixed formats, so equal runs produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
@@ -92,8 +93,9 @@ def write_trace_csv(traces: Iterable[FlowTrace], path: str | Path) -> None:
 def read_trace_csv(path: str | Path) -> dict[int, list[TraceRow]]:
     """Read a trace CSV back into per-flow, time-ordered rows.
 
-    Columns are found by name, in any order; extra columns and blank
-    lines are ignored, and a short line or a bad field is an error.
+    Columns are found by name, in any order.  Extra columns and blank
+    lines are ignored; a short line, a bad field or a NaN or infinite
+    time is an error.
     """
     per_flow: dict[int, list[TraceRow]] = {}
     lists: dict[str, list[TraceRow]] = {}  # each flow's rows, by the text of its id
@@ -106,8 +108,11 @@ def read_trace_csv(path: str | Path) -> dict[int, list[TraceRow]]:
         t, f, s, tp, r, q, d = (position[col] for col in CSV_COLUMNS)
         try:
             for entry in filter(None, reader):
+                time = float(entry[t])
+                if not -math.inf < time < math.inf:
+                    raise ValueError(f"time_ms is not finite: {entry[t]!r}")
                 # tuple.__new__ skips the namedtuple's Python-level __new__.
-                row = tuple.__new__(TraceRow, (float(entry[t]), float(entry[s]), float(entry[tp]),
+                row = tuple.__new__(TraceRow, (time, float(entry[s]), float(entry[tp]),
                                                float(entry[r]), float(entry[q]), int(entry[d])))
                 text = entry[f]
                 rows = lists.get(text)

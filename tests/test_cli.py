@@ -200,6 +200,11 @@ def test_analyze_rejects_a_short_trace_line(tmp_path, capsys):
     (1, "x", "invalid literal for int() with base 10: 'x'"),
     (1, "0.0", "invalid literal for int() with base 10: '0.0'"),  # flow 0's value, not its text
     (6, "1.5", "invalid literal for int() with base 10: '1.5'"),
+    # A time orders the rows and places them in windows, so it must be
+    # finite; 1e999 parses, but as inf.
+    (0, "nan", "time_ms is not finite: 'nan'"),
+    (0, "-Infinity", "time_ms is not finite: '-Infinity'"),
+    (0, "1e999", "time_ms is not finite: '1e999'"),
 ])
 def test_analyze_names_the_line_of_a_field_that_does_not_parse(tmp_path, capsys, column,
                                                                 value, reason):

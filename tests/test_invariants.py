@@ -3,7 +3,7 @@ generator that ``tools/diffcheck.py`` also uses."""
 
 import heapq
 import random
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 
@@ -86,11 +86,11 @@ class _Clock:
         watch_refills(sim, note)
 
 
-class _StartRecorder(list):
+class _StartRecorder(deque):
     """Departure FIFO that notes each admitted packet's service start:
-    the later of the last departure and the arrival time.  The loop
-    forgets departures from a head index, so the last one may have left
-    already, and then the packet starts at once."""
+    the later of the last pending departure and the arrival time, or the
+    arrival time when none is pending.  The loop pops departures once
+    they have left, so what the FIFO holds is pending."""
 
     def __init__(self, clock):
         super().__init__()

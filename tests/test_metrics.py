@@ -158,6 +158,23 @@ def test_windowed_metrics_reject_a_window_or_grid_not_positive_and_finite(name, 
             window_throughput(traces[0], 1000.0, value)
 
 
+@pytest.mark.parametrize("duration", [-50.0, -math.inf, math.inf, math.nan])
+def test_windowed_metrics_reject_a_duration_negative_or_not_finite(duration):
+    traces = staggered_pair()
+    message = "^duration must be non-negative and finite"
+    with pytest.raises(ValueError, match=message):
+        jain_series(traces, duration)
+    with pytest.raises(ValueError, match=message):
+        fairness_report(traces, duration)
+
+
+def test_a_zero_duration_has_no_fairness_points():
+    traces = staggered_pair()
+    assert jain_series(traces, 0.0) == []
+    report = fairness_report(traces, 0.0)
+    assert (report.convergence_time, report.mean_jain) == (None, None)
+
+
 def test_utilization_validation():
     trace = make_trace([1.0] * 10)
     with pytest.raises(ValueError):

@@ -598,15 +598,31 @@ def test_segment_size_never_changes_the_bytes(seed, monkeypatch, tmp_path):
     assert run(tmp_path / "refilled.csv") == default
 
 
-@pytest.mark.parametrize("name", [*sorted(GOLDEN), "backlog"])
-def test_departure_compaction_keeps_the_bytes(name, monkeypatch, tmp_path):
-    # With a compaction limit of one, the FIFO deletes its forgotten
-    # departures at nearly every heap event and keeps the pending ones:
-    # the trace and totals are those of the default limit.
-    sc = GOLDEN[name] if name in GOLDEN else scenario_from_dict(json.loads(BACKLOG_SCENARIO))
-    trace, totals, _ = watched_run(sc, tmp_path / "default.csv")
-    monkeypatch.setattr(netsim, "_COMPACT", 1)
-    assert watched_run(sc, tmp_path / "compacted.csv")[:2] == (trace, totals)
+@pytest.mark.parametrize("name", [*sorted(GOLDEN), "backlog", *range(30)])
+def test_fifo_holds_only_pending_departures_at_every_timer(name):
+    # Arrivals pop the departures before them and timers those at their
+    # instant too, so a timer finds only departures after it, at most a
+    # queue's worth: the FIFO's memory is bounded by the queue capacity
+    # however long the run.  Named scenarios and random seeds.
+    if name in GOLDEN:
+        sc = GOLDEN[name]
+    elif name == "backlog":
+        sc = scenario_from_dict(json.loads(BACKLOG_SCENARIO))
+    else:
+        sc = scenario_from_dict(random_scenario(random.Random(name)))
+    sim = Simulation(sc)
+    on_timer = sim._on_timer
+    held = []
+
+    def checked(now, flow_id):
+        departures = sim._departures
+        held.append(len(departures))
+        assert all(departure > now for departure in departures)
+        on_timer(now, flow_id)
+
+    sim._on_timer = checked
+    sim.run()
+    assert held and max(held) <= sc.link.queue_capacity
 
 
 @pytest.mark.xfail(strict=True, reason="cold start doubles once per released epoch, "

@@ -47,13 +47,14 @@ TIMEOUT_FACTOR = 4
 MUTANTS = [
     # The FIFO's rules.
     (NETSIM, "if occupancy >= capacity:", "if occupancy > capacity:"),
-    # An arrival forgets the departures before it, a timer those at its
-    # instant too, and compaction drops only forgotten ones.
-    (NETSIM, "while departures[gone] < now:", "while departures[gone] <= now:"),
+    # An arrival pops the departures before it, a timer those at its
+    # instant too.  (A mutant that drops the arrival's ``clear()`` would
+    # be equivalent: the departures it leaves are all before the arrival,
+    # and the next arrival or timer pops them anyway.)
+    (NETSIM, "while departures[0] < now:", "while departures[0] <= now:"),
     (NETSIM, "if tail < now:", "if tail <= now:"),
-    (NETSIM, "while departures[gone] <= now:", "while departures[gone] < now:"),
+    (NETSIM, "while departures[0] <= now:", "while departures[0] < now:"),
     (NETSIM, "if tail <= now:", "if tail < now:"),
-    (NETSIM, "del departures[:gone]", "del departures[:gone + 1]"),
     (NETSIM, "while next_change < start:", "while next_change <= start:"),
     (NETSIM, """\
                 if random_loss > 0.0 and draw() < random_loss:
@@ -79,22 +80,22 @@ MUTANTS = [
     # sort on time is stable.)
     (NETSIM, "hi = bisect_right(run, bound,", "hi = __import__('bisect').bisect_left(run, bound,"),
     (NETSIM, "if t >= stop:", "if t > stop:"),
-    (NETSIM, "self._refill(flow, first, interval, math.nextafter(self._duration, math.inf))",
-     "self._refill(flow, first, interval, window_end)"),
+    (NETSIM, "self._refill(flow, now, math.nextafter(self._duration, math.inf))",
+     "self._refill(flow, now, window_end)"),
     (NETSIM, "math.nextafter(self._duration, math.inf))", "self._duration)"),
     (NETSIM, "if taken > 1:", "if taken > 2:"),
     # A chain keeps its pacing gap into the next epoch only when that
     # gap ends after the timer.
-    (NETSIM, "first = paced if paced > now else now", "first = paced"),
+    (NETSIM, "t = paced if paced > start else start", "t = paced"),
     # The emission guard allows exactly its limit per epoch; the loop
     # refills a used-up run after a full segment, and each refill
     # resumes where the last segment ended.
     (NETSIM, "if acc.planned > _MAX_EMISSIONS_PER_EPOCH:",
      "if acc.planned >= _MAX_EMISSIONS_PER_EPOCH:"),
-    (NETSIM, "flow.pacing = (t, interval, stop)",
-     "flow.pacing = (t + interval, interval, stop)"),
+    (NETSIM, "refill(flow, -math.inf, flow.pacing)", "refill(flow, bound, flow.pacing)"),
+    (NETSIM, "flow.run[-1][0] + interval", "flow.run[-1][0] + 2 * interval"),
     (NETSIM, "len(segment) == _SEGMENT", "len(segment) > _SEGMENT"),
-    (NETSIM, "if flow.pacing:", "if False:"),
+    (NETSIM, "if flow.pacing is not None:", "if False:"),
     # Drops are counted by kind, and the end of the run counts the open
     # epoch, its drops too.
     (NETSIM, "acc.lost += 1", "acc.overflow += 1"),
